@@ -12,8 +12,6 @@ has inf > 0 or sup > k can be discarded with everything above it.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .element import (
@@ -25,8 +23,11 @@ from .element import (
     fraction_form,
 )
 from .structure import GarsideStructure
+from .words import one_line
 
-DEFAULT_BUDGET = 10 ** 8
+# the one default budget; the largest search the suites run (the six-strand
+# distance witness) visits 850,735 nodes
+DEFAULT_BUDGET = 2 * 10 ** 6
 
 # spot-check density for cache re-validation: one entry in a hundred
 _SPOT_CHECK_STRIDE = 100
@@ -82,33 +83,19 @@ class _NodeCounter:
         self.pruned += 1
 
 
-class _SharedNodeCounter(_NodeCounter):
-    """Lock-guarded counter for the threaded search."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, budget: int) -> None:
-        super().__init__(budget)
-        self._lock = threading.Lock()
-
-    def visit(self) -> None:
-        with self._lock:
-            super().visit()
-
-    def prune(self) -> None:
-        with self._lock:
-            self.pruned += 1
-
-
-def _dfs(st, m, leftmost, depth, k, counter, stop):
+def _dfs(st, m, leftmost, depth, k, counter):
     """Extend the suffix whose running product is m; leftmost is its first factor.
 
+    The root call (m = y, leftmost None, depth 0) tries every nontrivial
+    proper simple as the absorber's last factor; deeper calls try the
+    simples that can precede leftmost in a left-weighted chain.  Candidates
+    come in sorted permutation order, so the first completion found is the
+    lexicographically first absorber and the certificate is deterministic.
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
     completes the suffix into a full absorber, or None.
     """
-    for t in st.preceders(leftmost):
-        if stop is not None and stop.is_set():
-            return None
+    options = st.nontrivial_simples() if leftmost is None else st.preceders(leftmost)
+    for t in options:
         counter.visit()
         m2 = make_element(st, 0, [t, *m.factors])
         if m2.power > 0 or m2.sup > k:
@@ -118,62 +105,14 @@ def _dfs(st, m, leftmost, depth, k, counter, stop):
             if m2.sup == k:
                 return [t]
             continue
-        got = _dfs(st, m2, t, depth + 1, k, counter, stop)
+        got = _dfs(st, m2, t, depth + 1, k, counter)
         if got is not None:
             got.append(t)
             return got
     return None
 
 
-def _try_last_factor(st, y, t, k, counter, stop):
-    """Run the sub-search where the absorber's last factor is t."""
-    counter.visit()
-    m2 = make_element(st, 0, [t, *y.factors])
-    if m2.power > 0 or m2.sup > k:
-        counter.prune()
-        return None
-    if k == 1:
-        return [t] if m2.sup == 1 else None
-    got = _dfs(st, m2, t, 1, k, counter, stop)
-    if got is not None:
-        got.append(t)
-    return got
-
-
-def _search_absorber(st, y, budget, threads):
-    """Find the lexicographically first absorber of positive y, or None.
-
-    Candidate factors are iterated in sorted permutation order, so the
-    certificate is deterministic.  With threads > 1 the search splits on
-    the last factor; the winner is still the first candidate in iteration
-    order that yields a certificate.
-    """
-    k = y.canonical_length
-    candidates = st.nontrivial_simples()
-    if threads <= 1 or len(candidates) < 2:
-        counter = _NodeCounter(budget)
-        for t in candidates:
-            got = _try_last_factor(st, y, t, k, counter, None)
-            if got is not None:
-                return got, counter
-        return None, counter
-    counter = _SharedNodeCounter(budget)
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_try_last_factor, st, y, t, k, counter, stop)
-                   for t in candidates]
-        try:
-            for fut in futures:
-                got = fut.result()
-                if got is not None:
-                    return got, counter
-        finally:
-            stop.set()
-    return None, counter
-
-
-def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET,
-                  threads: int = 1):
+def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     """Certificate of absorbability for y, or None if y is not absorbable.
 
     Inputs with inf and sup both nonzero are never absorbable and return
@@ -194,7 +133,8 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET,
         target = invert(y)
     else:
         return None
-    got, counter = _search_absorber(st, target, budget, threads)
+    counter = _NodeCounter(budget)
+    got = _dfs(st, target, None, 0, target.canonical_length, counter)
     if got is None:
         return None
     x = make_element(st, 0, got)
@@ -267,12 +207,6 @@ _CACHE_MAGIC = "GARSIDE-ABSORB"
 _CACHE_VERSION = "v1"
 
 
-def _format_simple(st: GarsideStructure, s) -> str:
-    if st.n <= 9:
-        return "".join(str(d) for d in s)
-    return ",".join(str(d) for d in s)
-
-
 def _parse_simple(st: GarsideStructure, token: str):
     try:
         if "," in token:
@@ -338,7 +272,7 @@ def _cache_load(st, max_len, path, budget):
 
 
 def _cache_append(st, max_len, path, elements) -> None:
-    rows = ["|".join(_format_simple(st, f) for f in el.factors)
+    rows = ["|".join(one_line(st, f) for f in el.factors)
             for el in elements]
     with open(path, "a", encoding="ascii") as fh:
         fh.write(_cache_header(st, max_len) + "\n")

@@ -87,8 +87,8 @@ def _coset_difference(v: ALVertex, w: ALVertex) -> GarsideElement:
     return multiply(invert(v.rep), w.rep)
 
 
-def are_adjacent(v: ALVertex, w: ALVertex, budget: int = DEFAULT_BUDGET,
-                 threads: int = 1) -> Optional[EdgeWitness]:
+def are_adjacent(v: ALVertex, w: ALVertex,
+                 budget: int = DEFAULT_BUDGET) -> Optional[EdgeWitness]:
     """Exact adjacency decision, with the witness when there is an edge.
 
     With z = v_rep^-1 w_rep, the label must be z Delta^k for some k, and the
@@ -104,11 +104,11 @@ def are_adjacent(v: ALVertex, w: ALVertex, budget: int = DEFAULT_BUDGET,
     head = multiply(z, delta_power(st, -z.inf))
     if head.canonical_length == 1:
         return EdgeWitness("simple", head, -z.inf)
-    cert = is_absorbable(head, budget=budget, threads=threads)
+    cert = is_absorbable(head, budget=budget)
     if cert is not None:
         return EdgeWitness("absorbable", head, -z.inf, cert)
     tail = multiply(z, delta_power(st, -z.sup))
-    cert = is_absorbable(tail, budget=budget, threads=threads)
+    cert = is_absorbable(tail, budget=budget)
     if cert is not None:
         return EdgeWitness("absorbable", tail, -z.sup, cert)
     return None
@@ -166,7 +166,7 @@ def _generators(st: GarsideStructure, gen_len: int, budget, cache_path):
 
 
 def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
-                         budget: int = 2 * 10 ** 6,
+                         budget: int = DEFAULT_BUDGET,
                          cache_path=None) -> Optional[int]:
     """BFS distance between v and w in the subgraph whose edges are labeled
     by nontrivial proper simples and absorbable elements of canonical length
@@ -386,11 +386,10 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
 
 
 def adjacent_path_diameter_check(v: ALVertex, w: ALVertex,
-                                 budget: int = DEFAULT_BUDGET,
-                                 threads: int = 1) -> bool:
+                                 budget: int = DEFAULT_BUDGET) -> bool:
     """For an adjacent pair, test that every two vertices of the preferred
     path are equal or adjacent (the path has diameter 1)."""
-    if are_adjacent(v, w, budget=budget, threads=threads) is None:
+    if are_adjacent(v, w, budget=budget) is None:
         raise ValueError("adjacent_path_diameter_check expects an adjacent pair")
     path = preferred_path(v, w)
     verts = path.vertices
@@ -398,7 +397,6 @@ def adjacent_path_diameter_check(v: ALVertex, w: ALVertex,
         for j in range(i + 1, len(verts)):
             if verts[i] == verts[j]:
                 continue
-            if are_adjacent(verts[i], verts[j], budget=budget,
-                            threads=threads) is None:
+            if are_adjacent(verts[i], verts[j], budget=budget) is None:
                 return False
     return True

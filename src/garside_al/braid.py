@@ -160,11 +160,6 @@ def simple_from_word(st: BraidStructure, word) -> Perm:
     return cur
 
 
-def rev_simple(s: Perm) -> Perm:
-    # reading an atom word backwards inverts the permutation
-    return perm_inverse(s)
-
-
 def embed_simple(s: Perm, offset: int, m: int) -> Perm:
     """Embed a simple of B_k into B_m acting on strands offset+1 .. offset+k."""
     k = len(s)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .absorb import (
+    DEFAULT_BUDGET,
     CacheError,
     SearchBudgetExceeded,
     enumerate_absorbable,
@@ -38,6 +39,7 @@ from .alcomplex import (
 )
 from .braid import braid_structure
 from .element import (
+    SizeLimitExceeded,
     complement,
     is_rigid,
     left_gcd,
@@ -55,13 +57,14 @@ from .special import (
     nine_absorbable_decomposition,
     orbit_diameter_probe,
 )
+from .structure import UnsupportedStructureOperation
 from .suites import SUITE_NAMES, run_suite
 from .words import WordSyntaxError, format_element, one_line, parse_word
 
 JSON_SCHEMA = "garside-al.v1"
 
-DEFAULTS = {"n": None, "seed": 0, "budget": 2 * 10 ** 6, "max_len": 2,
-            "cache": None, "threads": 1}
+DEFAULTS = {"n": None, "seed": 0, "budget": DEFAULT_BUDGET, "max_len": 2,
+            "cache": None}
 
 _ENV_KEYS = {"n": "GARSIDE_AL_N", "seed": "GARSIDE_AL_SEED",
              "budget": "GARSIDE_AL_BUDGET", "max_len": "GARSIDE_AL_MAX_LEN",
@@ -79,7 +82,6 @@ class Config:
     budget: int
     max_len: int
     cache: Optional[str]
-    threads: int
     as_json: bool
 
     def structure(self):
@@ -118,14 +120,16 @@ def resolve_config(args: argparse.Namespace) -> Config:
             values[key] = from_file[key]
         else:
             values[key] = default
-    for key in ("n", "seed", "budget", "max_len", "threads"):
+    for key in ("n", "seed", "budget", "max_len"):
         if isinstance(values[key], str):
             try:
                 values[key] = int(values[key])
             except ValueError:
                 raise UsageError(f"{key} must be an integer, got {values[key]!r}")
+    if values["budget"] < 1:
+        raise UsageError(f"budget must be at least 1, got {values['budget']}")
     return Config(values["n"], values["seed"], values["budget"],
-                  values["max_len"], values["cache"], values["threads"],
+                  values["max_len"], values["cache"],
                   bool(getattr(args, "json", False)))
 
 
@@ -232,7 +236,7 @@ def _cmd_absorbable(args, cfg: Config) -> int:
                                   "variant": "prime"}, {"verdict": verdict},
               [verdict])
         return 0
-    cert = is_absorbable(e, budget=cfg.budget, threads=cfg.threads)
+    cert = is_absorbable(e, budget=cfg.budget)
     lines = ["absorbable" if cert else "not absorbable"]
     payload = {"absorbable": cert is not None}
     if cert is not None and args.certificate:
@@ -262,7 +266,7 @@ def _cmd_adjacent(args, cfg: Config) -> int:
     st = cfg.structure()
     v = vertex_of(parse_word(st, args.left))
     w = vertex_of(parse_word(st, args.right))
-    wit = are_adjacent(v, w, budget=cfg.budget, threads=cfg.threads)
+    wit = are_adjacent(v, w, budget=cfg.budget)
     if wit is None:
         _emit(cfg, "adjacent", {"left": args.left, "right": args.right,
                                 "n": cfg.n}, {"adjacent": False},
@@ -382,7 +386,7 @@ def _cmd_probe_orbit(args, cfg: Config) -> int:
 
 def _cmd_verify(args, cfg: Config) -> int:
     result = run_suite(args.suite, seed=cfg.seed, budget=cfg.budget,
-                       threads=cfg.threads, cache_path=cfg.cache)
+                       cache_path=cfg.cache)
     _emit(cfg, "verify", {"suite": args.suite, "seed": cfg.seed},
           {"ok": result.ok,
            "checks": [{"label": c.label, "ok": c.ok, "detail": c.detail}
@@ -417,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="node budget for absorbability searches")
     common.add_argument("--cache", default=None,
                         help="path of the enumeration cache file")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for search operations")
     common.add_argument("--json", action="store_true",
                         help="structured output instead of plain text")
 
@@ -502,7 +504,8 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _DISPATCH[args.command](args, cfg)
-    except (UsageError, WordSyntaxError, CacheError, ValueError) as exc:
+    except (UsageError, WordSyntaxError, CacheError, ValueError,
+            UnsupportedStructureOperation, SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchBudgetExceeded as exc:

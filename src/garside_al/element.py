@@ -231,7 +231,7 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
             s = st.delta
         else:
             s = base
-            if not is_simple_value(st, s):
+            if not st.is_simple_value(s):
                 raise ValueError(f"token {s!r} is not a simple of {st.structure_id}")
         if len(fac) + abs(exp) > MAX_SIZE:
             raise SizeLimitExceeded("word expands past the size bound")
@@ -245,10 +245,6 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
                 append_delta(-1)
                 fac.append(st.left_complement(s))
     return make_element(st, p, fac)
-
-
-def is_simple_value(st: GarsideStructure, s: Simple) -> bool:
-    return st.is_simple_value(s)
 
 
 # -- divisibility and gcds ----------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .absorb import absorbs, is_absorbable
+from .absorb import DEFAULT_BUDGET, absorbs, is_absorbable
 from .alcomplex import distance_upper_bound, identity_vertex, preferred_path, vertex_of
-from .braid import BraidStructure, braid_structure, embed_simple, rev_simple, simple_from_word
+from .braid import BraidStructure, braid_structure, embed_simple, perm_inverse, simple_from_word
 from .element import (
     GarsideElement,
     delta_power,
@@ -128,7 +128,7 @@ def _witness_factor_perms(n: int) -> list:
     e = (n + 1) // 2
     mids = [stn.tau_pow(stn.left_quotient(stn.atom(e), stn.delta), e),
             stn.tau_pow(stn.left_quotient(stn.atom(n // 2), stn.delta), e)]
-    return head + mids + [rev_simple(f) for f in reversed(head)]
+    return head + mids + [perm_inverse(f) for f in reversed(head)]
 
 
 def distance_witness(n: int) -> GarsideElement:
@@ -676,7 +676,7 @@ class ProbeEntry:
 
 def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: int,
                          curve: Optional[RoundCurve] = None,
-                         budget: int = 2 * 10 ** 6) -> tuple:
+                         budget: int = DEFAULT_BUDGET) -> tuple:
     """Upper bounds on the complex distance from the identity vertex to the
     vertices of g, g^2, ..., g^steps.
 

@@ -14,7 +14,13 @@ import random
 from dataclasses import dataclass
 
 from .abelian import abelian_structure
-from .absorb import absorbs, enumerate_absorbable, is_absorbable, is_absorbable_prime
+from .absorb import (
+    DEFAULT_BUDGET,
+    absorbs,
+    enumerate_absorbable,
+    is_absorbable,
+    is_absorbable_prime,
+)
 from .alcomplex import (
     act,
     adjacent_path_diameter_check,
@@ -273,8 +279,7 @@ def _kernel_checks(rng: random.Random) -> list:
     return checks
 
 
-def _absorb_checks(rng: random.Random, budget: int, threads: int,
-                   cache_path=None) -> list:
+def _absorb_checks(rng: random.Random, budget: int, cache_path=None) -> list:
     checks = []
     b3, b4 = braid_structure(3), braid_structure(4)
 
@@ -287,7 +292,7 @@ def _absorb_checks(rng: random.Random, budget: int, threads: int,
     pool = enumerate_absorbable(b4, 2, budget=budget, cache_path=cache_path)
     ok_cert = ok_invcl = True
     for y in pool:
-        cert = is_absorbable(y, budget=budget, threads=threads)
+        cert = is_absorbable(y, budget=budget)
         ok_cert &= cert is not None and absorbs(cert.x, y)
         ok_cert &= cert.x.power == 0 and cert.x.sup == y.canonical_length
         ok_invcl &= absorbs(multiply(cert.x, y), invert(y))
@@ -306,7 +311,7 @@ def _absorb_checks(rng: random.Random, budget: int, threads: int,
     ok_mixed = True
     for _ in range(10):
         y = random_element(rng, b4, 2, power_span=1)
-        cert = is_absorbable(y, budget=budget, threads=threads)
+        cert = is_absorbable(y, budget=budget)
         if cert is not None:
             prod = multiply(cert.x, y)
             ok_mixed &= prod.power == cert.x.power and prod.sup == cert.x.sup
@@ -314,14 +319,13 @@ def _absorb_checks(rng: random.Random, budget: int, threads: int,
         "certificates on mixed-sign samples preserve both statistics", ok_mixed))
 
     y2 = parse_word(b4, "s1^2 s2^2 s3^2 s2^2 s1")
-    cert2 = is_absorbable(y2, budget=budget, threads=threads)
+    cert2 = is_absorbable(y2, budget=budget)
     checks.append(SuiteCheck(
         "the length-5 rigid sample is absorbable with a certificate",
         cert2 is not None and absorbs(cert2.x, y2)))
     checks.append(SuiteCheck(
         "the length-2 interleaved sample is not absorbable",
-        is_absorbable(parse_word(b4, "s1 s3 s1 s3"), budget=budget,
-                      threads=threads) is None))
+        is_absorbable(parse_word(b4, "s1 s3 s1 s3"), budget=budget) is None))
     checks.append(SuiteCheck(
         "three-valued variant: yes on the absorbable sample",
         is_absorbable_prime(y2, budget=budget) == "yes"))
@@ -331,9 +335,8 @@ def _absorb_checks(rng: random.Random, budget: int, threads: int,
     return checks
 
 
-def _complex_checks(rng: random.Random, budget: int, threads: int,
-                    pairs: int = 30, triangles: int = 15,
-                    adjacent_pairs: int = 10) -> list:
+def _complex_checks(rng: random.Random, budget: int, pairs: int = 30,
+                    triangles: int = 15, adjacent_pairs: int = 10) -> list:
     checks = []
     b3, b4 = braid_structure(3), braid_structure(4)
 
@@ -370,12 +373,11 @@ def _complex_checks(rng: random.Random, budget: int, threads: int,
         w = vertex_of(multiply(v.rep, rng.choice(labels4)))
         if v == w:
             continue
-        wit = are_adjacent(v, w, budget=budget, threads=threads)
+        wit = are_adjacent(v, w, budget=budget)
         ok_adj &= wit is not None
-        back = are_adjacent(w, v, budget=budget, threads=threads)
+        back = are_adjacent(w, v, budget=budget)
         ok_adj &= back is not None
-        ok_diam &= adjacent_path_diameter_check(v, w, budget=budget,
-                                                threads=threads)
+        ok_diam &= adjacent_path_diameter_check(v, w, budget=budget)
     checks.append(SuiteCheck("edges are symmetric with explicit witnesses", ok_adj))
     checks.append(SuiteCheck(
         "preferred paths between neighbors have diameter 1", ok_diam))
@@ -410,9 +412,8 @@ def _complex_checks(rng: random.Random, budget: int, threads: int,
         w = random_vertex(rng, b4, 4)
         if v != w:
             gv, gw = act(g, v), act(g, w)
-            same = are_adjacent(v, w, budget=budget, threads=threads) is not None
-            moved = gv != gw and are_adjacent(gv, gw, budget=budget,
-                                              threads=threads) is not None
+            same = are_adjacent(v, w, budget=budget) is not None
+            moved = gv != gw and are_adjacent(gv, gw, budget=budget) is not None
             ok_act &= same == moved
     checks.append(SuiteCheck(
         "the squared Garside element acts trivially; the action preserves edges",
@@ -420,7 +421,7 @@ def _complex_checks(rng: random.Random, budget: int, threads: int,
     return checks
 
 
-def _special_checks(rng: random.Random, budget: int, threads: int,
+def _special_checks(rng: random.Random, budget: int,
                     instances: int = 12) -> list:
     checks = []
     b4 = braid_structure(4)
@@ -442,8 +443,8 @@ def _special_checks(rng: random.Random, budget: int, threads: int,
     ok_na = True
     for n in (4, 5, 6):
         xn = distance_witness(n)
-        ok_na &= is_absorbable(xn, budget=10 ** 8) is None
-        ok_na &= is_absorbable(complement(xn), budget=10 ** 8) is None
+        ok_na &= is_absorbable(xn, budget=budget) is None
+        ok_na &= is_absorbable(complement(xn), budget=budget) is None
     checks.append(SuiteCheck(
         "witness elements and their complements are not absorbable (4-6 strands)",
         ok_na))
@@ -506,7 +507,7 @@ def _special_checks(rng: random.Random, budget: int, threads: int,
     x4v = vertex_of(x4)
     checks.append(SuiteCheck(
         "identity and witness vertices are not neighbors",
-        are_adjacent(home, x4v, budget=budget, threads=threads) is None))
+        are_adjacent(home, x4v, budget=budget) is None))
     ub = distance_upper_bound(home, x4v, 2, 7, budget=budget)
     checks.append(SuiteCheck(
         "witness vertex within distance 6 of the identity",
@@ -528,7 +529,7 @@ def _special_checks(rng: random.Random, budget: int, threads: int,
     return checks
 
 
-def _example_checks(budget: int, threads: int) -> list:
+def _example_checks(budget: int) -> list:
     """The fixed worked examples with their exact expected values."""
     checks = []
     b3, b4 = braid_structure(3), braid_structure(4)
@@ -562,8 +563,7 @@ def _example_checks(budget: int, threads: int) -> list:
 
     checks.append(SuiteCheck(
         "interleaved square is not absorbable",
-        is_absorbable(parse_word(b4, "s1 s3 s1 s3"), budget=budget,
-                      threads=threads) is None))
+        is_absorbable(parse_word(b4, "s1 s3 s1 s3"), budget=budget) is None))
 
     ok45 = True
     for n in (4, 5):
@@ -571,7 +571,7 @@ def _example_checks(budget: int, threads: int) -> list:
         for i in range(1, n):
             yi = multiply(invert(make_element(st, 0, [st.atom(i)])),
                           delta_power(st, 1))
-            ok45 &= is_absorbable(yi, budget=budget, threads=threads) is None
+            ok45 &= is_absorbable(yi, budget=budget) is None
     checks.append(SuiteCheck(
         "no atom-complement simple is absorbable (4 and 5 strands)", ok45))
 
@@ -608,20 +608,16 @@ def _example_checks(budget: int, threads: int) -> list:
 
 
 _BODIES = {
-    "kernel": lambda rng, budget, threads, cache: _kernel_checks(rng),
-    "absorb": lambda rng, budget, threads, cache: _absorb_checks(
-        rng, budget, threads, cache),
-    "complex": lambda rng, budget, threads, cache: _complex_checks(
-        rng, budget, threads),
-    "special": lambda rng, budget, threads, cache: _special_checks(
-        rng, budget, threads),
-    "worked-examples": lambda rng, budget, threads, cache: _example_checks(
-        budget, threads),
+    "kernel": lambda rng, budget, cache: _kernel_checks(rng),
+    "absorb": _absorb_checks,
+    "complex": lambda rng, budget, cache: _complex_checks(rng, budget),
+    "special": lambda rng, budget, cache: _special_checks(rng, budget),
+    "worked-examples": lambda rng, budget, cache: _example_checks(budget),
 }
 
 
-def run_suite(name: str, seed: int = 0, budget: int = 2 * 10 ** 6,
-              threads: int = 1, cache_path=None) -> SuiteResult:
+def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET,
+              cache_path=None) -> SuiteResult:
     """Run one named suite (or all of them) and collect the report."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -629,6 +625,6 @@ def run_suite(name: str, seed: int = 0, budget: int = 2 * 10 ** 6,
     checks = []
     for part in names:
         rng = random.Random(f"{seed}:{part}")
-        checks.extend(_BODIES[part](rng, budget, threads, cache_path))
+        checks.extend(_BODIES[part](rng, budget, cache_path))
     notes = (SCOPE_NOTE,) if name in ("special", "all") else ()
     return SuiteResult(name, tuple(checks), notes)

@@ -7,8 +7,8 @@ import pytest
 from garside_al import braid_structure, make_element, multiply
 from garside_al.braid import (
     embed_simple,
+    perm_inverse as braid_perm_inverse,
     rev_element,
-    rev_simple,
     shift_element,
     simple_from_word,
 )
@@ -133,7 +133,7 @@ def test_rev_simple_reverses_words():
     for struct in (B3, B4):
         for q in all_simples(struct):
             word = struct.simple_word(q)
-            assert rev_simple(q) == perm_of_word(tuple(reversed(word)), struct.n)
+            assert braid_perm_inverse(q) == perm_of_word(tuple(reversed(word)), struct.n)
 
 
 def test_embed_simple_offsets_support():

@@ -252,6 +252,19 @@ class TestCliErrors:
                                "--budget", "3")
         assert code == 3 and "budget" in err
 
+    def test_budget_below_one_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "absorbable", "s1", "--n", "4",
+                               "--budget", "-1")
+        assert code == 2 and err.startswith("error:") and "budget" in err
+
+    def test_unenumerable_strand_count_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "absorbable", "s1", "--n", "9")
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    def test_oversized_word_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "nf", "D^20000000", "--n", "3")
+        assert code == 2 and "size bound" in err and err.count("\n") == 1
+
     def test_witness_check_failure_is_exit_one(self, capsys, monkeypatch):
         from garside_al.special import PropertyCheck, PropertyReport
         monkeypatch.setattr(
