@@ -12,10 +12,12 @@ has inf > 0 or sup > k can be discarded with everything above it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .element import (
     GarsideElement,
+    _lmul_simple,
     invert,
     make_element,
     multiply,
@@ -97,7 +99,7 @@ def _dfs(st, m, leftmost, depth, k, counter):
     options = st.nontrivial_simples() if leftmost is None else st.preceders(leftmost)
     for t in options:
         counter.visit()
-        m2 = make_element(st, 0, [t, *m.factors])
+        m2 = _lmul_simple(st, t, m)
         if m2.power > 0 or m2.sup > k:
             counter.prune()
             continue
@@ -196,15 +198,20 @@ def enumerate_absorbable(st: GarsideStructure, max_len: int,
 # ---------------------------------------------------------------------------
 # cache: text, line oriented, append-only blocks
 #
-#   GARSIDE-ABSORB v1 <structure-id> n=<n> L=<L>
+#   GARSIDE-ABSORB v2 <structure-id> n=<n> L=<L>
 #   perm|perm|...
 #   ...
+#   END <number of entries>
 #
 # One element per line as its factor list; permutations in one-line notation,
-# plain digit runs for n <= 9 and comma-separated entries for larger n.
+# plain digit runs for n <= 9 and comma-separated entries for larger n.  A
+# block is written by one write() on an O_APPEND descriptor, trailer last, so
+# a block cut short by a crash has no trailer (or a wrong count) and is
+# skipped, and blocks from concurrent writers do not interleave.
 
 _CACHE_MAGIC = "GARSIDE-ABSORB"
-_CACHE_VERSION = "v1"
+_CACHE_VERSION = "v2"
+_CACHE_TRAILER = "END"
 
 
 def _parse_simple(st: GarsideStructure, token: str):
@@ -224,12 +231,27 @@ def _cache_header(st: GarsideStructure, max_len: int) -> str:
     return f"{_CACHE_MAGIC} {_CACHE_VERSION} {st.structure_id} n={st.n} L={max_len}"
 
 
+def _complete_block(lines, start):
+    """The entry lines of the block whose rows begin at lines[start], or
+    None when its trailer is missing or counts a different number."""
+    rows = []
+    for line in lines[start:]:
+        if line.startswith(_CACHE_MAGIC):
+            return None
+        if line.startswith(_CACHE_TRAILER):
+            return rows if line == f"{_CACHE_TRAILER} {len(rows)}" else None
+        if line.strip():
+            rows.append(line)
+    return None
+
+
 def _cache_load(st, max_len, path, budget):
     """Return the cached tuple for this key, or None when absent.
 
-    Every block is located by its exact header line.  Entries are parsed,
-    checked to be left-weighted chains in sorted order, and one entry in a
-    hundred (always at least one) is re-validated with a fresh search.
+    Blocks are located by their exact header line; the first complete one
+    (see _complete_block) is used.  Entries are parsed, checked to be
+    left-weighted chains in sorted order, and one entry in a hundred
+    (always at least one) is re-validated with a fresh search.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -239,19 +261,16 @@ def _cache_load(st, max_len, path, budget):
     except OSError as exc:
         raise CacheError(f"cache: cannot read {path}: {exc}")
     wanted = _cache_header(st, max_len)
-    start = None
+    rows = None
     for i, line in enumerate(lines):
         if line == wanted:
-            start = i + 1
-            break
-    if start is None:
+            rows = _complete_block(lines, i + 1)
+            if rows is not None:
+                break
+    if rows is None:
         return None
     chains = []
-    for line in lines[start:]:
-        if line.startswith(_CACHE_MAGIC):
-            break
-        if not line.strip():
-            continue
+    for line in rows:
         chain = tuple(_parse_simple(st, tok) for tok in line.split("|"))
         for a, b in zip(chain, chain[1:]):
             if not st.is_left_weighted(a, b):
@@ -274,10 +293,21 @@ def _cache_load(st, max_len, path, budget):
 def _cache_append(st, max_len, path, elements) -> None:
     rows = ["|".join(one_line(st, f) for f in el.factors)
             for el in elements]
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write(_cache_header(st, max_len) + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    block = "\n".join([_cache_header(st, max_len), *rows,
+                       f"{_CACHE_TRAILER} {len(rows)}"]) + "\n"
+    # a torn last line left by an interrupted writer would swallow the header
+    if os.path.exists(path) and os.path.getsize(path):
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                block = "\n" + block
+    data = block.encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        while data:  # one write unless the kernel takes only part of it
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .absorb import (
 )
 from .element import (
     GarsideElement,
+    _rmul_simple,
     delta_power,
     delta_prefix,
     identity_element,
@@ -133,9 +134,13 @@ def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
     st = v.structure
     z = _coset_difference(v, w)
     x = multiply(z, delta_power(st, -z.inf))
-    vertices = tuple(vertex_of(multiply(v.rep, delta_prefix(x, i)))
-                     for i in range(x.canonical_length + 1))
-    return PreferredPath(vertices, x.factors)
+    # the running product v_rep * x_1 ... x_i, one cascade per step
+    cur = v.rep
+    vertices = [vertex_of(cur)]
+    for f in x.factors:
+        cur = _rmul_simple(st, cur, f)
+        vertices.append(vertex_of(cur))
+    return PreferredPath(tuple(vertices), x.factors)
 
 
 def gcd_vertex(v: ALVertex, w: ALVertex) -> ALVertex:

@@ -104,7 +104,12 @@ def _file_settings() -> dict:
         raise UsageError(f"bad config file {path}: {exc}")
     if not parser.has_section("garside-al"):
         return {}
-    return dict(parser.items("garside-al"))
+    settings = dict(parser.items("garside-al"))
+    unknown = sorted(set(settings) - set(DEFAULTS))
+    if unknown:
+        raise UsageError(f"unknown key {', '.join(unknown)} in config file {path}; "
+                         f"known keys: {', '.join(DEFAULTS)}")
+    return settings
 
 
 def resolve_config(args: argparse.Namespace) -> Config:

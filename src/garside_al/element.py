@@ -5,9 +5,23 @@ simple different from the identity and from delta, and every adjacent pair is
 left-weighted.  p is the infimum, p + r the supremum, r the canonical length.
 Equality of group elements is structural equality of this representation.
 
-Normalization works by repeated local sliding: a pair (s, t) that is not
-left-weighted is replaced by (s*(ds ^ t), (ds ^ t)^-1 * t) where ds is the
-right complement of s; deltas bubble to the front picking up tau twists.
+All normalization goes through two one-pass slide cascades, the domino rule
+for multiplying a normal form by one simple (Dehornoy et al., Foundations of
+Garside Theory, EMS 2015, Ch. III; Thurston in Epstein et al., Word
+Processing in Groups, 1992, Ch. 9).  Sliding a pair (s, t) that is not
+left-weighted means replacing it by (s*u, u^-1*t) with u = ds ^ t, where ds
+is the right complement of s.
+
+* _lmul_simple (s * x) slides s into x_1, the remainder into x_2, and so on,
+  left to right, and stops as soon as the carry is the identity or meets a
+  pair that is already left-weighted.  Leading deltas join the power.
+* _rmul_into (x * s, on a factor list) appends s and slides right to left
+  with the same stopping rule; a carry that fills up to delta leaves through
+  the front, twisting the prefix by tau.
+
+The public make_element validates its simples and folds the right cascade
+over them; everything built inside the package from simples it produced
+itself is constructed directly, without re-validation.
 """
 
 from __future__ import annotations
@@ -78,52 +92,84 @@ class GarsideElement:
         return f"GarsideElement({self.structure.structure_id}, D^{self.power}, {list(self.factors)})"
 
 
-def _settle(st: GarsideStructure, fac: list) -> tuple[int, tuple]:
-    """Normalize a list of simples in place; returns (delta count, factors)."""
-    ident = st.identity
-    delta = st.delta
-    fac = [s for s in fac if s != ident]
-    j = 1
-    while j < len(fac):
-        s, t = fac[j - 1], fac[j]
-        if s == delta:
-            j += 1
-            continue
-        if t == delta:
-            # s * D = D * tau(s): the delta hops left
-            fac[j - 1], fac[j] = delta, st.tau(s)
-            if j > 1:
-                j -= 1
-            continue
-        u = st.left_meet(st.right_complement(s), t)
+def _lmul_simple(st: GarsideStructure, s: Simple, x: GarsideElement) -> GarsideElement:
+    """Normal form of s * x for a simple s, by the left-to-right cascade."""
+    ident, delta = st.identity, st.delta
+    p = x.power
+    # s delta^p = delta^p tau^p(s)
+    c = st.tau_pow(s, p)
+    if c == ident:
+        return x
+    if c == delta:
+        return GarsideElement(st, p + 1, x.factors)
+    fac = x.factors
+    head = []
+    i = 0
+    while i < len(fac):
+        f = fac[i]
+        u = st.left_meet(st.right_complement(c), f)
         if u == ident:
-            j += 1
-            continue
-        ns = st.compose(s, u)
-        assert ns is not None, "slide target not simple; lattice callbacks broken"
-        nt = st.left_quotient(u, t)
-        fac[j - 1] = ns
-        if nt == ident:
+            break
+        head.append(st.compose(c, u))
+        c = st.left_quotient(u, f)
+        i += 1
+        if c == ident:
+            break
+    if c != ident:
+        head.append(c)
+    k = 0
+    while k < len(head) and head[k] == delta:
+        k += 1
+    return GarsideElement(st, p + k, (*head[k:], *fac[i:]))
+
+
+def _rmul_into(st: GarsideStructure, fac: list, s: Simple) -> int:
+    """Replace the normal factor list fac by that of fac * s, in place, by
+    the right-to-left cascade; returns the number of deltas (0 or 1) that
+    left through the front and now belong to the power."""
+    ident, delta = st.identity, st.delta
+    if s == ident:
+        return 0
+    if s == delta:
+        # x delta = delta tau(x)
+        fac[:] = [st.tau(f) for f in fac]
+        return 1
+    fac.append(s)
+    j = len(fac) - 1
+    while j:
+        f, c = fac[j - 1], fac[j]
+        u = st.left_meet(st.right_complement(f), c)
+        if u == ident:
+            return 0
+        rest = st.left_quotient(u, c)
+        if rest == ident:
             del fac[j]
         else:
-            fac[j] = nt
-        if j > 1:
-            j -= 1
-    p = 0
-    while fac and fac[0] == delta:
-        fac.pop(0)
-        p += 1
-    assert all(f != delta for f in fac), "non-leading delta survived settling"
-    return p, tuple(fac)
+            fac[j] = rest
+        c = st.compose(f, u)
+        if c == delta:
+            fac[:j] = [st.tau(x) for x in fac[:j - 1]]
+            return 1
+        fac[j - 1] = c
+        j -= 1
+    return 0
+
+
+def _rmul_simple(st: GarsideStructure, x: GarsideElement, s: Simple) -> GarsideElement:
+    """Normal form of x * s for a simple s, by the right-to-left cascade."""
+    fac = list(x.factors)
+    p = x.power + _rmul_into(st, fac, s)
+    return GarsideElement(st, p, tuple(fac))
 
 
 def make_element(st: GarsideStructure, power: int, simples: Iterable[Simple]) -> GarsideElement:
-    fac = list(simples)
-    for s in fac:
+    """The element delta^power * s_1 ... s_k; every s_i must be a simple."""
+    fac: list = []
+    for s in simples:
         if not st.is_simple_value(s):
             raise ValueError(f"not a simple of {st.structure_id}: {s!r}")
-    dp, fac = _settle(st, fac)
-    return GarsideElement(st, power + dp, fac)
+        power += _rmul_into(st, fac, s)
+    return GarsideElement(st, power, tuple(fac))
 
 
 def identity_element(st: GarsideStructure) -> GarsideElement:
@@ -149,8 +195,10 @@ def multiply(a: GarsideElement, b: GarsideElement) -> GarsideElement:
     st = _check_same_structure(a, b)
     # delta^pa A delta^pb B = delta^(pa+pb) tau^pb(A) B
     fac = [st.tau_pow(f, b.power) for f in a.factors]
-    fac.extend(b.factors)
-    return make_element(st, a.power + b.power, fac)
+    p = a.power + b.power
+    for s in b.factors:
+        p += _rmul_into(st, fac, s)
+    return GarsideElement(st, p, tuple(fac))
 
 
 def invert(a: GarsideElement) -> GarsideElement:
@@ -159,13 +207,12 @@ def invert(a: GarsideElement) -> GarsideElement:
     if r == 0:
         return GarsideElement(st, -a.power, ())
     # (delta^p y)^-1 = delta^-(p+r) * tau^-(p+r)(dy) where dy's normal form
-    # lists tau^(r-i) of the right complement of y_i, for i = r down to 1
+    # lists tau^(r-i) of the right complement of y_i, for i = r down to 1;
+    # that list is already normal
     q = -(a.power + r)
-    out = []
-    for i in range(r, 0, -1):
-        s = st.right_complement(a.factors[i - 1])
-        out.append(st.tau_pow(s, (r - i) + q))
-    return make_element(st, q, out)
+    out = tuple(st.tau_pow(st.right_complement(a.factors[i - 1]), (r - i) + q)
+                for i in range(r, 0, -1))
+    return GarsideElement(st, q, out)
 
 
 def power(a: GarsideElement, k: int) -> GarsideElement:
@@ -191,7 +238,7 @@ def stats(a: GarsideElement) -> Stats:
 
 def tau_element(a: GarsideElement, k: int = 1) -> GarsideElement:
     st = a.structure
-    return make_element(st, a.power, [st.tau_pow(f, k) for f in a.factors])
+    return GarsideElement(st, a.power, tuple(st.tau_pow(f, k) for f in a.factors))
 
 
 def complement(a: GarsideElement) -> GarsideElement:
@@ -200,9 +247,9 @@ def complement(a: GarsideElement) -> GarsideElement:
         raise ValueError(f"complement needs inf = 0, got inf = {a.power}")
     st = a.structure
     r = len(a.factors)
-    out = [st.tau_pow(st.right_complement(a.factors[i - 1]), r - i)
-           for i in range(r, 0, -1)]
-    return make_element(st, 0, out)
+    out = tuple(st.tau_pow(st.right_complement(a.factors[i - 1]), r - i)
+                for i in range(r, 0, -1))
+    return GarsideElement(st, 0, out)
 
 
 def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
@@ -259,83 +306,75 @@ def right_divides(a: GarsideElement, b: GarsideElement) -> bool:
     return multiply(b, invert(a)).inf >= 0
 
 
-def _atom_divides_left(st: GarsideStructure, i: int, x: GarsideElement) -> bool:
-    # x positive; atom i left-divides x iff it divides the head
-    if x.power >= 1:
-        return True
-    if not x.factors:
-        return False
-    return i in st.starting_set(x.factors[0])
+def _head(st: GarsideStructure, x: GarsideElement) -> Simple:
+    """delta ^ x, the largest simple left divisor of a positive x."""
+    if x.power > 0:
+        return st.delta
+    return x.factors[0] if x.factors else st.identity
 
 
-def _quotient_by_atom_left(st: GarsideStructure, i: int, x: GarsideElement) -> GarsideElement:
-    at = st.atom(i)
-    if x.power >= 1:
-        # a^-1 delta^p X = delta^(p-1) tau^(p-1)(da) X
-        head = st.tau_pow(st.right_complement(at), x.power - 1)
-        return make_element(st, x.power - 1, [head, *x.factors])
-    assert x.factors, "quotient of identity"
-    head = st.left_quotient(at, x.factors[0])
-    return make_element(st, 0, [head, *x.factors[1:]])
+def _right_head(st: GarsideStructure, x: GarsideElement) -> Simple:
+    """The largest simple right divisor of a positive x.  It is not the last
+    factor in general (s1 s3 | s1 also ends in s3), so fold it in from the
+    left: the largest simple right divisor of h * f, for simples h and f,
+    is u * f with u the right meet of h and the left complement of f."""
+    if x.power > 0:
+        return st.delta
+    h = st.identity
+    for f in x.factors:
+        h = st.compose(st.right_meet(h, st.left_complement(f)), f)
+    return h
 
 
-def _atom_divides_right(st: GarsideStructure, i: int, x: GarsideElement) -> bool:
-    if x.factors:
-        return i in st.finishing_set(x.factors[-1])
-    return x.power >= 1
+def _left_divide(st: GarsideStructure, d: Simple, x: GarsideElement) -> GarsideElement:
+    """d^-1 * x = delta^-1 * (left complement of d) * x."""
+    y = _lmul_simple(st, st.left_complement(d), x)
+    return GarsideElement(st, y.power - 1, y.factors)
 
 
-def _quotient_by_atom_right(st: GarsideStructure, i: int, x: GarsideElement) -> GarsideElement:
-    at = st.atom(i)
-    if x.factors:
-        last = st.right_quotient(x.factors[-1], at)
-        return make_element(st, x.power, [*x.factors[:-1], last])
-    assert x.power >= 1, "quotient of identity"
-    return make_element(st, x.power - 1, [st.left_complement(at)])
+def _right_divide(st: GarsideStructure, x: GarsideElement, d: Simple) -> GarsideElement:
+    """x * d^-1 = x * (right complement of d) * delta^-1."""
+    y = _rmul_simple(st, x, st.right_complement(d))
+    # y delta^-1 = delta^-1 tau^-1(y)
+    return GarsideElement(st, y.power - 1, tuple(st.tau_pow(f, -1) for f in y.factors))
 
 
-def left_gcd(a: GarsideElement, b: GarsideElement,
-             atom_order: Sequence[int] | None = None) -> GarsideElement:
-    """Greedy atom extension; atom_order only affects the computation order."""
+def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
+    """Greedy: with both sides shifted to inf >= 0, the gcd's next normal
+    form factor is the meet of the two heads (delta when inf > 0, else the
+    first factor); divide it off both sides and repeat until it is 1.  One
+    side keeps inf 0 throughout, so no picked factor is delta."""
     st = _check_same_structure(a, b)
-    order = tuple(atom_order) if atom_order is not None else tuple(range(1, st.rank + 1))
     m = min(a.inf, b.inf)
     ra = multiply(delta_power(st, -m), a)
     rb = multiply(delta_power(st, -m), b)
     picked: list = []
-    progress = True
-    while progress:
-        progress = False
-        for i in order:
-            if _atom_divides_left(st, i, ra) and _atom_divides_left(st, i, rb):
-                ra = _quotient_by_atom_left(st, i, ra)
-                rb = _quotient_by_atom_left(st, i, rb)
-                picked.append(st.atom(i))
-                progress = True
-                break
-    return multiply(delta_power(st, m), make_element(st, 0, picked))
+    while True:
+        d = st.left_meet(_head(st, ra), _head(st, rb))
+        if d == st.identity:
+            break
+        picked.append(d)
+        ra = _left_divide(st, d, ra)
+        rb = _left_divide(st, d, rb)
+    return GarsideElement(st, m, tuple(picked))
 
 
-def right_gcd(a: GarsideElement, b: GarsideElement,
-              atom_order: Sequence[int] | None = None) -> GarsideElement:
+def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
+    """Mirror of left_gcd: the meet on the right of the two right heads is
+    the gcd's last simple; divide it off on the right and repeat."""
     st = _check_same_structure(a, b)
-    order = tuple(atom_order) if atom_order is not None else tuple(range(1, st.rank + 1))
     m = min(a.inf, b.inf)
     ra = multiply(a, delta_power(st, -m))
     rb = multiply(b, delta_power(st, -m))
-    picked: list = []
-    progress = True
-    while progress:
-        progress = False
-        for i in order:
-            if _atom_divides_right(st, i, ra) and _atom_divides_right(st, i, rb):
-                ra = _quotient_by_atom_right(st, i, ra)
-                rb = _quotient_by_atom_right(st, i, rb)
-                picked.append(st.atom(i))
-                progress = True
-                break
-    picked.reverse()
-    return multiply(make_element(st, 0, picked), delta_power(st, m))
+    g = identity_element(st)
+    while True:
+        d = st.right_meet(_right_head(st, ra), _right_head(st, rb))
+        if d == st.identity:
+            break
+        g = _lmul_simple(st, d, g)
+        ra = _right_divide(st, ra, d)
+        rb = _right_divide(st, rb, d)
+    return multiply(g, delta_power(st, m))
 
 
 def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
@@ -352,7 +391,8 @@ def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
 # -- alternate normal forms and shape predicates ------------------------------
 
 def _settle_right(st: GarsideStructure, fac: list) -> tuple[tuple, int]:
-    """Mirror of _settle: right-weighted pairs, deltas bubble to the end."""
+    """Right normal form of a list of simples by repeated local sliding:
+    pairs are made right-weighted and deltas bubble to the end."""
     ident = st.identity
     delta = st.delta
     fac = [s for s in fac if s != ident]

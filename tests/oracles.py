@@ -5,6 +5,10 @@ importing the package under test: positive braid words are compared through
 the rewriting closure of the braid relations (length-preserving, so the
 closure is finite), and normal forms are rebuilt by a brute-force greedy
 sweep over that closure.  Slow but trustworthy; meant for short words.
+
+For long inputs, reference_normal_form normalizes a list of permutation
+braids by repeated local sliding of adjacent pairs, the package's original
+engine, here with its own permutation arithmetic.
 """
 
 from __future__ import annotations
@@ -186,3 +190,81 @@ def elements_equal_mixed(pw1, pw2, n: int) -> bool:
     full1 = dword * (p1 - shift) + tuple(w1)
     full2 = dword * (p2 - shift) + tuple(w2)
     return positive_words_equal(full1, full2)
+
+
+# ---------------------------------------------------------------------------
+# reference normaliser for long inputs: permutation braids, pair sliding
+
+
+def _compose(s: tuple, t: tuple) -> tuple:
+    """The product s t of permutation braids, s first: (s t)(i) = t(s(i))."""
+    return tuple(t[v - 1] for v in s)
+
+
+def _tau(s: tuple) -> tuple:
+    """delta^-1 s delta; the half twist is its own inverse as a permutation."""
+    d = half_twist(len(s))
+    return _compose(_compose(d, s), d)
+
+
+_inversions = lru_cache(maxsize=None)(inversions)
+
+
+@lru_cache(maxsize=None)
+def _left_meet(s: tuple, t: tuple) -> tuple:
+    """The largest common left divisor: left divisors of a permutation
+    braid are those whose inversion sets it contains, so grow the meet one
+    atom at a time inside both inversion sets."""
+    n = len(s)
+    both = _inversions(s) & _inversions(t)
+    cur = tuple(range(1, n + 1))
+    grown = True
+    while grown:
+        grown = False
+        for i in range(1, n):
+            ext = _compose(cur, perm_of_word((i,), n))
+            inv = _inversions(ext)
+            if len(inv) == len(_inversions(cur)) + 1 and inv <= both:
+                cur, grown = ext, True
+                break
+    return cur
+
+
+def reference_normal_form(n: int, power: int, simples) -> tuple:
+    """(p, factors) of delta^power * s_1 ... s_k, each s_i a permutation.
+
+    A pair (s, t) that is not left-weighted becomes (s u, u^-1 t) with
+    u = (s^-1 delta) meet t; a delta hops left past s as tau(s); the loop
+    steps back after every change until every pair is left-weighted.
+    """
+    ident = tuple(range(1, n + 1))
+    delta = half_twist(n)
+    fac = [tuple(s) for s in simples if tuple(s) != ident]
+    j = 1
+    while j < len(fac):
+        s, t = fac[j - 1], fac[j]
+        if s == delta:
+            j += 1
+            continue
+        if t == delta:
+            fac[j - 1], fac[j] = delta, _tau(s)
+            if j > 1:
+                j -= 1
+            continue
+        u = _left_meet(_compose(perm_inverse(s), delta), t)
+        if u == ident:
+            j += 1
+            continue
+        fac[j - 1] = _compose(s, u)
+        rest = _compose(perm_inverse(u), t)
+        if rest == ident:
+            del fac[j]
+        else:
+            fac[j] = rest
+        if j > 1:
+            j -= 1
+    p = 0
+    while fac and fac[0] == delta:
+        fac.pop(0)
+        p += 1
+    return power + p, tuple(fac)

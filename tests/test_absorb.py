@@ -218,7 +218,8 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "absorb.cache"
     first = enumerate_absorbable(B3, 3, cache_path=str(path))
     text = path.read_text()
-    assert text.startswith("GARSIDE-ABSORB v1 braid-classical:3 n=3 L=3")
+    assert text.startswith("GARSIDE-ABSORB v2 braid-classical:3 n=3 L=3")
+    assert text.endswith(f"\nEND {len(first)}\n")
     again = enumerate_absorbable(B3, 3, cache_path=str(path))
     assert again == first
     # a different key ignores the existing block and appends its own
@@ -235,6 +236,31 @@ def test_cache_rejects_tampering(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError):
         enumerate_absorbable(B3, 3, cache_path=str(path))
+
+
+def test_cache_block_cut_short_is_skipped_and_recomputed(tmp_path):
+    path = tmp_path / "absorb.cache"
+    full = enumerate_absorbable(B4, 2, cache_path=str(path))
+    assert len(full) == 96
+    lines = path.read_text().splitlines(keepends=True)
+    torn = "".join(lines[:5]) + lines[5][:3]
+    for text in ["".join(lines[:cut]) for cut in range(len(lines))] + [torn]:
+        path.write_text(text)
+        # the cut block lacks its trailer: recompute and append a whole block
+        assert enumerate_absorbable(B4, 2, cache_path=str(path)) == full
+        size = path.stat().st_size
+        # the next load skips the cut block and finds the appended one
+        assert enumerate_absorbable(B4, 2, cache_path=str(path)) == full
+        assert path.stat().st_size == size
+
+
+def test_cache_block_with_a_wrong_count_is_skipped(tmp_path):
+    path = tmp_path / "absorb.cache"
+    full = enumerate_absorbable(B3, 3, cache_path=str(path))
+    text = path.read_text()
+    path.write_text(text.replace(f"END {len(full)}", f"END {len(full) + 1}"))
+    assert enumerate_absorbable(B3, 3, cache_path=str(path)) == full
+    assert path.read_text().count("GARSIDE-ABSORB") == 2
 
 
 def test_prime_variant_values():

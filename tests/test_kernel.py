@@ -23,9 +23,11 @@ from garside_al import (
     right_divides,
     right_gcd,
     right_normal_form,
+    simple_element,
     stats,
     tau_element,
 )
+from garside_al.element import GarsideElement, _lmul_simple, _rmul_simple
 from oracles import (
     elements_equal_mixed,
     greedy_normal_form,
@@ -34,6 +36,7 @@ from oracles import (
     perm_of_word,
     positive_words_equal,
     reduced_word,
+    reference_normal_form,
 )
 
 B3 = braid_structure(3)
@@ -201,6 +204,13 @@ def test_right_gcd_mirrors_left():
         assert right_divides(g, a) and right_divides(g, b)
 
 
+def test_right_gcd_sees_an_atom_behind_the_last_factor():
+    # s1 s1 s3 has normal form s1 s3 | s1, yet s3 divides it on the right
+    a, b = from_word(B4, (1, 1, 3)), from_word(B4, (3,))
+    assert right_gcd(a, b) == b
+    assert right_gcd(b, a) == b
+
+
 def test_tau_is_conjugation_by_delta():
     rng = random.Random(9)
     for _ in range(20):
@@ -300,3 +310,111 @@ def test_property_round_trip_inverse(word, k):
     a = multiply(delta_power(B4, k), from_word(B4, tuple(word)))
     assert invert(invert(a)) == a
     assert multiply(a, invert(a)).is_identity
+
+
+# ---------------------------------------------------------------------------
+# long inputs: the cascades against the pair-sliding reference normaliser
+
+
+def random_simple(rng, n):
+    """A permutation braid of random length, the identity and delta included."""
+    return perm_of_word(random_word(rng, n, n * (n - 1) // 2), n)
+
+
+def random_simples(rng, n, count):
+    if rng.random() < 0.5:
+        return [random_simple(rng, n) for _ in range(count)]
+    return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+
+
+def nf(a):
+    return a.power, a.factors
+
+
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_long_inputs_match_the_reference_normaliser(n):
+    rng = random.Random(8000 + n)
+    struct = braid_structure(n)
+    delta = struct.delta
+    for _ in range(4):
+        pa, pb = rng.randint(-3, 3), rng.randint(0, 3)
+        sa = random_simples(rng, n, rng.randint(1, 150))
+        sb = random_simples(rng, n, rng.randint(1, 150))
+        a, b = make_element(struct, pa, sa), make_element(struct, pb, sb)
+        assert nf(a) == reference_normal_form(n, pa, sa)
+        assert nf(b) == reference_normal_form(n, pb, sb)
+        # delta^pa A delta^pb B, with the deltas spelled as simples
+        assert nf(multiply(a, b)) == reference_normal_form(n, pa, sa + [delta] * pb + sb)
+        ib = invert(b)
+        assert nf(ib) == reference_normal_form(n, ib.power, ib.factors)
+        assert reference_normal_form(n, ib.power, list(ib.factors) + [delta] * pb + sb) == (0, ())
+
+
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_cascades_let_a_full_delta_leave_through_the_front(n):
+    rng = random.Random(8100 + n)
+    struct = braid_structure(n)
+    delta = struct.delta
+    for _ in range(6):
+        p = rng.randint(-2, 2)
+        x = make_element(struct, p, random_simples(rng, n, rng.randint(1, 40)))
+        if not x.factors:
+            continue
+        # x * d(x_r) = delta^(p+1) tau(x_1 ... x_(r-1))
+        last = struct.right_complement(x.factors[-1])
+        want = GarsideElement(struct, x.power + 1,
+                              tuple(struct.tau(f) for f in x.factors[:-1]))
+        assert _rmul_simple(struct, x, last) == want
+        assert multiply(x, simple_element(struct, last)) == want
+        if p >= 0:
+            spelled = [delta] * x.power + list(x.factors) + [last]
+            assert nf(want) == reference_normal_form(n, 0, spelled)
+        # s * x with tau^p(s) the left complement of x_1 = delta^(p+1) x_2 ... x_r
+        first = struct.tau_pow(struct.left_complement(x.factors[0]), -x.power)
+        want = GarsideElement(struct, x.power + 1, x.factors[1:])
+        assert _lmul_simple(struct, first, x) == want
+        assert multiply(simple_element(struct, first), x) == want
+        if p >= 0:
+            spelled = [first] + [delta] * x.power + list(x.factors)
+            assert nf(want) == reference_normal_form(n, 0, spelled)
+
+
+def atom_extension_gcd(a, b, side):
+    """gcd by peeling one atom at a time off both sides while some atom
+    divides both; slow and simple."""
+    struct = a.structure
+    m = min(a.inf, b.inf)
+    shift = delta_power(struct, -m)
+    left = side == "left"
+    ra, rb = (multiply(shift, a), multiply(shift, b)) if left else (
+        multiply(a, shift), multiply(b, shift))
+    g = identity_element(struct)
+    progress = True
+    while progress:
+        progress = False
+        for i in range(1, struct.rank + 1):
+            atom = simple_element(struct, struct.atom(i))
+            inv = invert(atom)
+            qa = multiply(inv, ra) if left else multiply(ra, inv)
+            qb = multiply(inv, rb) if left else multiply(rb, inv)
+            if qa.inf >= 0 and qb.inf >= 0:
+                ra, rb = qa, qb
+                g = multiply(g, atom) if left else multiply(atom, g)
+                progress = True
+                break
+    return multiply(invert(shift), g) if left else multiply(g, invert(shift))
+
+
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_gcds_match_atom_extension_up_to_length_40(n):
+    rng = random.Random(8200 + n)
+    struct = braid_structure(n)
+    for _ in range(5):
+        shared = make_element(struct, rng.randint(-2, 2),
+                              random_simples(rng, n, rng.randint(0, 20)))
+        u = make_element(struct, 0, random_simples(rng, n, rng.randint(0, 20)))
+        v = make_element(struct, 0, random_simples(rng, n, rng.randint(0, 20)))
+        a, b = multiply(shared, u), multiply(shared, v)
+        assert left_gcd(a, b) == atom_extension_gcd(a, b, "left")
+        a, b = multiply(u, shared), multiply(v, shared)
+        assert right_gcd(a, b) == atom_extension_gcd(a, b, "right")

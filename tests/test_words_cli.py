@@ -314,6 +314,14 @@ class TestCliConfig:
         code, out, _ = run_cli(capsys, "nf", "s1 s2 s1")
         assert code == 0 and out == "D\n"
 
+    def test_unknown_config_key_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "garside-al.cfg").write_text("[garside-al]\nbudgte = 3\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "absorbable", EX2_WORD, "--n", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budgte" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("GARSIDE_AL_BUDGET", "3")
         code, _, err = run_cli(capsys, "absorbable", EX2_WORD, "--n", "4")
