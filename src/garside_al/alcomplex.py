@@ -23,6 +23,7 @@ from .absorb import (
 )
 from .element import (
     GarsideElement,
+    _rmul_into,
     _rmul_simple,
     delta_power,
     delta_prefix,
@@ -179,7 +180,10 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
 
     The result bounds the true distance from above; values 0 and 1 are
     exact.  Returns None when the subgraph distance exceeds radius.  The
-    budget caps edge expansions; running out raises SearchBudgetExceeded.
+    budget caps edge expansions, one per vertex and distinct vertex move
+    (a generator taken up to right multiplication by Delta: every member
+    of such a class leads to the same vertex); running out raises
+    SearchBudgetExceeded.
     """
     if gen_len < 1 or radius < 1:
         raise ValueError("generator length and radius must be >= 1")
@@ -188,14 +192,45 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     st = v.structure
     if st != w.structure:
         raise ValueError("vertices from different structures")
-    gens = _generators(st, gen_len, budget, cache_path)
+    return _bfs_distance(v, w, _vertex_moves(st, gen_len, budget, cache_path),
+                         radius, budget)
 
-    def key_of(vertex):
-        return (vertex.rep.power, vertex.rep.factors)
 
-    dist_v = {key_of(v): 0}
-    dist_w = {key_of(w): 0}
-    front_v, front_w = [v], [w]
+def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> list:
+    """The generators taken up to right multiplication by Delta.
+
+    vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
+    only through its own vertex: each becomes the inf-0 factor tuple of
+    vertex_of(g), in generator order, without repeats.  For gen_len 1 this
+    halves the set, since s^-1 and the complement of s share a vertex.
+    """
+    seen = set()
+    out = []
+    for g in _generators(st, gen_len, budget, cache_path):
+        m = vertex_of(g).rep.factors
+        if m not in seen:
+            seen.add(m)
+            out.append(m)
+    return out
+
+
+def _bfs_distance(v: ALVertex, w: ALVertex, moves: list, radius: int,
+                  budget: int) -> Optional[int]:
+    """The bidirectional search behind distance_upper_bound, on vertex keys.
+
+    A vertex is its representative's factor tuple.  Expanding u by a move
+    m is one right cascade, u * m = Delta^q F, and the neighbour vertex is
+    tau^-q(F), factor by factor.  Each layer's vertex set is independent
+    of expansion order, so the bound equals that of expanding by every
+    generator.  The budget caps expansions (vertex, move).
+    """
+    if v == w:
+        return 0
+    st = v.structure
+    rmul, tau_pow, period = _rmul_into, st.tau_pow, st.tau_period
+    dist_v = {v.rep.factors: 0}
+    dist_w = {w.rep.factors: 0}
+    front_v, front_w = [v.rep.factors], [w.rep.factors]
     depth_v = depth_w = 0
     best = None
     expansions = 0
@@ -210,17 +245,23 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
             dist, other, front, depth = dist_w, dist_v, front_w, depth_w
         grown = []
         for u in front:
-            for g in gens:
+            for m in moves:
                 expansions += 1
                 if expansions > budget:
                     raise SearchBudgetExceeded(
                         f"distance search exceeded the {budget}-expansion budget")
-                t = vertex_of(multiply(u.rep, g))
-                k = key_of(t)
+                fac = list(u)
+                q = 0
+                for s in m:
+                    q += rmul(st, fac, s)
+                if q % period:
+                    k = tuple([tau_pow(f, -q) for f in fac])
+                else:
+                    k = tuple(fac)
                 if k in dist:
                     continue
                 dist[k] = depth + 1
-                grown.append(t)
+                grown.append(k)
                 if k in other:
                     total = depth + 1 + other[k]
                     if best is None or total < best:

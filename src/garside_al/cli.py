@@ -63,6 +63,11 @@ from .words import WordSyntaxError, format_element, one_line, parse_word
 
 JSON_SCHEMA = "garside-al.v1"
 
+# Largest strand count the CLI accepts.  A braid structure holds an O(n^2)
+# pair table and does O(n^2) work per simple, so an unchecked --n can
+# exhaust memory before any answer is computed.
+MAX_STRANDS = 64
+
 DEFAULTS = {"n": None, "seed": 0, "budget": DEFAULT_BUDGET, "max_len": 2,
             "cache": None}
 
@@ -90,6 +95,8 @@ class Config:
                              "or put n in the config file")
         if self.n < 2:
             raise UsageError(f"need at least 2 strands, got {self.n}")
+        if self.n > MAX_STRANDS:
+            raise UsageError(f"at most {MAX_STRANDS} strands, got {self.n}")
         return braid_structure(self.n)
 
 

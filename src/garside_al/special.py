@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .absorb import DEFAULT_BUDGET, absorbs, is_absorbable
-from .alcomplex import distance_upper_bound, identity_vertex, preferred_path, vertex_of
+from .alcomplex import (
+    _bfs_distance,
+    _vertex_moves,
+    identity_vertex,
+    preferred_path,
+    vertex_of,
+)
 from .braid import BraidStructure, braid_structure, embed_simple, perm_inverse, simple_from_word
 from .element import (
     GarsideElement,
@@ -684,9 +690,11 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
     supplied and each power keeps it round, from the absorbable
     decomposition (one edge per factor).  The search radius is capped at
     the decomposition bound since larger search answers would be discarded.
+    The generator set is built once, on the first step that searches.
     """
     st = g.structure
     home = identity_vertex(st)
+    moves = None
     out = []
     for i in range(1, steps + 1):
         gi = power(g, i)
@@ -698,9 +706,12 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
                 decomp = None
         target = vertex_of(gi)
         effective = radius if decomp is None else min(radius, decomp)
-        found = distance_upper_bound(home, target, gen_len, effective,
-                                     budget=budget) if effective >= 1 else (
-                                         0 if home == target else None)
+        if effective >= 1:
+            if moves is None:
+                moves = _vertex_moves(st, gen_len, budget, None)
+            found = _bfs_distance(home, target, moves, effective, budget)
+        else:
+            found = 0 if home == target else None
         bounds = [x for x in (found, decomp) if x is not None]
         out.append(ProbeEntry(i, min(bounds) if bounds else None, found, decomp))
     return tuple(out)

@@ -1,12 +1,16 @@
 """Absorbability: decision procedure against a brute-force oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import garside_al
 from garside_al import (
     SearchBudgetExceeded,
     CacheError,
@@ -26,6 +30,8 @@ from garside_al import (
     power,
     tau_element,
 )
+from garside_al import absorb
+from garside_al.absorb import DEFAULT_BUDGET
 
 B3 = braid_structure(3)
 B4 = braid_structure(4)
@@ -261,6 +267,50 @@ def test_cache_block_with_a_wrong_count_is_skipped(tmp_path):
     path.write_text(text.replace(f"END {len(full)}", f"END {len(full) + 1}"))
     assert enumerate_absorbable(B3, 3, cache_path=str(path)) == full
     assert path.read_text().count("GARSIDE-ABSORB") == 2
+
+
+_CACHE_WRITER = """
+import sys, time
+from garside_al import braid_structure, enumerate_absorbable
+from garside_al.absorb import _cache_append
+n, max_len, path, start, count = sys.argv[1:]
+st = braid_structure(int(n))
+elements = enumerate_absorbable(st, int(max_len))
+while time.time() < float(start):
+    time.sleep(0.005)
+for _ in range(int(count)):
+    _cache_append(st, int(max_len), path, elements)
+"""
+
+
+def test_interleaved_cache_writers_leave_every_block_whole(tmp_path):
+    # two processes append blocks for different keys to one file at once;
+    # each block is one write on an O_APPEND descriptor, so none is split
+    path = tmp_path / "absorb.cache"
+    keys, count = [(B4, 2), (B5, 1)], 150
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(garside_al.__file__)),
+         env.get("PYTHONPATH", "")])
+    start = time.time() + 1.0
+    writers = [subprocess.Popen(
+        [sys.executable, "-c", _CACHE_WRITER, str(k.n), str(L), str(path),
+         repr(start), str(count)], env=env) for k, L in keys]
+    for w in writers:
+        assert w.wait(timeout=120) == 0
+    lines = path.read_text().splitlines()
+    total = 0
+    for k, L in keys:
+        want = enumerate_absorbable(k, L)
+        header = absorb._cache_header(k, L)
+        starts = [i + 1 for i, line in enumerate(lines) if line == header]
+        assert len(starts) == count
+        for i in starts:
+            assert len(absorb._complete_block(lines, i) or ()) == len(want)
+        assert absorb._cache_load(k, L, str(path), DEFAULT_BUDGET) == want
+        assert enumerate_absorbable(k, L, cache_path=str(path)) == want
+        total += count * (len(want) + 2)
+    assert len(lines) == total
 
 
 def test_prime_variant_values():

@@ -35,6 +35,8 @@ from garside_al import (
     triangle_thinness_report,
     vertex_of,
 )
+from garside_al import alcomplex
+from garside_al.absorb import DEFAULT_BUDGET
 from garside_al.element import delta_prefix
 from garside_al.suites import random_element, random_positive, random_vertex
 
@@ -308,6 +310,69 @@ class TestDistanceBounds:
             adjacent = are_adjacent(one, w) is not None
             assert d is not None
             assert (d == 1) == adjacent
+
+
+def reference_distance(v, w, gen_len, radius):
+    """The bidirectional search expanding by every generator: the vertex
+    of u.rep * g for each g of the undeduplicated generator list."""
+    if v == w:
+        return 0
+    gens = alcomplex._generators(v.structure, gen_len, DEFAULT_BUDGET, None)
+    dist_v, dist_w = {v: 0}, {w: 0}
+    front_v, front_w = [v], [w]
+    depth_v = depth_w = 0
+    best = None
+    while front_v and front_w:
+        if best is not None and depth_v + depth_w >= best:
+            break
+        if depth_v + depth_w >= radius:
+            break
+        if len(front_v) <= len(front_w):
+            dist, other, front, depth = dist_v, dist_w, front_v, depth_v
+        else:
+            dist, other, front, depth = dist_w, dist_v, front_w, depth_w
+        grown = []
+        for u in front:
+            for g in gens:
+                t = vertex_of(multiply(u.rep, g))
+                if t in dist:
+                    continue
+                dist[t] = depth + 1
+                grown.append(t)
+                if t in other and (best is None or depth + 1 + other[t] < best):
+                    best = depth + 1 + other[t]
+        if dist is dist_v:
+            front_v, depth_v = grown, depth_v + 1
+        else:
+            front_w, depth_w = grown, depth_w + 1
+    return best if best is not None and best <= radius else None
+
+
+class TestVertexMoves:
+    @pytest.mark.parametrize("n, gen_len, gens, moves", [
+        (4, 1, 44, 22), (5, 1, 236, 118), (4, 2, 198, 168)])
+    def test_generators_up_to_delta(self, n, gen_len, gens, moves):
+        st = braid_structure(n)
+        assert len(alcomplex._generators(st, gen_len, DEFAULT_BUDGET, None)) == gens
+        assert len(alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)) == moves
+
+    # B5 with generator length 2 is left out: its 5,356 generators take
+    # seconds to enumerate, and the reference search expands each of them
+    @pytest.mark.parametrize("n, gen_len, pairs", [
+        (3, 1, 12), (3, 2, 12), (4, 1, 10), (4, 2, 6), (5, 1, 4)])
+    def test_bound_matches_the_search_over_every_generator(self, n, gen_len, pairs):
+        st = braid_structure(n)
+        rng = random.Random(f"moves/{n}/{gen_len}")
+        answers = set()
+        for _ in range(pairs):
+            v = random_vertex(rng, st, rng.randint(1, 3))
+            w = random_vertex(rng, st, rng.randint(1, 4))
+            for radius in range(1, 5):
+                want = reference_distance(v, w, gen_len, radius)
+                assert distance_upper_bound(v, w, gen_len, radius) == want, \
+                    (v, w, gen_len, radius)
+                answers.add(want)
+        assert None in answers and len(answers) >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from garside_al import (
     tube_decomposition,
     vertex_of,
 )
+from garside_al import alcomplex
 from garside_al.element import delta_prefix, left_divides, right_divides
 from garside_al.special import _witness_factor_perms
 from garside_al.suites import random_right_divisor
@@ -359,6 +360,19 @@ class TestOrbitProbe:
         probe = orbit_diameter_probe(parse_word(B4, "s1 s2 s3"), 4, 1, 3)
         assert [(e.power, e.upper_bound) for e in probe] == \
             [(1, 1), (2, 2), (3, 1), (4, 0)]
+
+    def test_probe_builds_its_generators_once(self, monkeypatch):
+        builds = []
+        build = alcomplex._generators
+
+        def counting(*args, **kwargs):
+            builds.append(args[:2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(alcomplex, "_generators", counting)
+        probe = orbit_diameter_probe(parse_word(B4, "s1 s2 s3"), 3, 1, 3)
+        assert [(e.power, e.upper_bound) for e in probe] == [(1, 1), (2, 2), (3, 1)]
+        assert builds == [(B4, 1)]
 
     def test_tube_preserving_braid_stays_within_nine(self):
         keeper = multiply(tube_braid(),

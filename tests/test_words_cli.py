@@ -261,6 +261,16 @@ class TestCliErrors:
         code, _, err = run_cli(capsys, "absorbable", "s1", "--n", "9")
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
+    def test_strand_count_above_the_cap_is_a_usage_error(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "braid_structure", lambda n: built.append(n))
+        code, _, err = run_cli(capsys, "nf", "s1", "--n", str(cli.MAX_STRANDS + 1))
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert "strands" in err and built == []
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "nf", "s1", "--n", str(cli.MAX_STRANDS))
+        assert code == 0 and out.strip()
+
     def test_oversized_word_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "nf", "D^20000000", "--n", "3")
         assert code == 2 and "size bound" in err and err.count("\n") == 1
