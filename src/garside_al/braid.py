@@ -6,9 +6,9 @@ right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
 Left divisibility of simples is inversion-set containment; meets are computed
-greedily by atom extension over inversion bitmasks.  All per-simple data is
-memoized, so repeated normal form work on the same structure amortizes to
-dictionary lookups.
+greedily by atom extension over inversion bitmasks.  Inverses and inversion
+masks join the primitives the base class caches per instance, so repeated
+normal form work on the same structure amortizes to cache hits.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ def perm_inverse(s: Perm) -> Perm:
 
 
 class BraidStructure(GarsideStructure):
+    _CACHED = GarsideStructure._CACHED + ("inverse", "inversion_mask")
+
     def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError(f"need at least 2 strands, got {n}")
@@ -47,32 +49,26 @@ class BraidStructure(GarsideStructure):
             a[i - 1], a[i] = a[i], a[i - 1]
             atoms.append(tuple(a))
         self.atoms = tuple(atoms)
-        # bit index of the pair (i, j), i < j, in inversion masks
-        self._pair_bit = {}
-        for bit, (i, j) in enumerate(itertools.combinations(range(1, n + 1), 2)):
-            self._pair_bit[(i, j)] = bit
-        self._memo_mask: dict = {}
-        self._memo_inv: dict = {}
         super().__init__()
 
     # -- permutation utilities ------------------------------------------------
 
     def inverse(self, s: Perm) -> Perm:
-        memo = self._memo_inv
-        if s not in memo:
-            memo[s] = perm_inverse(s)
-        return memo[s]
+        return self._inverse(s)
+
+    _inverse_raw = staticmethod(perm_inverse)
 
     def inversion_mask(self, s: Perm) -> int:
-        memo = self._memo_mask
-        if s not in memo:
-            mask = 0
-            bit = self._pair_bit
-            for i, j in itertools.combinations(range(1, self.n + 1), 2):
-                if s[i - 1] > s[j - 1]:
-                    mask |= 1 << bit[(i, j)]
-            memo[s] = mask
-        return memo[s]
+        return self._inversion_mask(s)
+
+    def _inversion_mask_raw(self, s: Perm) -> int:
+        # bit k stands for the k-th position pair (i, j), i < j, in
+        # combinations order; it is set when the pair is inverted
+        mask = 0
+        for bit, (a, b) in enumerate(itertools.combinations(s, 2)):
+            if a > b:
+                mask |= 1 << bit
+        return mask
 
     def simple_length(self, s: Perm) -> int:
         return self.inversion_mask(s).bit_count()

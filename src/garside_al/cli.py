@@ -63,9 +63,10 @@ from .words import WordSyntaxError, format_element, one_line, parse_word
 
 JSON_SCHEMA = "garside-al.v1"
 
-# Largest strand count the CLI accepts.  A braid structure holds an O(n^2)
-# pair table and does O(n^2) work per simple, so an unchecked --n can
-# exhaust memory before any answer is computed.
+# Largest strand count the CLI accepts.  A braid structure builds n - 1
+# atoms of n entries each and does O(n^2) work per simple (an inversion
+# mask has n(n-1)/2 bits), so an unchecked --n can exhaust memory or time
+# before any answer is computed.
 MAX_STRANDS = 64
 
 DEFAULTS = {"n": None, "seed": 0, "budget": DEFAULT_BUDGET, "max_len": 2,

@@ -19,6 +19,10 @@ is the right complement of s.
   with the same stopping rule; a carry that fills up to delta leaves through
   the front, twisting the prefix by tau.
 
+Right normal forms come from the mirror of _rmul_into inside
+right_normal_form: a simple put in front of a right normal form slides left
+to right until a pair is already right-weighted.
+
 The public make_element validates its simples and folds the right cascade
 over them; everything built inside the package from simples it produced
 itself is constructed directly, without re-validation.
@@ -258,15 +262,14 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
     base is an atom index, the delta marker 'D', or a raw simple value;
     exponents may be negative.  Negative letters are rewritten via
     s^-1 = delta^-1 * (delta s^-1), so only one engine exists.
+
+    With p the delta exponent read so far, the word is delta^p * tau^p(g_1)
+    ... tau^p(g_k) for the stored list g: a simple read at exponent p is
+    stored as tau^-p of itself, so a delta letter only moves p and the
+    whole list is twisted once, by the final p.
     """
     p = 0
     fac: list = []
-
-    def append_delta(k: int) -> None:
-        nonlocal p, fac
-        p += k
-        fac = [st.tau_pow(f, k) for f in fac]
-
     for base, exp in word:
         if exp == 0:
             continue
@@ -283,15 +286,15 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
         if len(fac) + abs(exp) > MAX_SIZE:
             raise SizeLimitExceeded("word expands past the size bound")
         if s == st.delta:
-            append_delta(exp)
-            continue
-        if exp > 0:
-            fac.extend([s] * exp)
+            p += exp
+        elif exp > 0:
+            fac.extend([st.tau_pow(s, -p)] * exp)
         else:
+            c = st.left_complement(s)
             for _ in range(-exp):
-                append_delta(-1)
-                fac.append(st.left_complement(s))
-    return make_element(st, p, fac)
+                p -= 1
+                fac.append(st.tau_pow(c, -p))
+    return make_element(st, p, [st.tau_pow(g, p) for g in fac])
 
 
 # -- divisibility and gcds ----------------------------------------------------
@@ -390,53 +393,33 @@ def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
 
 # -- alternate normal forms and shape predicates ------------------------------
 
-def _settle_right(st: GarsideStructure, fac: list) -> tuple[tuple, int]:
-    """Right normal form of a list of simples by repeated local sliding:
-    pairs are made right-weighted and deltas bubble to the end."""
-    ident = st.identity
-    delta = st.delta
-    fac = [s for s in fac if s != ident]
-    j = 1
-    while j < len(fac):
-        s, t = fac[j - 1], fac[j]
-        if t == delta:
-            j += 1
-            continue
-        if s == delta:
-            fac[j - 1], fac[j] = st.tau_pow(t, -1), delta
-            if j > 1:
-                j -= 1
-            continue
-        g = st.right_meet(s, st.left_complement(t))
-        if g == ident:
-            j += 1
-            continue
-        nt = st.compose(g, t)
-        assert nt is not None, "right slide target not simple"
-        ns = st.right_quotient(s, g)
-        fac[j] = nt
-        if ns == ident:
-            del fac[j - 1]
-        else:
-            fac[j - 1] = ns
-        if j > 1:
-            j -= 1
-    p = 0
-    while fac and fac[-1] == delta:
-        fac.pop()
-        p += 1
-    assert all(f != delta for f in fac), "non-trailing delta survived right settling"
-    return tuple(fac), p
-
-
 def right_normal_form(a: GarsideElement) -> tuple[tuple, int]:
-    """Factors and delta power of a = x'_1 ... x'_r * delta^p, pairs right-weighted."""
+    """Factors and delta power of a = x'_1 ... x'_r * delta^p, pairs right-weighted.
+
+    delta^p X = tau^-p(X) delta^p, and tau^-p(X) has inf 0.  Its right normal
+    form is built from its last factor back, by the mirror of _rmul_into:
+    a simple c put in front of a right normal list slides left to right,
+    giving up u = c ^ (delta f^-1), its largest right divisor that fits in
+    front of the next factor f, until u is 1.  The list is kept last factor
+    first, so putting c in front is an append.  Each x_i is the head of
+    x_i ... x_r, so no carry is swallowed whole and none fills up to delta:
+    the list keeps one factor per factor of a.
+    """
     st = a.structure
-    # delta^p X = tau^-p(X) delta^p
-    fac = [st.tau_pow(f, -a.power) for f in a.factors]
-    rfac, extra = _settle_right(st, fac)
-    assert extra == 0, "inf changed under right normalization"
-    return rfac, a.power
+    ident = st.identity
+    rev: list = []
+    for x in reversed(a.factors):
+        rev.append(st.tau_pow(x, -a.power))
+        j = len(rev) - 1
+        while j:
+            c, f = rev[j], rev[j - 1]
+            u = st.right_meet(c, st.left_complement(f))
+            if u == ident:
+                break
+            rev[j] = st.right_quotient(c, u)
+            rev[j - 1] = st.compose(u, f)
+            j -= 1
+    return tuple(reversed(rev)), a.power
 
 
 def is_rigid(a: GarsideElement) -> bool:

@@ -7,13 +7,18 @@ automorphism induced by the top element.  Simples are opaque hashable values
 (tuples in both concrete structures shipped here); elements built from them
 live in element.py.
 
-Concrete structures subclass this and implement the _raw primitives.  The
-base class wraps every primitive in a per-instance memo table, since the
-normal form algorithms hit the same small set of (s, t) pairs over and over.
+Concrete structures subclass this and implement the _raw primitives.  Each
+name in _CACHED gets its own functools.cache per instance, built in __init__
+around the bound _<name>_raw method, since the normal form algorithms hit
+the same small set of (s, t) pairs over and over; the public method is a
+one-line call to that cache.  The public methods stay on the class, so
+code that wraps class attributes sees every call.  The two quotients call
+their _raw methods uncached.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any, Hashable, Iterable
 
 Simple = Hashable
@@ -33,18 +38,15 @@ class GarsideStructure:
     delta: Simple
     tau_period: int    # order of tau on simples (2 for braids, 1 for free abelian)
 
+    # Each name is served by _<name>_raw through its own per-instance
+    # functools.cache, stored as the instance attribute _<name>.
+    _CACHED = ("compose", "left_meet", "right_meet", "tau", "right_complement",
+               "left_complement", "starting_set", "finishing_set",
+               "nontrivial_simples", "followers", "preceders")
+
     def __init__(self) -> None:
-        self._memo_compose: dict = {}
-        self._memo_left_meet: dict = {}
-        self._memo_right_meet: dict = {}
-        self._memo_tau: dict = {}
-        self._memo_rcomp: dict = {}
-        self._memo_lcomp: dict = {}
-        self._memo_start: dict = {}
-        self._memo_finish: dict = {}
-        self._memo_followers: dict = {}
-        self._memo_preceders: dict = {}
-        self._nontrivial: tuple | None = None
+        for name in self._CACHED:
+            setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
     # -- primitives ---------------------------------------------------------
 
@@ -108,28 +110,16 @@ class GarsideStructure:
             cur = self.left_quotient(self.atom(i), cur)
         return tuple(word)
 
-    # -- memoized wrappers ----------------------------------------------------
+    # -- public primitives ----------------------------------------------------
 
     def compose(self, s: Simple, t: Simple) -> Simple | None:
-        key = (s, t)
-        memo = self._memo_compose
-        if key not in memo:
-            memo[key] = self._compose_raw(s, t)
-        return memo[key]
+        return self._compose(s, t)
 
     def left_meet(self, s: Simple, t: Simple) -> Simple:
-        key = (s, t)
-        memo = self._memo_left_meet
-        if key not in memo:
-            memo[key] = self._left_meet_raw(s, t)
-        return memo[key]
+        return self._left_meet(s, t)
 
     def right_meet(self, s: Simple, t: Simple) -> Simple:
-        key = (s, t)
-        memo = self._memo_right_meet
-        if key not in memo:
-            memo[key] = self._right_meet_raw(s, t)
-        return memo[key]
+        return self._right_meet(s, t)
 
     def left_quotient(self, u: Simple, t: Simple) -> Simple:
         return self._left_quotient_raw(u, t)
@@ -138,10 +128,7 @@ class GarsideStructure:
         return self._right_quotient_raw(s, g)
 
     def tau(self, s: Simple) -> Simple:
-        memo = self._memo_tau
-        if s not in memo:
-            memo[s] = self._tau_raw(s)
-        return memo[s]
+        return self._tau(s)
 
     def tau_pow(self, s: Simple, k: int) -> Simple:
         k %= self.tau_period
@@ -150,28 +137,16 @@ class GarsideStructure:
         return s
 
     def right_complement(self, s: Simple) -> Simple:
-        memo = self._memo_rcomp
-        if s not in memo:
-            memo[s] = self._right_complement_raw(s)
-        return memo[s]
+        return self._right_complement(s)
 
     def left_complement(self, s: Simple) -> Simple:
-        memo = self._memo_lcomp
-        if s not in memo:
-            memo[s] = self._left_complement_raw(s)
-        return memo[s]
+        return self._left_complement(s)
 
     def starting_set(self, s: Simple) -> frozenset:
-        memo = self._memo_start
-        if s not in memo:
-            memo[s] = self._starting_set_raw(s)
-        return memo[s]
+        return self._starting_set(s)
 
     def finishing_set(self, s: Simple) -> frozenset:
-        memo = self._memo_finish
-        if s not in memo:
-            memo[s] = self._finishing_set_raw(s)
-        return memo[s]
+        return self._finishing_set(s)
 
     # -- derived predicates ---------------------------------------------------
 
@@ -195,27 +170,25 @@ class GarsideStructure:
 
     def nontrivial_simples(self) -> tuple:
         """All simples except identity and delta, sorted, for search candidates."""
-        if self._nontrivial is None:
-            out = sorted(s for s in self.all_simples()
-                         if s != self.identity and s != self.delta)
-            self._nontrivial = tuple(out)
-        return self._nontrivial
+        return self._nontrivial_simples()
+
+    def _nontrivial_simples_raw(self) -> tuple:
+        return tuple(sorted(s for s in self.all_simples()
+                            if s != self.identity and s != self.delta))
 
     def followers(self, s: Simple) -> tuple:
         """Nontrivial simples t with (s, t) left-weighted."""
-        memo = self._memo_followers
-        if s not in memo:
-            memo[s] = tuple(t for t in self.nontrivial_simples()
-                            if self.is_left_weighted(s, t))
-        return memo[s]
+        return self._followers(s)
+
+    def _followers_raw(self, s: Simple) -> tuple:
+        return tuple(t for t in self.nontrivial_simples() if self.is_left_weighted(s, t))
 
     def preceders(self, t: Simple) -> tuple:
         """Nontrivial simples s with (s, t) left-weighted."""
-        memo = self._memo_preceders
-        if t not in memo:
-            memo[t] = tuple(s for s in self.nontrivial_simples()
-                            if self.is_left_weighted(s, t))
-        return memo[t]
+        return self._preceders(t)
+
+    def _preceders_raw(self, t: Simple) -> tuple:
+        return tuple(s for s in self.nontrivial_simples() if self.is_left_weighted(s, t))
 
     # -- identity-based equality (structures are singletons per factory) ------
 

@@ -8,7 +8,8 @@ sweep over that closure.  Slow but trustworthy; meant for short words.
 
 For long inputs, reference_normal_form normalizes a list of permutation
 braids by repeated local sliding of adjacent pairs, the package's original
-engine, here with its own permutation arithmetic.
+engine, here with its own permutation arithmetic; reference_right_normal_form
+reads right normal forms off it through the reverse anti-automorphism.
 """
 
 from __future__ import annotations
@@ -268,3 +269,21 @@ def reference_normal_form(n: int, power: int, simples) -> tuple:
         fac.pop(0)
         p += 1
     return power + p, tuple(fac)
+
+
+def reference_right_normal_form(n: int, power: int, simples) -> tuple:
+    """(factors, p) with delta^power * s_1 ... s_k = factors * delta^p and
+    every adjacent pair right-weighted.
+
+    The reverse anti-automorphism (read a word backwards) swaps left and
+    right divisibility, sends a permutation braid to its inverse permutation
+    and fixes delta, so it carries left normal forms to right normal forms:
+    rev(delta^power s_1 ... s_k) = rev(s_k) ... rev(s_1) delta^power
+    = delta^power tau^power(rev(s_k)) ... tau^power(rev(s_1)), normalized by
+    reference_normal_form and reversed back.
+    """
+    rev = [perm_inverse(tuple(s)) for s in reversed(simples)]
+    if power % 2:
+        rev = [_tau(s) for s in rev]
+    p, fac = reference_normal_form(n, power, rev)
+    return tuple(perm_inverse(f) for f in reversed(fac)), p

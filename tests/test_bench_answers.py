@@ -6,6 +6,10 @@ the same checks part of the ordinary test run: the first queries of each
 workload, at the default seed and at the held-out seed, go through the
 benchmark's own run_query and check_answer, and every answer digest must
 equal bench/reference/<workload>.json.  Nothing under bench/ is written.
+
+The benchmark's traced run wraps package functions and structure methods
+by name, so a rename in the package breaks it; the tracer test below
+installs that tracer and checks that it still sees the structure layer.
 """
 
 import importlib
@@ -21,18 +25,19 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 QUERIES = 150
 
 
-def _workloads():
+def _bench_module(name):
     sys.path.insert(0, str(BENCH))
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = saved
         sys.path.remove(str(BENCH))
 
 
-workloads = _workloads()
+workloads = _bench_module("workloads")
+tracer = _bench_module("tracer")
 
 
 @pytest.mark.parametrize("seed", (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED))
@@ -45,3 +50,20 @@ def test_answers_match_the_reference(workload, seed, tmp_path):
         answer = workloads.run_query(ctx, q)
         assert workloads.check_answer(garside_al, q, answer) == [], (i, q)
         assert workloads.answer_digest(q, answer) == reference[i], (i, q)
+
+
+def test_tracer_sees_the_structure_layer():
+    left_meet = garside_al.GarsideStructure.left_meet
+    t = tracer.Tracer()
+    t.install(garside_al)
+    try:
+        st = garside_al.braid_structure(4)
+        garside_al.is_absorbable(garside_al.parse_word(st, "s1 s3 s1 s3"))
+    finally:
+        t.uninstall()
+    calls: dict = {}
+    for (_span, name, _caller), (count, _self_s, _simples) in t.buckets.items():
+        calls[name] = calls.get(name, 0) + count
+    assert calls.get("structure.left_meet", 0) > 0
+    assert calls.get("structure.right_complement", 0) > 0
+    assert garside_al.GarsideStructure.left_meet is left_meet

@@ -1,10 +1,11 @@
 """Permutation-braid structure: exhaustive checks over all simples."""
 
+import inspect
 import itertools
 
 import pytest
 
-from garside_al import braid_structure, make_element, multiply
+from garside_al import abelian_structure, braid_structure, make_element, multiply
 from garside_al.braid import (
     embed_simple,
     perm_inverse as braid_perm_inverse,
@@ -166,3 +167,23 @@ def test_nontrivial_simples_count():
     # identity and the half twist are both excluded
     assert len(B3.nontrivial_simples()) == 4
     assert len(B4.nontrivial_simples()) == 22
+
+
+@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
+def test_every_cached_primitive_equals_its_raw_method(struct):
+    simples = list(struct.all_simples())
+    for name in struct._CACHED:
+        public, raw = getattr(struct, name), getattr(struct, f"_{name}_raw")
+        arity = len(inspect.signature(raw).parameters)
+        for args in itertools.product(simples, repeat=arity):
+            assert public(*args) == raw(*args), (name, args)
+
+
+def test_structures_do_not_share_caches():
+    b4, b5 = braid_structure(4), braid_structure(5)
+    for name in b4._CACHED:
+        assert getattr(b4, f"_{name}") is not getattr(b5, f"_{name}"), name
+    before = b5._left_meet.cache_info()
+    b4.left_meet(b4.delta, b4.atom(3))
+    assert b5._left_meet.cache_info() == before
+    assert b4._left_meet.cache_info().currsize > 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_al import (
+    GarsideStructure,
     SizeLimitExceeded,
     braid_structure,
     complement,
@@ -19,6 +20,7 @@ from garside_al import (
     make_element,
     multiply,
     normalize,
+    parse_word,
     power,
     right_divides,
     right_gcd,
@@ -37,6 +39,7 @@ from oracles import (
     positive_words_equal,
     reduced_word,
     reference_normal_form,
+    reference_right_normal_form,
 )
 
 B3 = braid_structure(3)
@@ -268,6 +271,24 @@ def test_normalize_letter_engine():
     assert normalize(B3, [(1, -1), (1, 1)]).is_identity
 
 
+def test_normalize_twists_once_however_many_inverse_letters(monkeypatch):
+    # each inverse letter moves the delta exponent; re-twisting the prefix
+    # per letter made parsing s1^-k quadratic in k
+    calls = 0
+    tau_pow = GarsideStructure.tau_pow
+
+    def counted(self, s, k):
+        nonlocal calls
+        calls += 1
+        return tau_pow(self, s, k)
+
+    monkeypatch.setattr(GarsideStructure, "tau_pow", counted)
+    e = parse_word(B4, "s1^-400")
+    assert calls < 2000
+    monkeypatch.undo()
+    assert e == invert(parse_word(B4, "s1^400"))
+
+
 def test_size_guard():
     with pytest.raises(SizeLimitExceeded):
         make_element(B3, 10 ** 7, [])
@@ -377,6 +398,17 @@ def test_cascades_let_a_full_delta_leave_through_the_front(n):
         if p >= 0:
             spelled = [first] + [delta] * x.power + list(x.factors)
             assert nf(want) == reference_normal_form(n, 0, spelled)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_right_normal_form_matches_the_reversed_reference(n):
+    rng = random.Random(8300 + n)
+    struct = braid_structure(n)
+    for _ in range(6):
+        p = rng.randint(-3, 3)
+        simples = random_simples(rng, n, rng.randint(1, 150))
+        assert (right_normal_form(make_element(struct, p, simples))
+                == reference_right_normal_form(n, p, simples))
 
 
 def atom_extension_gcd(a, b, side):
