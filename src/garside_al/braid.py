@@ -5,10 +5,12 @@ position of the strand entering at position i, and composition reads left to
 right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
-Left divisibility of simples is inversion-set containment; meets are computed
-greedily by atom extension over inversion bitmasks.  Inverses and inversion
-masks join the primitives the base class caches per instance, so repeated
-normal form work on the same structure amortizes to cache hits.
+Left divisibility of simples is inversion-set containment (the weak order):
+s*t is simple when s^-1 and t have disjoint inversion sets, and the meet
+keeps a pair of strands uncrossed when s or t does, closed under
+transitivity (Epstein et al., Word Processing in Groups, Ch. 9).  Inverses
+and inversion masks join the primitives the base class caches per instance,
+so repeated normal form work on the same structure amortizes to cache hits.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class BraidStructure(GarsideStructure):
             a[i - 1], a[i] = a[i], a[i - 1]
             atoms.append(tuple(a))
         self.atoms = tuple(atoms)
+        self._interned = {}  # one object per distinct meet
         super().__init__()
 
     # -- permutation utilities ------------------------------------------------
@@ -76,28 +79,25 @@ class BraidStructure(GarsideStructure):
     # -- primitives -----------------------------------------------------------
 
     def _compose_raw(self, s: Perm, t: Perm) -> Perm | None:
-        r = tuple(t[v - 1] for v in s)
-        if self.simple_length(r) == self.simple_length(s) + self.simple_length(t):
-            return r
-        return None
+        if self.inversion_mask(self.inverse(s)) & self.inversion_mask(t):
+            return None
+        return tuple(t[v - 1] for v in s)
 
     def _left_meet_raw(self, s: Perm, t: Perm) -> Perm:
-        ms = self.inversion_mask(s)
-        mt = self.inversion_mask(t)
-        cur = self.identity
-        extended = True
-        while extended:
-            extended = False
-            for a in self.atoms:
-                ext = self.compose(cur, a)
-                if ext is None:
-                    continue
-                me = self.inversion_mask(ext)
-                if me & ~ms == 0 and me & ~mt == 0:
-                    cur = ext
-                    extended = True
-                    break
-        return cur
+        # after[i] has bit j when strand i ends left of strand j > i in the
+        # meet; rows fill from the right, so each after[j] OR-ed in is closed
+        n = self.n
+        after = [0] * n
+        order = [n]  # strands i+2 .. n (1-based) in their final order
+        for i in range(n - 2, -1, -1):
+            si, ti, row = s[i], t[i], 0
+            for j in range(i + 1, n):
+                if (s[j] > si or t[j] > ti) and not row >> j & 1:
+                    row |= 1 << j | after[j]
+            after[i] = row
+            order.insert(n - 1 - i - row.bit_count(), i + 1)
+        m = perm_inverse(order)
+        return self._interned.setdefault(m, m)
 
     def _right_meet_raw(self, s: Perm, t: Perm) -> Perm:
         # x -> x^-1 maps the right-divisibility order onto the left one

@@ -59,7 +59,7 @@ from .special import (
 )
 from .structure import UnsupportedStructureOperation
 from .suites import SUITE_NAMES, run_suite
-from .words import WordSyntaxError, format_element, one_line, parse_word
+from .words import WordSyntaxError, format_element, format_simple, one_line, parse_word
 
 JSON_SCHEMA = "garside-al.v1"
 
@@ -90,7 +90,8 @@ class Config:
     cache: Optional[str]
     as_json: bool
 
-    def structure(self):
+    def strands(self) -> int:
+        """The validated strand count."""
         if self.n is None:
             raise UsageError("no strand count: pass --n, set GARSIDE_AL_N, "
                              "or put n in the config file")
@@ -98,7 +99,10 @@ class Config:
             raise UsageError(f"need at least 2 strands, got {self.n}")
         if self.n > MAX_STRANDS:
             raise UsageError(f"at most {MAX_STRANDS} strands, got {self.n}")
-        return braid_structure(self.n)
+        return self.n
+
+    def structure(self):
+        return braid_structure(self.strands())
 
 
 def _file_settings() -> dict:
@@ -185,7 +189,7 @@ def _cmd_rnf(args, cfg: Config) -> int:
     st = cfg.structure()
     e = parse_word(st, args.word)
     rfac, rp = right_normal_form(e)
-    chunks = [" ".join(f"s{i}" for i in st.simple_word(f)) for f in rfac]
+    chunks = [format_simple(st, f) for f in rfac]
     if rp:
         chunks.append("D" if rp == 1 else f"D^{rp}")
     _emit(cfg, "rnf", {"word": args.word, "n": cfg.n},
@@ -304,7 +308,7 @@ def _cmd_path(args, cfg: Config) -> int:
     p = preferred_path(v, w)
     lines = [f"{len(p)} edges"]
     for i, label in enumerate(p.labels):
-        word = " ".join(f"s{j}" for j in st.simple_word(label))
+        word = format_simple(st, label)
         lines.append(f"{format_element(p.vertices[i].rep)} -> "
                      f"{format_element(p.vertices[i + 1].rep)} : {word}")
     _emit(cfg, "path", {"left": args.left, "right": args.right, "n": cfg.n},
@@ -329,9 +333,7 @@ def _cmd_dist_ub(args, cfg: Config) -> int:
 
 
 def _cmd_witness(args, cfg: Config) -> int:
-    if cfg.n is None:
-        raise UsageError("witness needs --n")
-    x = distance_witness(cfg.n)
+    x = distance_witness(cfg.strands())
     lines = [format_element(x)]
     payload = {"element": _element_json(x)}
     code = 0
@@ -359,9 +361,7 @@ def _piece_payload(piece) -> dict:
 
 
 def _cmd_decompose_delta(args, cfg: Config) -> int:
-    if cfg.n is None:
-        raise UsageError("decompose-delta needs --n")
-    pieces = delta_three_absorbables(cfg.n, args.power)
+    pieces = delta_three_absorbables(cfg.strands(), args.power)
     _emit(cfg, "decompose-delta", {"n": cfg.n, "power": args.power},
           [_piece_payload(p) for p in pieces], [p.line() for p in pieces])
     return 0

@@ -35,6 +35,11 @@ def parse_word(st: GarsideStructure, text: str) -> GarsideElement:
     return normalize(st, word)
 
 
+def format_simple(st: GarsideStructure, s) -> str:
+    """A simple spelled in atoms, `s<i>` tokens separated by spaces."""
+    return " ".join(f"s{i}" for i in st.simple_word(s))
+
+
 def format_element(a: GarsideElement) -> str:
     """Canonical word for a: the Delta power, then each factor spelled in atoms.
 
@@ -47,8 +52,7 @@ def format_element(a: GarsideElement) -> str:
         parts.append("D")
     elif a.power != 0:
         parts.append(f"D^{a.power}")
-    for f in a.factors:
-        parts.extend(f"s{i}" for i in st.simple_word(f))
+    parts.extend(format_simple(st, f) for f in a.factors)
     return " ".join(parts)
 
 
@@ -58,8 +62,7 @@ def format_factors(a: GarsideElement) -> str:
     chunks = []
     if a.power != 0:
         chunks.append("D" if a.power == 1 else f"D^{a.power}")
-    for f in a.factors:
-        chunks.append(" ".join(f"s{i}" for i in st.simple_word(f)))
+    chunks.extend(format_simple(st, f) for f in a.factors)
     if not chunks:
         return "1"
     return " | ".join(chunks)

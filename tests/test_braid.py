@@ -2,11 +2,13 @@
 
 import inspect
 import itertools
+import random
 
 import pytest
 
 from garside_al import abelian_structure, braid_structure, make_element, multiply
 from garside_al.braid import (
+    BraidStructure,
     embed_simple,
     perm_inverse as braid_perm_inverse,
     rev_element,
@@ -14,6 +16,8 @@ from garside_al.braid import (
     simple_from_word,
 )
 from oracles import (
+    _compose as oracle_compose,
+    _left_meet as oracle_left_meet,
     descents,
     inversions,
     perm_inverse,
@@ -103,15 +107,50 @@ def test_left_weighted_matches_defining_property():
 
 
 def test_meets_against_bruteforce():
-    for struct in (B3, B4):
+    # common divisors are found by inversion-set containment, not by the
+    # package's left_divides_simple, which is itself a meet
+    for n in (3, 4, 5):
+        struct = braid_structure(n)
+        inv = {q: inversions(q) for q in all_simples(struct)}
+        for s, t in itertools.product(inv, repeat=2):
+            both = inv[s] & inv[t]
+            best = max((q for q in inv if inv[q] <= both), key=lambda q: len(inv[q]))
+            assert struct.left_meet(s, t) == best, (s, t)
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_meets_against_the_atom_extension_oracle(n):
+    # half the pairs are random, half differ by a few value swaps, so that
+    # their meets are long as well as short
+    struct, rng = braid_structure(n), random.Random(n)
+    for k in range(3000):
+        s = tuple(rng.sample(range(1, n + 1), n))
+        t = tuple(rng.sample(range(1, n + 1), n))
+        if k % 2:
+            t = s
+            for _ in range(rng.randint(1, 3)):
+                t = oracle_compose(t, perm_of_word((rng.randint(1, n - 1),), n))
+        assert struct.left_meet(s, t) == oracle_left_meet(s, t), (s, t)
+
+
+def test_compose_is_the_length_additive_product():
+    for n in (3, 4, 5):
+        struct = braid_structure(n)
         simples = all_simples(struct)
-        pairs = [(s, t) for s in simples for t in simples]
-        for s, t in pairs:
-            common = [q for q in simples
-                      if struct.left_divides_simple(q, s)
-                      and struct.left_divides_simple(q, t)]
-            best = max(common, key=lambda q: len(inversions(q)))
-            assert struct.left_meet(s, t) == best
+        for s, t in itertools.product(simples, repeat=2):
+            p = oracle_compose(s, t)
+            additive = len(inversions(p)) == len(inversions(s)) + len(inversions(t))
+            assert struct.compose(s, t) == (p if additive else None), (s, t)
+
+
+def test_meet_probes_no_products_and_shares_its_results():
+    struct = BraidStructure(8)
+    half_twist3 = perm_of_word((1, 2, 1), 8)
+    m = struct.left_meet(perm_of_word((1, 2, 1, 3, 4), 8), perm_of_word((1, 2, 1, 5, 6), 8))
+    assert m == half_twist3
+    assert struct._compose.cache_info().currsize == 0
+    assert struct._inversion_mask.cache_info().currsize == 0
+    assert struct.left_meet(perm_of_word((2, 1, 2, 3), 8), perm_of_word((1, 2, 1, 4), 8)) is m
 
 
 def test_left_quotient_is_exact():

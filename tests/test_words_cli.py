@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from garside_al import braid_structure, cli, delta_power, multiply, power
+from garside_al import braid, braid_structure, cli, delta_power, multiply, power
 from garside_al.suites import SuiteCheck, SuiteResult, random_element
 from garside_al.words import (
     WordSyntaxError,
@@ -270,6 +270,14 @@ class TestCliErrors:
         monkeypatch.undo()
         code, out, _ = run_cli(capsys, "nf", "s1", "--n", str(cli.MAX_STRANDS))
         assert code == 0 and out.strip()
+
+    def test_strand_cap_holds_for_commands_without_a_word(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(braid, "BraidStructure", lambda n: built.append(n))
+        for argv in (("witness",), ("decompose-delta", "1")):
+            code, _, err = run_cli(capsys, *argv, "--n", str(cli.MAX_STRANDS + 1))
+            assert code == 2 and err.startswith("error:") and err.count("\n") == 1, argv
+            assert "strands" in err and built == [], argv
 
     def test_oversized_word_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "nf", "D^20000000", "--n", "3")
