@@ -8,12 +8,18 @@ nontrivial proper simples, k = ell(y).  The search builds x right to left:
 prepending a positive factor never decreases the inf or the sup of the
 running product x_i ... x_k * y, so a partial suffix whose product already
 has inf > 0 or sup > k can be discarded with everything above it.
+
+If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
+enumeration searches a chain only when its sub-chains one factor shorter
+are absorbable.  The budget applies per search, and the searches skipped
+can no longer exhaust it: an enumeration may answer where it used to raise.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .element import (
     GarsideElement,
@@ -33,6 +39,8 @@ DEFAULT_BUDGET = 2 * 10 ** 6
 
 # spot-check density for cache re-validation: one entry in a hundred
 _SPOT_CHECK_STRIDE = 100
+
+_PRIME_SEARCH_LEN = 2  # factor bound on is_absorbable_prime's candidates
 
 
 class SearchBudgetExceeded(Exception):
@@ -139,7 +147,7 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     got = _dfs(st, target, None, 0, target.canonical_length, counter)
     if got is None:
         return None
-    x = make_element(st, 0, got)
+    x = GarsideElement(st, 0, tuple(got))
     if target is not y:
         x = multiply(x, invert(y))
     if not absorbs(x, y):
@@ -149,25 +157,22 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
                                     nodes_pruned=counter.pruned)
 
 
-def _positive_chains(st: GarsideStructure, max_len: int):
-    """All left-weighted factor chains of length 1..max_len, depth first."""
-    out = []
-
-    def rec(chain, last):
-        options = st.nontrivial_simples() if last is None else st.followers(last)
-        for t in options:
-            grown = (*chain, t)
-            out.append(grown)
-            if len(grown) < max_len:
-                rec(grown, t)
-
-    rec((), None)
-    return out
-
-
-def _sorted_elements(st: GarsideStructure, chains):
-    chains = sorted(chains, key=lambda c: (len(c), c))
-    return tuple(make_element(st, 0, c) for c in chains)
+def _chains(st: GarsideStructure, max_len: int, keep=None):
+    """Normal forms of inf 0 with 1..max_len factors, as factor tuples, in
+    (length, lexicographic) order: level l extends level l-1 by the sorted
+    followers of each chain's last factor.  With keep, only accepted chains
+    are yielded and extended, and keep(c) is asked only if c[1:] was kept."""
+    level = [()]
+    for _ in range(max_len):
+        kept = set(level)
+        grown = []
+        for c in level:
+            for t in st.followers(c[-1]) if c else st.nontrivial_simples():
+                g = (*c, t)
+                if keep is None or (g[1:] in kept and keep(g)):
+                    grown.append(g)
+        yield from grown
+        level = grown
 
 
 def enumerate_absorbable(st: GarsideStructure, max_len: int,
@@ -187,9 +192,9 @@ def enumerate_absorbable(st: GarsideStructure, max_len: int,
         cached = _cache_load(st, max_len, cache_path, budget)
         if cached is not None:
             return cached
-    found = [c for c in _positive_chains(st, max_len)
-             if is_absorbable(make_element(st, 0, c), budget=budget) is not None]
-    result = _sorted_elements(st, found)
+    chains = _chains(st, max_len, lambda c: is_absorbable(
+        GarsideElement(st, 0, c), budget=budget) is not None)
+    result = tuple(GarsideElement(st, 0, c) for c in chains)
     if cache_path is not None:
         _cache_append(st, max_len, cache_path, result)
     return result
@@ -314,8 +319,7 @@ def _cache_append(st, max_len, path, elements) -> None:
 # the one-sided generalization
 
 
-def is_absorbable_prime(y: GarsideElement, search_bound: int = 2,
-                        budget: int = DEFAULT_BUDGET) -> str:
+def is_absorbable_prime(y: GarsideElement, budget: int = DEFAULT_BUDGET) -> str:
     """Semi-decision for the stronger property: "yes", "no", or "unknown".
 
     "yes" needs an x whose inf and sup survive multiplication by every
@@ -323,9 +327,9 @@ def is_absorbable_prime(y: GarsideElement, search_bound: int = 2,
     denominator in reverse, then factors of the numerator).  Absorbable
     elements qualify at once.  "no" is answered through the necessary
     condition that both fraction parts be absorbable themselves.  Otherwise
-    a search over positive candidates with at most search_bound factors is
-    tried, and "unknown" is returned when it finds nothing: the two known
-    implications do not close into a decision procedure.
+    a search over positive candidates with at most _PRIME_SEARCH_LEN
+    factors is tried, and "unknown" is returned when it finds nothing: the
+    two known implications do not close into a decision procedure.
     """
     st = y.structure
     if y.is_identity:
@@ -340,16 +344,11 @@ def is_absorbable_prime(y: GarsideElement, search_bound: int = 2,
         return "no"
     letters = [invert(simple_element(st, f)) for f in reversed(u.factors)]
     letters += [simple_element(st, f) for f in v.factors]
-    segments = []
-    running = None
-    for letter in letters:
-        running = letter if running is None else multiply(running, letter)
-        segments.append(running)
-    if segments and (segments[-1].power != y.power
-                     or segments[-1].factors != y.factors):
+    segments = list(accumulate(letters, multiply))
+    if segments and segments[-1] != y:
         raise AssertionError("internal error: fraction word does not rebuild y")
-    for x in _sorted_elements(st, _positive_chains(st, search_bound)):
-        if all(multiply(x, seg).inf == x.inf and multiply(x, seg).sup == x.sup
-               for seg in segments):
+    for x in (GarsideElement(st, 0, c) for c in _chains(st, _PRIME_SEARCH_LEN)):
+        products = (multiply(x, seg) for seg in segments)
+        if all(xs.inf == x.inf and xs.sup == x.sup for xs in products):
             return "yes"
     return "unknown"

@@ -196,9 +196,10 @@ def max_power_dividing(x: GarsideElement, z: GarsideElement) -> int:
         raise ValueError("expected an element with infimum 0")
     if x.is_identity or not x.is_positive or x.inf != 0:
         raise ValueError("power base must be positive, nontrivial, of infimum 0")
-    k = 0
-    while left_divides(power(x, k + 1), z):
-        k += 1
+    peel = invert(x)
+    k, rest = 0, multiply(peel, z)
+    while rest.inf >= 0:  # given x^k | z: x^(k+1) | z exactly when x | x^-k z
+        k, rest = k + 1, multiply(peel, rest)
     return k
 
 
@@ -509,9 +510,7 @@ def _interior_pieces(st: BraidStructure, y_int: GarsideElement, c: RoundCurve) -
     # exactly one puncture outside: clear the tube's own half twist
     tube_delta = simple_element(
         st, embed_simple(braid_structure(hi - lo + 1).delta, lo - 1, n))
-    k = 0
-    while left_divides(power(tube_delta, k + 1), y_int):
-        k += 1
+    k = max_power_dividing(tube_delta, y_int)
     rest = multiply(invert(power(tube_delta, k)), y_int)
     pieces = []
     if k:
@@ -565,10 +564,10 @@ def _tubular_pieces(st: BraidStructure, y_tub: GarsideElement, c: RoundCurve) ->
         return []
     n = st.n
 
-    def atom_power_cands(target: GarsideElement) -> list:
+    def atom_power_cands(target: GarsideElement, lo: int = c.lo, hi: int = c.hi) -> list:
         p = max(target.sup, 1)
         return [(power(simple_element(st, st.atom(i)), p),
-                 f"tube atom {i} to the power {p}") for i in range(c.lo, c.hi)]
+                 f"tube atom {i} to the power {p}") for i in range(lo, hi)]
 
     try:
         return [_absorber_from(atom_power_cands(y_tub), y_tub, "tubular")]
@@ -590,7 +589,8 @@ def _tubular_pieces(st: BraidStructure, y_tub: GarsideElement, c: RoundCurve) ->
         raise DecompositionError("tubular part resisted every interior atom power")
     pieces = _twist_product_pieces(st, twist, count, atom_power_cands)
     if not rest.is_identity:
-        pieces.append(_absorber_from(atom_power_cands(rest), rest,
+        # the cleared lifts have moved the tube to lo..hi
+        pieces.append(_absorber_from(atom_power_cands(rest, lo, hi), rest,
                                      "tubular, twist cleared"))
     return pieces
 

@@ -1,5 +1,6 @@
 """Absorbability: decision procedure against a brute-force oracle."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -14,6 +15,7 @@ import garside_al
 from garside_al import (
     SearchBudgetExceeded,
     CacheError,
+    abelian_structure,
     absorbs,
     braid_structure,
     complement,
@@ -32,6 +34,7 @@ from garside_al import (
 )
 from garside_al import absorb
 from garside_al.absorb import DEFAULT_BUDGET
+from garside_al.words import one_line
 
 B3 = braid_structure(3)
 B4 = braid_structure(4)
@@ -146,6 +149,41 @@ def test_enumeration_rank4_matches_bruteforce():
     want = {y for y in positive_elements_up_to(B4, 2)
             if bruteforce_absorbable(y)}
     assert got == want
+
+
+@pytest.mark.parametrize("struct, max_len", [
+    (B3, 3), (B4, 3), (B5, 1), (abelian_structure(2), 3), (abelian_structure(3), 3)])
+def test_enumeration_is_the_searched_set_of_all_products(struct, max_len):
+    # the candidates come from every product of simples, not from followers,
+    # so a chain the sub-chain closure wrongly skips shows up here
+    want = sorted((y for y in positive_elements_up_to(struct, max_len)
+                   if is_absorbable(y) is not None),
+                  key=lambda e: (e.canonical_length, e.factors))
+    for L in range(1, max_len + 1):
+        assert list(enumerate_absorbable(struct, L)) == \
+            [y for y in want if y.canonical_length <= L]
+
+
+def test_enumeration_rank4_length4_is_pinned():
+    got = enumerate_absorbable(B4, 4)
+    rows = "\n".join("|".join(one_line(B4, f) for f in e.factors) for e in got)
+    assert len(got) == 1344
+    assert hashlib.sha256(rows.encode()).hexdigest() == \
+        "6d7c792767bcb42bab8e8c7efc5e39aabd1b4f67b82a77c46495918d9aed8c95"
+
+
+def test_enumeration_searches_only_chains_with_absorbable_sub_chains(monkeypatch):
+    searches = []
+    search = absorb.is_absorbable
+
+    def counting(y, **kwargs):
+        searches.append(y)
+        return search(y, **kwargs)
+
+    monkeypatch.setattr(absorb, "is_absorbable", counting)
+    assert len(enumerate_absorbable(B4, 3)) == 376
+    # every left-weighted chain up to length 3 would be 1,168 searches
+    assert len(searches) == 447
 
 
 def test_rigid_length5_example_with_certificate():

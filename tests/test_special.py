@@ -345,6 +345,29 @@ class TestNinePieceDecomposition:
         pieces = self.run_case(y, RoundCurve(2, 3))
         assert len(pieces) == 4
 
+    def test_interior_with_both_end_punctures_outside(self):
+        pieces = self.run_case(parse_word(B5, "s2 s3 s2"), RoundCurve(2, 4))
+        assert len(pieces) == 1
+        assert pieces[0].rule.startswith("interior, both ends outside: ")
+
+    def test_interior_half_twist_cleared_with_one_puncture_outside(self):
+        pieces = self.run_case(parse_word(B5, "s1 s2 s1 s3 s2 s1 s1"),
+                               RoundCurve(1, 4))
+        assert [p.rule.split(":")[0] for p in pieces] == [
+            "interior half twist, atom 1 power",
+            "interior half twist, atom 1 complement",
+            "interior, one end outside"]
+        # the tube's half twist divides once: k = 1
+        assert pieces[0].factor == parse_word(B5, "s1")
+
+    @pytest.mark.parametrize("word, curve", [("s1 s2 s1 s3 s2 s3", (3, 4)),
+                                             ("D s1 s2 s1 s3 s2 s3", (1, 2))])
+    def test_twist_cleared_remainder_sits_in_the_moved_tube(self, word, curve):
+        # an odd number of tube twist lifts reflects the tube's interval, and
+        # the remainder's absorber is an atom power inside the reflected one
+        pieces = self.run_case(parse_word(B4, word), RoundCurve(*curve))
+        assert pieces[-1].rule.startswith("tubular, twist cleared: ")
+
     def test_moved_curve_is_rejected(self):
         with pytest.raises(Exception):
             nine_absorbable_decomposition(parse_word(B4, "s2"), RoundCurve(1, 2))

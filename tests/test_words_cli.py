@@ -187,6 +187,13 @@ class TestCliCommands:
                                "--n", "5", "--curve", "1,3")
         assert code == 0 and "absorbed by" in out
 
+    def test_decompose_reducible_clears_an_odd_tube_twist(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose-reducible", "s1 s2 s1 s3 s2 s3",
+                               "--n", "4", "--curve", "3,4")
+        pieces = out.splitlines()
+        assert code == 0 and 1 <= len(pieces) <= 9
+        assert all("absorbed by" in line for line in pieces)
+
     def test_probe_orbit_emits_csv(self, capsys):
         code, out, _ = run_cli(capsys, "probe-orbit", "s1 s2 s3", "--n", "4",
                                "--steps", "3", "--radius", "2")
