@@ -9,6 +9,19 @@ prepending a positive factor never decreases the inf or the sup of the
 running product x_i ... x_k * y, so a partial suffix whose product already
 has inf > 0 or sup > k can be discarded with everything above it.
 
+Every running product m the search extends has inf 0 and sup k: y has,
+and a product with a larger sup is discarded.  Most candidates t for the
+next factor are discarded by the first slide of t * m alone, which depends
+only on t and the first factor m_1 of m: if (t, m_1) is left-weighted, t
+stays a factor of its own and the sup grows to k + 1; if the right
+complement of t left-divides m_1, t * m_1 contains delta and the inf
+rises.  Survivor tables, kept on the structure and keyed by (leftmost
+factor of the suffix, m_1), list the candidates that neither test
+discards; only those are multiplied out.  The others are counted as
+visited and pruned in one step, so the node counts, the certificate and
+the point where the budget runs out are those of trying every candidate in
+turn.
+
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
 are absorbable.  The budget applies per search, and the searches skipped
@@ -17,7 +30,9 @@ can no longer exhaust it: an enumeration may answer where it used to raise.
 
 from __future__ import annotations
 
+import fcntl
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -83,14 +98,32 @@ class _NodeCounter:
         self.pruned = 0
         self.budget = budget
 
-    def visit(self) -> None:
-        self.visited += 1
+    def visit(self, count: int) -> None:
+        self.visited += count
         if self.visited > self.budget:
             raise SearchBudgetExceeded(
                 f"absorber search exceeded the {self.budget}-node budget")
 
-    def prune(self) -> None:
-        self.pruned += 1
+    def prune(self, count: int) -> None:
+        self.pruned += count
+
+
+def _survivors(st, options, leftmost, head):
+    """The survivor table: indices into options of the candidates t that
+    the first slide of t * m does not prune, for a running product m with
+    first factor head."""
+    key = (leftmost, head)
+    table = st._survivor_tables.get(key)
+    if table is None:
+        # two-byte indices cover every braid group whose simples enumerate
+        code = "H" if len(options) <= 1 << 16 else "L"
+        # is_left_weighted(t, head), with the starting set of head read once
+        starts = st.starting_set(head)
+        table = st._survivor_tables[key] = array(code, (
+            i for i, t in enumerate(options)
+            if not starts <= st.finishing_set(t)
+            and not st.left_divides_simple(st.right_complement(t), head)))
+    return table
 
 
 def _dfs(st, m, leftmost, depth, k, counter):
@@ -101,15 +134,22 @@ def _dfs(st, m, leftmost, depth, k, counter):
     simples that can precede leftmost in a left-weighted chain.  Candidates
     come in sorted permutation order, so the first completion found is the
     lexicographically first absorber and the certificate is deterministic.
+    Only the survivors of the one-step tests are multiplied out; every
+    candidate is still counted as a visited node, and the skipped ones as
+    pruned nodes, in the order the candidates come.
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
     completes the suffix into a full absorber, or None.
     """
     options = st.nontrivial_simples() if leftmost is None else st.preceders(leftmost)
-    for t in options:
-        counter.visit()
+    done = 0  # candidates counted so far
+    for i in _survivors(st, options, leftmost, m.factors[0]):
+        counter.visit(i + 1 - done)
+        counter.prune(i - done)
+        done = i + 1
+        t = options[i]
         m2 = _lmul_simple(st, t, m)
         if m2.power > 0 or m2.sup > k:
-            counter.prune()
+            counter.prune(1)
             continue
         if depth + 1 == k:
             if m2.sup == k:
@@ -119,6 +159,8 @@ def _dfs(st, m, leftmost, depth, k, counter):
         if got is not None:
             got.append(t)
             return got
+    counter.visit(len(options) - done)
+    counter.prune(len(options) - done)
     return None
 
 
@@ -212,7 +254,9 @@ def enumerate_absorbable(st: GarsideStructure, max_len: int,
 # plain digit runs for n <= 9 and comma-separated entries for larger n.  A
 # block is written by one write() on an O_APPEND descriptor, trailer last, so
 # a block cut short by a crash has no trailer (or a wrong count) and is
-# skipped, and blocks from concurrent writers do not interleave.
+# skipped, and blocks from concurrent writers do not interleave.  A writer
+# holds an exclusive flock from its torn-line check until its descriptor
+# closes, so the check never sees another writer's block half written.
 
 _CACHE_MAGIC = "GARSIDE-ABSORB"
 _CACHE_VERSION = "v2"
@@ -298,17 +342,15 @@ def _cache_load(st, max_len, path, budget):
 def _cache_append(st, max_len, path, elements) -> None:
     rows = ["|".join(one_line(st, f) for f in el.factors)
             for el in elements]
-    block = "\n".join([_cache_header(st, max_len), *rows,
-                       f"{_CACHE_TRAILER} {len(rows)}"]) + "\n"
-    # a torn last line left by an interrupted writer would swallow the header
-    if os.path.exists(path) and os.path.getsize(path):
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                block = "\n" + block
-    data = block.encode("ascii")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    data = "\n".join([_cache_header(st, max_len), *rows,
+                      f"{_CACHE_TRAILER} {len(rows)}"]).encode("ascii") + b"\n"
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        # a torn last line left by an interrupted writer would swallow the header
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
         while data:  # one write unless the kernel takes only part of it
             data = data[os.write(fd, data):]
     finally:

@@ -5,7 +5,8 @@ position of the strand entering at position i, and composition reads left to
 right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
-Left divisibility of simples is inversion-set containment (the weak order):
+Left divisibility of simples is inversion-set containment (the weak order),
+which left_divides_simple tests on the cached masks without a meet;
 s*t is simple when s^-1 and t have disjoint inversion sets, and the meet
 keeps a pair of strands uncrossed when s or t does, closed under
 transitivity (Epstein et al., Word Processing in Groups, Ch. 9).  Inverses
@@ -51,7 +52,6 @@ class BraidStructure(GarsideStructure):
             a[i - 1], a[i] = a[i], a[i - 1]
             atoms.append(tuple(a))
         self.atoms = tuple(atoms)
-        self._interned = {}  # one object per distinct meet
         super().__init__()
 
     # -- permutation utilities ------------------------------------------------
@@ -76,6 +76,10 @@ class BraidStructure(GarsideStructure):
     def simple_length(self, s: Perm) -> int:
         return self.inversion_mask(s).bit_count()
 
+    def left_divides_simple(self, s: Perm, t: Perm) -> bool:
+        ms = self.inversion_mask(s)
+        return ms & self.inversion_mask(t) == ms
+
     # -- primitives -----------------------------------------------------------
 
     def _compose_raw(self, s: Perm, t: Perm) -> Perm | None:
@@ -96,8 +100,7 @@ class BraidStructure(GarsideStructure):
                     row |= 1 << j | after[j]
             after[i] = row
             order.insert(n - 1 - i - row.bit_count(), i + 1)
-        m = perm_inverse(order)
-        return self._interned.setdefault(m, m)
+        return self._intern(perm_inverse(order))
 
     def _right_meet_raw(self, s: Perm, t: Perm) -> Perm:
         # x -> x^-1 maps the right-divisibility order onto the left one

@@ -10,7 +10,8 @@ for multiplying a normal form by one simple (Dehornoy et al., Foundations of
 Garside Theory, EMS 2015, Ch. III; Thurston in Epstein et al., Word
 Processing in Groups, 1992, Ch. 9).  Sliding a pair (s, t) that is not
 left-weighted means replacing it by (s*u, u^-1*t) with u = ds ^ t, where ds
-is the right complement of s.
+is the right complement of s.  Each step is one cached structure call,
+slide(s, t), which answers None when the pair is already left-weighted.
 
 * _lmul_simple (s * x) slides s into x_1, the remainder into x_2, and so on,
   left to right, and stops as soon as the carry is the identity or meets a
@@ -108,17 +109,15 @@ def _lmul_simple(st: GarsideStructure, s: Simple, x: GarsideElement) -> GarsideE
         return GarsideElement(st, p + 1, x.factors)
     fac = x.factors
     head = []
-    i = 0
-    while i < len(fac):
-        f = fac[i]
-        u = st.left_meet(st.right_complement(c), f)
-        if u == ident:
+    for f in fac:
+        step = st.slide(c, f)
+        if step is None:
             break
-        head.append(st.compose(c, u))
-        c = st.left_quotient(u, f)
-        i += 1
+        cu, c = step
+        head.append(cu)
         if c == ident:
             break
+    i = len(head)  # one factor of x consumed per slide
     if c != ident:
         head.append(c)
     k = 0
@@ -141,16 +140,14 @@ def _rmul_into(st: GarsideStructure, fac: list, s: Simple) -> int:
     fac.append(s)
     j = len(fac) - 1
     while j:
-        f, c = fac[j - 1], fac[j]
-        u = st.left_meet(st.right_complement(f), c)
-        if u == ident:
+        step = st.slide(fac[j - 1], fac[j])
+        if step is None:
             return 0
-        rest = st.left_quotient(u, c)
+        c, rest = step
         if rest == ident:
             del fac[j]
         else:
             fac[j] = rest
-        c = st.compose(f, u)
         if c == delta:
             fac[:j] = [st.tau(x) for x in fac[:j - 1]]
             return 1

@@ -14,6 +14,11 @@ the same small set of (s, t) pairs over and over; the public method is a
 one-line call to that cache.  The public methods stay on the class, so
 code that wraps class attributes sees every call.  The two quotients call
 their _raw methods uncached.
+
+slide is the domino step of the normal form cascades in one cached call.
+Its raw method calls the raw meet, product and quotient directly, so a
+cascade leaves nothing in the meet and product caches, and it interns both
+outputs: every cached slide refers to one shared object per distinct simple.
 """
 
 from __future__ import annotations
@@ -40,11 +45,14 @@ class GarsideStructure:
 
     # Each name is served by _<name>_raw through its own per-instance
     # functools.cache, stored as the instance attribute _<name>.
-    _CACHED = ("compose", "left_meet", "right_meet", "tau", "right_complement",
-               "left_complement", "starting_set", "finishing_set",
-               "nontrivial_simples", "followers", "preceders")
+    _CACHED = ("compose", "left_meet", "right_meet", "slide", "tau",
+               "right_complement", "left_complement", "starting_set",
+               "finishing_set", "nontrivial_simples", "followers", "preceders")
 
     def __init__(self) -> None:
+        self._interned: dict = {}  # one object per distinct simple produced
+        # the absorber search's survivor tables (absorb._survivors)
+        self._survivor_tables: dict = {}
         for name in self._CACHED:
             setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
@@ -67,6 +75,16 @@ class GarsideStructure:
     def _right_quotient_raw(self, s: Simple, g: Simple) -> Simple:
         """s * g^-1, assuming g right-divides s."""
         raise NotImplementedError
+
+    def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
+        u = self._left_meet_raw(self.right_complement(c), f)
+        if u == self.identity:
+            return None
+        return (self._intern(self._compose_raw(c, u)),
+                self._intern(self._left_quotient_raw(u, f)))
+
+    def _intern(self, s: Simple) -> Simple:
+        return self._interned.setdefault(s, s)
 
     def _tau_raw(self, s: Simple) -> Simple:
         """Conjugation delta^-1 * s * delta."""
@@ -126,6 +144,12 @@ class GarsideStructure:
 
     def right_quotient(self, s: Simple, g: Simple) -> Simple:
         return self._right_quotient_raw(s, g)
+
+    def slide(self, c: Simple, f: Simple) -> tuple | None:
+        """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
+        of the right complement of c and f, or None when u is 1, that is
+        when (c, f) is already left-weighted.  The product c*f is kept."""
+        return self._slide(c, f)
 
     def tau(self, s: Simple) -> Simple:
         return self._tau(s)

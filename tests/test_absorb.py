@@ -1,11 +1,13 @@
 """Absorbability: decision procedure against a brute-force oracle."""
 
+import fcntl
 import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -20,6 +22,7 @@ from garside_al import (
     braid_structure,
     complement,
     delta_power,
+    distance_witness,
     enumerate_absorbable,
     identity_element,
     invert,
@@ -34,6 +37,9 @@ from garside_al import (
 )
 from garside_al import absorb
 from garside_al.absorb import DEFAULT_BUDGET
+from garside_al.braid import BraidStructure
+from garside_al.element import GarsideElement, _lmul_simple
+from garside_al.special import _witness_factor_perms
 from garside_al.words import one_line
 
 B3 = braid_structure(3)
@@ -206,6 +212,131 @@ def test_length5_search_accounting_is_exact():
     assert cert.x == parse_word(B4, "s2 s2 s2 s2 s1 s1 s2 s3")
 
 
+class _ReferenceCounter:
+    def __init__(self, budget):
+        self.visited = self.pruned = 0
+        self.budget = budget
+
+    def visit(self):
+        self.visited += 1
+        if self.visited > self.budget:
+            raise SearchBudgetExceeded("reference budget")
+
+
+def _reference_dfs(struct, m, leftmost, depth, k, counter):
+    # the search one candidate at a time, each multiplied out and tested
+    options = (struct.nontrivial_simples() if leftmost is None
+               else struct.preceders(leftmost))
+    for t in options:
+        counter.visit()
+        m2 = _lmul_simple(struct, t, m)
+        if m2.power > 0 or m2.sup > k:
+            counter.pruned += 1
+            continue
+        if depth + 1 == k:
+            if m2.sup == k:
+                return [t]
+            continue
+        got = _reference_dfs(struct, m2, t, depth + 1, k, counter)
+        if got is not None:
+            got.append(t)
+            return got
+    return None
+
+
+def _reference_outcome(y, budget):
+    """(absorber or None, visited, pruned), or "raised"."""
+    target = y if y.inf == 0 else invert(y)
+    counter = _ReferenceCounter(budget)
+    try:
+        got = _reference_dfs(y.structure, target, None, 0,
+                             target.canonical_length, counter)
+    except SearchBudgetExceeded:
+        return "raised"
+    x = None
+    if got is not None:
+        x = GarsideElement(y.structure, 0, tuple(got))
+        if target is not y:
+            x = multiply(x, invert(y))
+    return x, counter.visited, counter.pruned
+
+
+def test_survivor_tables_keep_the_search_accounting_exact(monkeypatch):
+    # skipping the candidates a one-step test prunes must change neither
+    # the certificate, nor the node counts, nor where the budget runs out
+    counters = []
+
+    class Recording(absorb._NodeCounter):
+        def __init__(self, budget):
+            super().__init__(budget)
+            counters.append(self)
+
+    monkeypatch.setattr(absorb, "_NodeCounter", Recording)
+    rng = random.Random(20261018)
+    outcomes = 0
+    for struct, max_len in ((B4, 5), (B5, 3), (braid_structure(6), 2)):
+        for _ in range(300):
+            chain = [rng.choice(struct.nontrivial_simples())]
+            for _ in range(rng.randint(1, max_len) - 1):
+                chain.append(rng.choice(struct.followers(chain[-1])))
+            y = GarsideElement(struct, 0, tuple(chain))
+            if rng.random() < 0.25:
+                y = invert(y)
+            for budget in (50, 300, 10 ** 7):
+                want = _reference_outcome(y, budget)
+                try:
+                    cert = is_absorbable(y, budget=budget)
+                except SearchBudgetExceeded:
+                    got = "raised"
+                else:
+                    got = (cert and cert.x, counters[-1].visited, counters[-1].pruned)
+                    if cert is not None:
+                        assert (cert.nodes_visited, cert.nodes_pruned) == got[1:]
+                assert got == want, (chain, budget)
+                outcomes += 1
+    assert outcomes == 2700
+
+
+def test_search_over_more_candidates_than_two_byte_indices_hold():
+    # Z^17 has 2^17 - 2 candidates for each factor
+    struct = abelian_structure(17)
+    cert = is_absorbable(make_element(struct, 0, [struct.atom(1)]))
+    assert cert is not None and cert.x.factors == (struct.atom(17),)
+
+
+def test_b6_witness_budget_boundary():
+    y = distance_witness(6)
+    struct = y.structure
+    sizes = (struct._left_meet.cache_info().currsize,
+             struct._compose.cache_info().currsize)
+    assert is_absorbable(y, budget=850_735) is None
+    with pytest.raises(SearchBudgetExceeded):
+        is_absorbable(y, budget=850_734)
+    # the search steps with the slide alone
+    assert (struct._left_meet.cache_info().currsize,
+            struct._compose.cache_info().currsize) == sizes
+
+
+def test_search_leaves_no_meet_or_product_and_interns_every_slide():
+    struct = BraidStructure(5)
+    y = make_element(struct, 0, _witness_factor_perms(5))
+    assert is_absorbable(y) is None
+    assert struct._left_meet.cache_info().currsize == 0
+    assert struct._compose.cache_info().currsize == 0
+    hits = struct._slide.cache_info().hits
+    outputs = set()
+    for c, f in itertools.product(struct.nontrivial_simples(), repeat=2):
+        step = struct.slide(c, f)
+        if step is not None:
+            for s in step:
+                assert struct._interned[s] is s
+                outputs.add(id(s))
+    # some answers came from the search's cache entries, and every simple
+    # the slides hand out is one shared object
+    assert struct._slide.cache_info().hits > hits
+    assert len(outputs) <= 120
+
+
 def test_interleaved_square_not_absorbable():
     assert is_absorbable(parse_word(B4, "s1 s3 s1 s3")) is None
 
@@ -349,6 +480,33 @@ def test_interleaved_cache_writers_leave_every_block_whole(tmp_path):
         assert enumerate_absorbable(k, L, cache_path=str(path)) == want
         total += count * (len(want) + 2)
     assert len(lines) == total
+
+
+def test_cache_append_waits_while_another_writer_holds_the_lock(tmp_path):
+    # the lock holder's block is half written; an append that did not wait
+    # would see a torn last line and patch it with a stray newline
+    def block(struct, max_len):
+        scratch = tmp_path / f"block-{max_len}"
+        absorb._cache_append(struct, max_len, str(scratch),
+                             enumerate_absorbable(struct, max_len))
+        return scratch.read_bytes()
+
+    held, appended = block(B3, 1), block(B3, 2)
+    path = tmp_path / "absorb.cache"
+    with open(path, "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        fh.write(held[:len(held) // 2])
+        fh.flush()
+        appender = threading.Thread(target=absorb._cache_append, args=(
+            B3, 2, str(path), enumerate_absorbable(B3, 2)))
+        appender.start()
+        appender.join(timeout=0.5)
+        assert appender.is_alive()
+        assert path.read_bytes() == held[:len(held) // 2]
+        fh.write(held[len(held) // 2:])
+    appender.join(timeout=30)
+    assert not appender.is_alive()
+    assert path.read_bytes() == held + appended
 
 
 def test_prime_variant_values():

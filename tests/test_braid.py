@@ -226,3 +226,15 @@ def test_structures_do_not_share_caches():
     b4.left_meet(b4.delta, b4.atom(3))
     assert b5._left_meet.cache_info() == before
     assert b4._left_meet.cache_info().currsize > 0
+
+
+@pytest.mark.parametrize("struct", (B3, B4, braid_structure(5), abelian_structure(3)),
+                         ids=lambda s: s.structure_id)
+def test_slide_stops_exactly_at_left_weighted_pairs_and_keeps_the_product(struct):
+    simples = list(struct.all_simples())
+    for c, f in itertools.product(simples, repeat=2):
+        step = struct.slide(c, f)
+        assert (step is None) == struct.is_left_weighted(c, f), (c, f)
+        if step is not None:
+            assert (make_element(struct, 0, step)
+                    == make_element(struct, 0, (c, f))), (c, f)
