@@ -31,6 +31,7 @@ can no longer exhaust it: an enumeration may answer where it used to raise.
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import os
 from array import array
 from dataclasses import dataclass
@@ -245,21 +246,23 @@ def enumerate_absorbable(st: GarsideStructure, max_len: int,
 # ---------------------------------------------------------------------------
 # cache: text, line oriented, append-only blocks
 #
-#   GARSIDE-ABSORB v2 <structure-id> n=<n> L=<L>
+#   GARSIDE-ABSORB v3 <structure-id> n=<n> L=<L>
 #   perm|perm|...
 #   ...
-#   END <number of entries>
+#   END <number of entries> <digest of the entry lines>
 #
 # One element per line as its factor list; permutations in one-line notation,
 # plain digit runs for n <= 9 and comma-separated entries for larger n.  A
 # block is written by one write() on an O_APPEND descriptor, trailer last, so
 # a block cut short by a crash has no trailer (or a wrong count) and is
-# skipped, and blocks from concurrent writers do not interleave.  A writer
-# holds an exclusive flock from its torn-line check until its descriptor
-# closes, so the check never sees another writer's block half written.
+# skipped, and blocks from concurrent writers do not interleave.  The digest
+# also rejects a row changed into another well-formed chain, which the
+# sparse spot check would usually miss.  A writer holds an exclusive flock
+# from its torn-line check until its descriptor closes, so the check never
+# sees another writer's block half written.
 
 _CACHE_MAGIC = "GARSIDE-ABSORB"
-_CACHE_VERSION = "v2"
+_CACHE_VERSION = "v3"
 _CACHE_TRAILER = "END"
 
 
@@ -280,15 +283,23 @@ def _cache_header(st: GarsideStructure, max_len: int) -> str:
     return f"{_CACHE_MAGIC} {_CACHE_VERSION} {st.structure_id} n={st.n} L={max_len}"
 
 
+def _cache_trailer(rows) -> str:
+    """END, the entry count, and the first 16 hex digits of the sha256 of
+    the entry lines."""
+    digest = hashlib.sha256("\n".join(rows).encode("ascii")).hexdigest()
+    return f"{_CACHE_TRAILER} {len(rows)} {digest[:16]}"
+
+
 def _complete_block(lines, start):
     """The entry lines of the block whose rows begin at lines[start], or
-    None when its trailer is missing or counts a different number."""
+    None when its trailer is missing or does not match them in count and
+    digest."""
     rows = []
     for line in lines[start:]:
         if line.startswith(_CACHE_MAGIC):
             return None
         if line.startswith(_CACHE_TRAILER):
-            return rows if line == f"{_CACHE_TRAILER} {len(rows)}" else None
+            return rows if line == _cache_trailer(rows) else None
         if line.strip():
             rows.append(line)
     return None
@@ -343,7 +354,7 @@ def _cache_append(st, max_len, path, elements) -> None:
     rows = ["|".join(one_line(st, f) for f in el.factors)
             for el in elements]
     data = "\n".join([_cache_header(st, max_len), *rows,
-                      f"{_CACHE_TRAILER} {len(rows)}"]).encode("ascii") + b"\n"
+                      _cache_trailer(rows)]).encode("ascii") + b"\n"
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)

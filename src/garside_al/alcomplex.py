@@ -196,25 +196,31 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
                          radius, budget)
 
 
-def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> list:
+def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tuple:
     """The generators taken up to right multiplication by Delta.
 
     vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
     only through its own vertex: each becomes the inf-0 factor tuple of
     vertex_of(g), in generator order, without repeats.  For gen_len 1 this
     halves the set, since s^-1 and the complement of s share a vertex.
+
+    The set is built once per structure and generator length and kept on
+    the structure, so a process pays for the enumeration, and reads or
+    writes cache_path, only on the first call.  A build that raises
+    (SearchBudgetExceeded, CacheError) stores nothing.  A later call gets
+    the stored exact set whatever its budget, as a cache-file load does;
+    its budget still caps the BFS expansions.
     """
-    seen = set()
-    out = []
-    for g in _generators(st, gen_len, budget, cache_path):
-        m = vertex_of(g).rep.factors
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
+    moves = st._move_sets.get(gen_len)
+    if moves is None:
+        moves = tuple(dict.fromkeys(
+            vertex_of(g).rep.factors
+            for g in _generators(st, gen_len, budget, cache_path)))
+        st._move_sets[gen_len] = moves
+    return moves
 
 
-def _bfs_distance(v: ALVertex, w: ALVertex, moves: list, radius: int,
+def _bfs_distance(v: ALVertex, w: ALVertex, moves: tuple, radius: int,
                   budget: int) -> Optional[int]:
     """The bidirectional search behind distance_upper_bound, on vertex keys.
 
@@ -249,7 +255,11 @@ def _bfs_distance(v: ALVertex, w: ALVertex, moves: list, radius: int,
                 expansions += 1
                 if expansions > budget:
                     raise SearchBudgetExceeded(
-                        f"distance search exceeded the {budget}-expansion budget")
+                        f"distance search spent its {budget}-expansion budget "
+                        f"at depth {depth_v} from the start and {depth_w} from "
+                        f"the target, while expanding the "
+                        f"{'start' if dist is dist_v else 'target'} side's "
+                        f"frontier of size {len(front)}")
                 fac = list(u)
                 q = 0
                 for s in m:

@@ -690,11 +690,14 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
     supplied and each power keeps it round, from the absorbable
     decomposition (one edge per factor).  The search radius is capped at
     the decomposition bound since larger search answers would be discarded.
-    The generator set is built once, on the first step that searches.
+    Each step that searches takes the move set kept on the structure (see
+    alcomplex._vertex_moves): only the first search of the process at this
+    generator length builds it, under this budget; a later probe with
+    another budget uses the stored exact set, and its budget still caps
+    every search's expansions.
     """
     st = g.structure
     home = identity_vertex(st)
-    moves = None
     out = []
     for i in range(1, steps + 1):
         gi = power(g, i)
@@ -707,9 +710,9 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
         target = vertex_of(gi)
         effective = radius if decomp is None else min(radius, decomp)
         if effective >= 1:
-            if moves is None:
-                moves = _vertex_moves(st, gen_len, budget, None)
-            found = _bfs_distance(home, target, moves, effective, budget)
+            found = _bfs_distance(home, target,
+                                  _vertex_moves(st, gen_len, budget, None),
+                                  effective, budget)
         else:
             found = 0 if home == target else None
         bounds = [x for x in (found, decomp) if x is not None]

@@ -53,6 +53,8 @@ class GarsideStructure:
         self._interned: dict = {}  # one object per distinct simple produced
         # the absorber search's survivor tables (absorb._survivors)
         self._survivor_tables: dict = {}
+        # the BFS's vertex move sets by generator length (alcomplex._vertex_moves)
+        self._move_sets: dict = {}
         for name in self._CACHED:
             setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 

@@ -393,8 +393,10 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "absorb.cache"
     first = enumerate_absorbable(B3, 3, cache_path=str(path))
     text = path.read_text()
-    assert text.startswith("GARSIDE-ABSORB v2 braid-classical:3 n=3 L=3")
-    assert text.endswith(f"\nEND {len(first)}\n")
+    assert text.startswith("GARSIDE-ABSORB v3 braid-classical:3 n=3 L=3")
+    rows = text.splitlines()[1:-1]
+    digest = hashlib.sha256("\n".join(rows).encode("ascii")).hexdigest()[:16]
+    assert text.endswith(f"\nEND {len(first)} {digest}\n")
     again = enumerate_absorbable(B3, 3, cache_path=str(path))
     assert again == first
     # a different key ignores the existing block and appends its own
@@ -408,6 +410,8 @@ def test_cache_rejects_tampering(tmp_path):
     enumerate_absorbable(B3, 3, cache_path=str(path))
     lines = path.read_text().splitlines()
     lines[1] = "999"
+    # a trailer that matches the tampered rows, so that validation sees them
+    lines[-1] = absorb._cache_trailer(lines[1:-1])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError):
         enumerate_absorbable(B3, 3, cache_path=str(path))
@@ -434,6 +438,38 @@ def test_cache_block_with_a_wrong_count_is_skipped(tmp_path):
     full = enumerate_absorbable(B3, 3, cache_path=str(path))
     text = path.read_text()
     path.write_text(text.replace(f"END {len(full)}", f"END {len(full) + 1}"))
+    assert enumerate_absorbable(B3, 3, cache_path=str(path)) == full
+    assert path.read_text().count("GARSIDE-ABSORB") == 2
+
+
+def test_cache_block_with_a_swapped_row_is_skipped(tmp_path):
+    # one row becomes another left-weighted chain that keeps the block sorted
+    # and free of repeats, away from the rows the spot check re-searches:
+    # only the trailer digest tells this block from a sound one
+    path = tmp_path / "absorb.cache"
+    full = enumerate_absorbable(B4, 2, cache_path=str(path))
+    chains = [el.factors for el in full]
+    assert len(chains) < absorb._SPOT_CHECK_STRIDE  # only row 0 is re-searched
+    k, swap = next(
+        (k, c) for c in absorb._chains(B4, 2) if c not in chains
+        for k in range(1, len(chains) - 1)
+        if (len(chains[k - 1]), chains[k - 1]) < (len(c), c)
+        < (len(chains[k + 1]), chains[k + 1]))
+    lines = path.read_text().splitlines()
+    lines[1 + k] = "|".join(one_line(B4, f) for f in swap)
+    path.write_text("\n".join(lines) + "\n")
+    assert enumerate_absorbable(B4, 2, cache_path=str(path)) == full
+    assert path.read_text().count("GARSIDE-ABSORB") == 2
+
+
+def test_cache_block_in_format_v2_is_recomputed(tmp_path):
+    path = tmp_path / "absorb.cache"
+    full = enumerate_absorbable(B3, 3, cache_path=str(path))
+    lines = path.read_text().splitlines()
+    # the block as format v2 wrote it, with no digest in the trailer
+    lines[0] = lines[0].replace(" v3 ", " v2 ")
+    lines[-1] = f"END {len(full)}"
+    path.write_text("\n".join(lines) + "\n")
     assert enumerate_absorbable(B3, 3, cache_path=str(path)) == full
     assert path.read_text().count("GARSIDE-ABSORB") == 2
 

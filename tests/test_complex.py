@@ -35,8 +35,9 @@ from garside_al import (
     triangle_thinness_report,
     vertex_of,
 )
-from garside_al import alcomplex
+from garside_al import absorb, alcomplex
 from garside_al.absorb import DEFAULT_BUDGET
+from garside_al.braid import BraidStructure
 from garside_al.element import delta_prefix
 from garside_al.suites import random_element, random_positive, random_vertex
 
@@ -354,7 +355,8 @@ class TestVertexMoves:
     def test_generators_up_to_delta(self, n, gen_len, gens, moves):
         st = braid_structure(n)
         assert len(alcomplex._generators(st, gen_len, DEFAULT_BUDGET, None)) == gens
-        assert len(alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)) == moves
+        found = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
+        assert isinstance(found, tuple) and len(found) == moves
 
     # B5 with generator length 2 is left out: its 5,356 generators take
     # seconds to enumerate, and the reference search expands each of them
@@ -362,6 +364,7 @@ class TestVertexMoves:
         (3, 1, 12), (3, 2, 12), (4, 1, 10), (4, 2, 6), (5, 1, 4)])
     def test_bound_matches_the_search_over_every_generator(self, n, gen_len, pairs):
         st = braid_structure(n)
+        moves = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
         rng = random.Random(f"moves/{n}/{gen_len}")
         answers = set()
         for _ in range(pairs):
@@ -373,6 +376,66 @@ class TestVertexMoves:
                     (v, w, gen_len, radius)
                 answers.add(want)
         assert None in answers and len(answers) >= 3
+        # every search above took the stored set: a rebuild would replace it,
+        # and a build under a budget of 1 would raise
+        assert alcomplex._vertex_moves(st, gen_len, 1, None) is moves
+
+    def test_one_cache_load_serves_every_query(self, tmp_path, monkeypatch):
+        st = BraidStructure(4)
+        path = str(tmp_path / "absorb.cache")
+        loads = []
+        load = absorb._cache_load
+
+        def counting(*args):
+            loads.append(args[:2])
+            return load(*args)
+
+        monkeypatch.setattr(absorb, "_cache_load", counting)
+        rng = random.Random("moves/cache")
+        for _ in range(20):
+            v = random_vertex(rng, st, rng.randint(1, 3))
+            w = random_vertex(rng, st, rng.randint(1, 3))
+            distance_upper_bound(v, w, 2, 3, cache_path=path)
+        assert loads == [(st, 2)]
+        with open(path, encoding="ascii") as fh:
+            assert fh.read().count("GARSIDE-ABSORB") == 1
+
+    def test_a_build_out_of_budget_stores_nothing(self):
+        st = BraidStructure(4)
+        v = identity_vertex(st)
+        w = vertex_of(parse_word(st, "s1 s2 s3 s1"))
+        with pytest.raises(SearchBudgetExceeded, match="absorber search"):
+            distance_upper_bound(v, w, 1, 3, budget=10)
+        assert st._move_sets == {}
+        assert distance_upper_bound(v, w, 1, 3) == reference_distance(v, w, 1, 3)
+
+    def test_structures_do_not_share_move_sets(self, monkeypatch):
+        shared = alcomplex._vertex_moves(B4, 1, DEFAULT_BUDGET, None)
+        fresh = BraidStructure(4)
+        builds = []
+        build = alcomplex._generators
+
+        def counting(*args):
+            builds.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(alcomplex, "_generators", counting)
+        moves = alcomplex._vertex_moves(fresh, 1, DEFAULT_BUDGET, None)
+        assert len(builds) == 1 and builds[0] is fresh
+        assert moves == shared and moves is not shared
+        assert B4._move_sets[1] is shared
+
+    def test_budget_error_says_how_far_the_search_got(self):
+        v = identity_vertex(B3)
+        w = vertex_of(parse_word(B3, "s1 s1 s1 s2 s2 s2"))
+        with pytest.raises(SearchBudgetExceeded) as err:
+            distance_upper_bound(v, w, 1, 4, budget=5)
+        # the start side grew one layer with B3's four moves; the fifth
+        # expansion is the target's first, and the sixth is over budget
+        assert str(err.value) == (
+            "distance search spent its 5-expansion budget at depth 1 from the "
+            "start and 0 from the target, while expanding the target side's "
+            "frontier of size 1")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from garside_al import (
     vertex_of,
 )
 from garside_al import alcomplex
+from garside_al.braid import BraidStructure
 from garside_al.element import delta_prefix, left_divides, right_divides
 from garside_al.special import _witness_factor_perms
 from garside_al.suites import random_right_divisor
@@ -385,6 +386,8 @@ class TestOrbitProbe:
             [(1, 1), (2, 2), (3, 1), (4, 0)]
 
     def test_probe_builds_its_generators_once(self, monkeypatch):
+        # a fresh structure: the shared B4 already holds its move sets
+        st = BraidStructure(4)
         builds = []
         build = alcomplex._generators
 
@@ -393,9 +396,13 @@ class TestOrbitProbe:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(alcomplex, "_generators", counting)
-        probe = orbit_diameter_probe(parse_word(B4, "s1 s2 s3"), 3, 1, 3)
-        assert [(e.power, e.upper_bound) for e in probe] == [(1, 1), (2, 2), (3, 1)]
-        assert builds == [(B4, 1)]
+        for _ in range(2):
+            probe = orbit_diameter_probe(parse_word(st, "s1 s2 s3"), 3, 1, 3)
+            assert [(e.power, e.upper_bound) for e in probe] == \
+                [(1, 1), (2, 2), (3, 1)]
+        assert distance_upper_bound(identity_vertex(st),
+                                    vertex_of(parse_word(st, "s1 s2")), 1, 3) == 1
+        assert builds == [(st, 1)] and builds[0][0] is st
 
     def test_tube_preserving_braid_stays_within_nine(self):
         keeper = multiply(tube_braid(),
