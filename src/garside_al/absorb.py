@@ -92,18 +92,21 @@ def absorbs(x: GarsideElement, y: GarsideElement) -> bool:
 
 
 class _NodeCounter:
-    __slots__ = ("visited", "pruned", "budget")
+    __slots__ = ("visited", "pruned", "budget", "depth")
 
     def __init__(self, budget: int) -> None:
         self.visited = 0
         self.pruned = 0
         self.budget = budget
+        self.depth = 0  # the deepest _dfs call so far
 
     def visit(self, count: int) -> None:
         self.visited += count
         if self.visited > self.budget:
             raise SearchBudgetExceeded(
-                f"absorber search exceeded the {self.budget}-node budget")
+                f"absorber search exceeded the {self.budget}-node budget "
+                f"with {self.visited} nodes visited and {self.pruned} pruned; "
+                f"the deepest call reached depth {self.depth}")
 
     def prune(self, count: int) -> None:
         self.pruned += count
@@ -142,10 +145,12 @@ def _dfs(st, m, leftmost, depth, k, counter):
     completes the suffix into a full absorber, or None.
     """
     options = st.nontrivial_simples() if leftmost is None else st.preceders(leftmost)
+    if depth > counter.depth:
+        counter.depth = depth
     done = 0  # candidates counted so far
     for i in _survivors(st, options, leftmost, m.factors[0]):
-        counter.visit(i + 1 - done)
         counter.prune(i - done)
+        counter.visit(i + 1 - done)
         done = i + 1
         t = options[i]
         m2 = _lmul_simple(st, t, m)
@@ -160,8 +165,8 @@ def _dfs(st, m, leftmost, depth, k, counter):
         if got is not None:
             got.append(t)
             return got
-    counter.visit(len(options) - done)
     counter.prune(len(options) - done)
+    counter.visit(len(options) - done)
     return None
 
 

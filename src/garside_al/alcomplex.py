@@ -6,6 +6,16 @@ inf 0.  Two distinct vertices are joined when some representative difference
 is a nontrivial proper simple, or an absorbable element.  Only two Delta
 shifts can make the difference satisfy the inf-or-sup-zero requirement of
 absorbability, so adjacency is exactly decidable.
+
+distance_upper_bound is a bidirectional breadth-first search over a fixed
+set of generators.  It runs on integer codes for simples, through one code
+book per structure (GarsideStructure.code_book, built on the first search;
+its slide table holds at most N^2 entries for N simples), and stops at the
+first meeting of the two frontiers, the standard exit of bidirectional
+search (Pohl, "Bi-directional search", 1971), which is exact here because
+both sides grow one whole layer at a time.  One budget unit is one
+expansion of a vertex by a move, as before; a budget that used to run out
+in the final layer may now answer.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from .absorb import (
 )
 from .element import (
     GarsideElement,
-    _rmul_into,
     _rmul_simple,
     delta_power,
     delta_prefix,
@@ -197,12 +206,13 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
 
 
 def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tuple:
-    """The generators taken up to right multiplication by Delta.
+    """The generators taken up to right multiplication by Delta, coded.
 
     vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
     only through its own vertex: each becomes the inf-0 factor tuple of
-    vertex_of(g), in generator order, without repeats.  For gen_len 1 this
-    halves the set, since s^-1 and the complement of s share a vertex.
+    vertex_of(g), in generator order, without repeats, with every factor
+    replaced by its code in st.code_book().  For gen_len 1 this halves the
+    set, since s^-1 and the complement of s share a vertex.
 
     The set is built once per structure and generator length and kept on
     the structure, so a process pays for the enumeration, and reads or
@@ -213,42 +223,53 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     """
     moves = st._move_sets.get(gen_len)
     if moves is None:
+        gens = _generators(st, gen_len, budget, cache_path)
+        code = st.code_book().code
         moves = tuple(dict.fromkeys(
-            vertex_of(g).rep.factors
-            for g in _generators(st, gen_len, budget, cache_path)))
+            tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens))
         st._move_sets[gen_len] = moves
     return moves
 
 
 def _bfs_distance(v: ALVertex, w: ALVertex, moves: tuple, radius: int,
                   budget: int) -> Optional[int]:
-    """The bidirectional search behind distance_upper_bound, on vertex keys.
+    """The bidirectional search behind distance_upper_bound, on coded
+    vertex keys.
 
-    A vertex is its representative's factor tuple.  Expanding u by a move
-    m is one right cascade, u * m = Delta^q F, and the neighbour vertex is
-    tau^-q(F), factor by factor.  Each layer's vertex set is independent
-    of expansion order, so the bound equals that of expanding by every
-    generator.  The budget caps expansions (vertex, move).
+    A vertex is its representative's factor tuple, each factor replaced by
+    its code in the structure's code book (built once per structure; its
+    slide table holds at most N^2 entries for N simples).  Expanding u by
+    a move m is one right cascade on codes, u * m = Delta^q F, and the
+    neighbour vertex is tau^-q(F), factor by factor.
+
+    The search stops at the first meeting of the two sides.  Before a
+    layer is expanded no vertex is in both, so the subgraph distance
+    exceeds depth_v + depth_w, and a meeting in that layer is a path of
+    length depth + 1 + the other side's depth: the exact distance.  The
+    bound therefore equals that of expanding every layer in full by every
+    generator.  In the last layer the radius allows, new vertices are only
+    looked up on the other side.  The budget caps expansions (vertex,
+    move), one unit each as before; since the search stops at the first
+    meeting, a budget that used to run out in the final layer may now
+    answer, and the answer is exact.
     """
     if v == w:
         return 0
     st = v.structure
-    rmul, tau_pow, period = _rmul_into, st.tau_pow, st.tau_period
-    dist_v = {v.rep.factors: 0}
-    dist_w = {w.rep.factors: 0}
-    front_v, front_w = [v.rep.factors], [w.rep.factors]
+    book = st.code_book()
+    rmul, tau, code, period = book.rmul, book.tau, book.code, st.tau_period
+    start = tuple([code[f] for f in v.rep.factors])
+    target = tuple([code[f] for f in w.rep.factors])
+    dist_v, dist_w = {start: 0}, {target: 0}
+    front_v, front_w = [start], [target]
     depth_v = depth_w = 0
-    best = None
     expansions = 0
-    while front_v and front_w:
-        if best is not None and depth_v + depth_w >= best:
-            break
-        if depth_v + depth_w >= radius:
-            break
+    while front_v and front_w and depth_v + depth_w < radius:
         if len(front_v) <= len(front_w):
             dist, other, front, depth = dist_v, dist_w, front_v, depth_v
         else:
             dist, other, front, depth = dist_w, dist_v, front_w, depth_w
+        last = depth_v + depth_w + 1 == radius
         grown = []
         for u in front:
             for m in moves:
@@ -261,27 +282,21 @@ def _bfs_distance(v: ALVertex, w: ALVertex, moves: tuple, radius: int,
                         f"{'start' if dist is dist_v else 'target'} side's "
                         f"frontier of size {len(front)}")
                 fac = list(u)
-                q = 0
-                for s in m:
-                    q += rmul(st, fac, s)
+                q = rmul(fac, m)
                 if q % period:
-                    k = tuple([tau_pow(f, -q) for f in fac])
-                else:
-                    k = tuple(fac)
-                if k in dist:
+                    for _ in range(-q % period):
+                        fac = [tau[f] for f in fac]
+                k = tuple(fac)
+                if k in other:
+                    return depth + 1 + other[k]
+                if last or k in dist:
                     continue
                 dist[k] = depth + 1
                 grown.append(k)
-                if k in other:
-                    total = depth + 1 + other[k]
-                    if best is None or total < best:
-                        best = total
         if dist is dist_v:
             front_v, depth_v = grown, depth_v + 1
         else:
             front_w, depth_w = grown, depth_w + 1
-    if best is not None and best <= radius:
-        return best
     return None
 
 

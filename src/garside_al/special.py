@@ -699,8 +699,9 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
     st = g.structure
     home = identity_vertex(st)
     out = []
+    gi = identity_element(st)
     for i in range(1, steps + 1):
-        gi = power(g, i)
+        gi = multiply(gi, g)
         decomp = None
         if curve is not None:
             try:

@@ -19,6 +19,13 @@ slide is the domino step of the normal form cascades in one cached call.
 Its raw method calls the raw meet, product and quotient directly, so a
 cascade leaves nothing in the meet and product caches, and it interns both
 outputs: every cached slide refers to one shared object per distinct simple.
+
+code_book() numbers the simples for the distance search, which runs on
+small integer codes instead of simple values.  Its slide table is the
+transition table of Thurston's normal-form automaton (Epstein et al., Word
+Processing in Groups, Ch. 9) filled on demand from the raw slide, so it
+holds at most N^2 entries for N simples and adds nothing to the cached
+slide.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ class GarsideStructure:
         self._survivor_tables: dict = {}
         # the BFS's vertex move sets by generator length (alcomplex._vertex_moves)
         self._move_sets: dict = {}
+        # the BFS's integer codes for simples, built on first use (code_book)
+        self._code_book: CodeBook | None = None
         for name in self._CACHED:
             setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
@@ -156,6 +165,12 @@ class GarsideStructure:
     def tau(self, s: Simple) -> Simple:
         return self._tau(s)
 
+    def code_book(self) -> "CodeBook":
+        """The integer codes of this structure's simples, built once."""
+        if self._code_book is None:
+            self._code_book = CodeBook(self)
+        return self._code_book
+
     def tau_pow(self, s: Simple, k: int) -> Simple:
         k %= self.tau_period
         for _ in range(k):
@@ -226,3 +241,77 @@ class GarsideStructure:
 
     def __repr__(self) -> str:
         return f"<GarsideStructure {self.structure_id}>"
+
+
+class _SlideTable(dict):
+    """slide on codes, keyed c*N + f: None when the pair is left-weighted,
+    else the codes of the two outputs.  Each entry is computed once, from
+    the raw slide."""
+
+    __slots__ = ("_st", "_book")
+
+    def __init__(self, st: GarsideStructure, book: "CodeBook") -> None:
+        super().__init__()
+        self._st, self._book = st, book
+
+    def __missing__(self, key: int) -> tuple | None:
+        book = self._book
+        c, f = divmod(key, len(book.simples))
+        step = self._st._slide_raw(book.simples[c], book.simples[f])
+        got = self[key] = (None if step is None
+                           else (book.code[step[0]], book.code[step[1]]))
+        return got
+
+
+class CodeBook:
+    """The simples of one structure numbered 0 .. N-1, as
+    (identity, *nontrivial_simples(), delta): the identity is code 0 and
+    delta is code N-1.  code maps a simple to its code, tau is the tau
+    image of each code, and slide is the slide table.
+
+    rmul is the right cascade of element._rmul_into on lists of codes.
+    The element kernel keeps its own cascade on simple values because it
+    serves structures whose simples cannot be enumerated (braids up to 64
+    strands); a code book needs them all.
+    """
+
+    __slots__ = ("simples", "code", "tau", "slide")
+
+    def __init__(self, st: GarsideStructure) -> None:
+        self.simples = (st.identity, *st.nontrivial_simples(), st.delta)
+        self.code = {s: i for i, s in enumerate(self.simples)}
+        self.tau = [self.code[st.tau(s)] for s in self.simples]
+        self.slide = _SlideTable(st, self)
+
+    def rmul(self, fac: list, move) -> int:
+        """Replace the coded normal factor list fac by that of fac * s_1 ...
+        s_k, in place, for the codes s_i of nontrivial proper simples in
+        move; returns the number of deltas that left through the front.
+
+        Each s_i is appended and slid right to left until a pair is
+        left-weighted; an identity rest is deleted, and a carry that
+        fills up to delta leaves through the front, twisting the prefix
+        by tau."""
+        slide, tau = self.slide, self.tau
+        n = len(tau)
+        top = n - 1
+        q = 0
+        for f in move:
+            j = len(fac)
+            fac.append(f)
+            while j:
+                step = slide[fac[j - 1] * n + f]
+                if step is None:
+                    break
+                c, rest = step
+                if rest:
+                    fac[j] = rest
+                else:
+                    del fac[j]
+                if c == top:
+                    fac[:j] = [tau[x] for x in fac[:j - 1]]
+                    q += 1
+                    break
+                fac[j - 1] = f = c
+                j -= 1
+        return q

@@ -389,6 +389,17 @@ def test_budget_exhaustion_raises():
         is_absorbable(y, budget=5)
 
 
+def test_budget_error_says_how_far_the_search_got():
+    y = parse_word(B4, "s1^2 s2^2 s3^2 s2^2 s1")
+    with pytest.raises(SearchBudgetExceeded) as err:
+        is_absorbable(y, budget=5)
+    # the survivor tables count candidates in runs, so the run that
+    # crosses the budget is counted whole before the search stops
+    assert str(err.value) == (
+        "absorber search exceeded the 5-node budget with 9 nodes visited "
+        "and 6 pruned; the deepest call reached depth 2")
+
+
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "absorb.cache"
     first = enumerate_absorbable(B3, 3, cache_path=str(path))

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from garside_al import abelian_structure, braid_structure, make_element, multiply
+from garside_al.element import _rmul_into
 from garside_al.braid import (
     BraidStructure,
     embed_simple,
@@ -238,3 +239,55 @@ def test_slide_stops_exactly_at_left_weighted_pairs_and_keeps_the_product(struct
         if step is not None:
             assert (make_element(struct, 0, step)
                     == make_element(struct, 0, (c, f))), (c, f)
+
+
+# ---------------------------------------------------------------------------
+# the code book: integer codes for simples and the coded right cascade
+
+
+@pytest.mark.parametrize("struct", (B3, abelian_structure(3)), ids=lambda s: s.structure_id)
+def test_code_book_numbers_identity_first_and_delta_last(struct):
+    book = struct.code_book()
+    assert book is struct.code_book()
+    assert book.simples == (struct.identity, *struct.nontrivial_simples(), struct.delta)
+    assert book.code[struct.identity] == 0
+    assert book.code[struct.delta] == len(book.simples) - 1
+    assert book.tau == [book.code[struct.tau(s)] for s in book.simples]
+
+
+def test_structures_do_not_share_code_books():
+    fresh = BraidStructure(4)
+    assert fresh.code_book() is not B4.code_book()
+    assert fresh.code_book().slide is not B4.code_book().slide
+    assert fresh.code_book().simples == B4.code_book().simples
+
+
+@pytest.mark.parametrize("struct", (B3, B4, braid_structure(5), braid_structure(6),
+                                    abelian_structure(3)), ids=lambda s: s.structure_id)
+def test_coded_cascade_is_the_element_cascade(struct):
+    book = struct.code_book()
+    code = book.code
+    simples = struct.nontrivial_simples()
+    rng = random.Random(f"code-book/{struct.structure_id}")
+    branches = {"delta exit": 0, "identity rest": 0}
+    for trial in range(300):
+        x = make_element(struct, 0, [rng.choice(simples)
+                                     for _ in range(rng.randint(0, 6))])
+        move = [rng.choice(simples) for _ in range(rng.randint(1, 3))]
+        if x.factors and trial % 3:
+            # the complement of the last factor takes the delta exit; a
+            # proper divisor of it leaves an identity rest
+            comp = struct.right_complement(x.factors[-1])
+            divisors = [s for s in simples if struct.left_divides_simple(s, comp)]
+            if trial % 3 == 1:
+                move = [comp]
+                branches["delta exit"] += 1
+            elif divisors:
+                move = [rng.choice(divisors)]
+                branches["identity rest"] += 1
+        want = list(x.factors)
+        q_want = sum(_rmul_into(struct, want, s) for s in move)
+        got = [code[f] for f in x.factors]
+        q = book.rmul(got, [code[s] for s in move])
+        assert (q, got) == (q_want, [code[f] for f in want]), (x, move)
+    assert min(branches.values()) > 10, branches

@@ -359,23 +359,31 @@ class TestVertexMoves:
         assert isinstance(found, tuple) and len(found) == moves
 
     # B5 with generator length 2 is left out: its 5,356 generators take
-    # seconds to enumerate, and the reference search expands each of them
-    @pytest.mark.parametrize("n, gen_len, pairs", [
-        (3, 1, 12), (3, 2, 12), (4, 1, 10), (4, 2, 6), (5, 1, 4)])
-    def test_bound_matches_the_search_over_every_generator(self, n, gen_len, pairs):
+    # seconds to enumerate, and the reference search expands each of them.
+    # B6 pairs are single simples: both are adjacent to the identity
+    # vertex, so the reference search over B6's 1,436 generators stops
+    # after one layer a side, while the search covers a 720-simple table.
+    # Its answers are None (radius 1) and distances up to 2, so it is held
+    # to two distinct answers instead of three.
+    @pytest.mark.parametrize("n, gen_len, pairs, v_len, w_len, kinds", [
+        pytest.param(*row, id="-".join(map(str, row[:3]))) for row in (
+            (3, 1, 12, 3, 4, 3), (3, 2, 12, 3, 4, 3), (4, 1, 10, 3, 4, 3),
+            (4, 2, 6, 3, 4, 3), (5, 1, 4, 3, 4, 3), (6, 1, 4, 1, 1, 2))])
+    def test_bound_matches_the_search_over_every_generator(self, n, gen_len, pairs,
+                                                           v_len, w_len, kinds):
         st = braid_structure(n)
         moves = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
         rng = random.Random(f"moves/{n}/{gen_len}")
         answers = set()
         for _ in range(pairs):
-            v = random_vertex(rng, st, rng.randint(1, 3))
-            w = random_vertex(rng, st, rng.randint(1, 4))
+            v = random_vertex(rng, st, rng.randint(1, v_len))
+            w = random_vertex(rng, st, rng.randint(1, w_len))
             for radius in range(1, 5):
                 want = reference_distance(v, w, gen_len, radius)
                 assert distance_upper_bound(v, w, gen_len, radius) == want, \
                     (v, w, gen_len, radius)
                 answers.add(want)
-        assert None in answers and len(answers) >= 3
+        assert None in answers and len(answers) >= kinds
         # every search above took the stored set: a rebuild would replace it,
         # and a build under a budget of 1 would raise
         assert alcomplex._vertex_moves(st, gen_len, 1, None) is moves
@@ -424,6 +432,30 @@ class TestVertexMoves:
         assert len(builds) == 1 and builds[0] is fresh
         assert moves == shared and moves is not shared
         assert B4._move_sets[1] is shared
+
+    def test_the_search_stops_at_the_first_meeting(self):
+        v = vertex_of(parse_word(B4, "s2 s1"))
+        w = vertex_of(parse_word(B4, "s1 s3 s1 s2"))
+        assert reference_distance(v, w, 1, 4) == 3
+        # B4 has 22 moves: one layer from each end, then the first meeting
+        # comes 33 expansions into the next layer; finishing that layer
+        # first would take 22 * (1 + 1 + 22) = 528 expansions
+        assert distance_upper_bound(v, w, 1, 4, budget=77) == 3
+        with pytest.raises(SearchBudgetExceeded):
+            distance_upper_bound(v, w, 1, 4, budget=76)
+
+    def test_search_leaves_the_slide_cache_alone(self):
+        st = BraidStructure(4)
+        alcomplex._vertex_moves(st, 1, DEFAULT_BUDGET, None)
+        rng = random.Random("moves/slide-cache")
+        pairs = [(random_vertex(rng, st, 3), random_vertex(rng, st, 4))
+                 for _ in range(6)]
+        before = st._slide.cache_info().currsize
+        for v, w in pairs:
+            distance_upper_bound(v, w, 1, 4)
+        assert st._slide.cache_info().currsize == before
+        n = len(st.code_book().simples)
+        assert 0 < len(st.code_book().slide) <= n * n
 
     def test_budget_error_says_how_far_the_search_got(self):
         v = identity_vertex(B3)

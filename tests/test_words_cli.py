@@ -259,6 +259,13 @@ class TestCliErrors:
                                "--budget", "3")
         assert code == 3 and "budget" in err
 
+    def test_absorber_budget_exhaustion_reports_the_depth(self, capsys):
+        code, _, err = run_cli(capsys, "absorbable", "s1 s3 s1 s3", "--n", "4",
+                               "--budget", "5")
+        lines = err.splitlines()
+        assert code == 3 and len(lines) == 1
+        assert lines[0].startswith("budget exceeded:") and "depth" in lines[0]
+
     def test_distance_budget_exhaustion_reports_the_depth(self, capsys):
         code, _, err = run_cli(capsys, "dist-ub", "", "s1 s1 s1 s2 s2 s2",
                                "--n", "3", "--max-len", "1", "--radius", "4",
