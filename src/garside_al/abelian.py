@@ -1,9 +1,14 @@
 """Free abelian group Z^n with the coordinatewise Garside structure.
 
 Simples are 0/1 vectors, the top element is (1,...,1), and the lattice is the
-boolean lattice under coordinatewise min.  Everything commutes, so tau is the
-identity and left/right notions coincide.  Degenerate on purpose: a regression
-fixture for code paths that braids cannot reach (commutativity, trivial tau).
+boolean lattice under coordinatewise min.  The structure supplies the
+meets, the left quotient (coordinatewise difference), the right complement
+(1 - s), the starting and finishing sets, the length, and the enumeration
+and validation of vectors; τ, the left complement, the simple product and
+the right quotient are derived in the base class.  Everything commutes, so
+tau is the identity and left/right notions coincide.  Degenerate on
+purpose: a regression fixture for code paths that braids cannot reach
+(commutativity, trivial tau).
 """
 
 from __future__ import annotations
@@ -32,12 +37,6 @@ class AbelianStructure(GarsideStructure):
     def simple_length(self, s: Vec) -> int:
         return sum(s)
 
-    def _compose_raw(self, s: Vec, t: Vec) -> Vec | None:
-        r = tuple(a + b for a, b in zip(s, t))
-        if any(v > 1 for v in r):
-            return None
-        return r
-
     def _left_meet_raw(self, s: Vec, t: Vec) -> Vec:
         return tuple(min(a, b) for a, b in zip(s, t))
 
@@ -49,16 +48,7 @@ class AbelianStructure(GarsideStructure):
         assert all(v >= 0 for v in r), "left quotient of a non-divisor"
         return r
 
-    def _right_quotient_raw(self, s: Vec, g: Vec) -> Vec:
-        return self._left_quotient_raw(g, s)
-
-    def _tau_raw(self, s: Vec) -> Vec:
-        return s
-
     def _right_complement_raw(self, s: Vec) -> Vec:
-        return tuple(1 - v for v in s)
-
-    def _left_complement_raw(self, s: Vec) -> Vec:
         return tuple(1 - v for v in s)
 
     def _starting_set_raw(self, s: Vec) -> frozenset:

@@ -34,6 +34,7 @@ from .absorb import (
 from .element import (
     GarsideElement,
     _rmul_simple,
+    complement,
     delta_power,
     delta_prefix,
     identity_element,
@@ -339,14 +340,11 @@ def overlap_length(v: ALVertex, w: ALVertex) -> int:
     """sup of the gcd of the complement of v's representative with the
     complement of a times tau^r(b), where v_rep = da, w_rep = db,
     d = gcd, r = sup(a).  Always at least r."""
-    st = v.structure
     d = left_gcd(v.rep, w.rep)
     a = multiply(invert(d), v.rep)
     b = multiply(invert(d), w.rep)
     r = a.sup
-    comp_v = multiply(invert(v.rep), delta_power(st, v.rep.sup))
-    comp_a = multiply(invert(a), delta_power(st, a.sup))
-    return left_gcd(comp_v, multiply(comp_a, tau_element(b, r))).sup
+    return left_gcd(complement(v.rep), multiply(complement(a), tau_element(b, r))).sup
 
 
 @dataclass(frozen=True)

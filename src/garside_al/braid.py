@@ -5,13 +5,20 @@ position of the strand entering at position i, and composition reads left to
 right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
+The structure supplies the primitives GarsideStructure asks for: the left
+meet, the right meet (through inverses), the left quotient u^-1 t, the
+right complement s^-1 Δ, the starting and finishing sets (descents of s
+and of s^-1), the length, and the enumeration and validation of
+permutations.  τ, the left complement, the simple product and the right
+quotient are derived from the right complement in the base class.
+
 Left divisibility of simples is inversion-set containment (the weak order),
-which left_divides_simple tests on the cached masks without a meet;
-s*t is simple when s^-1 and t have disjoint inversion sets, and the meet
-keeps a pair of strands uncrossed when s or t does, closed under
-transitivity (Epstein et al., Word Processing in Groups, Ch. 9).  Inverses
-and inversion masks join the primitives the base class caches per instance,
-so repeated normal form work on the same structure amortizes to cache hits.
+which left_divides_simple tests on the cached masks without a meet, so the
+derived product tests simplicity without one either.  The meet keeps a
+pair of strands uncrossed when s or t does, closed under transitivity
+(Epstein et al., Word Processing in Groups, Ch. 9).  Inverses and inversion
+masks join the primitives the base class caches per instance, so repeated
+normal form work on the same structure amortizes to cache hits.
 """
 
 from __future__ import annotations
@@ -82,11 +89,6 @@ class BraidStructure(GarsideStructure):
 
     # -- primitives -----------------------------------------------------------
 
-    def _compose_raw(self, s: Perm, t: Perm) -> Perm | None:
-        if self.inversion_mask(self.inverse(s)) & self.inversion_mask(t):
-            return None
-        return tuple(t[v - 1] for v in s)
-
     def _left_meet_raw(self, s: Perm, t: Perm) -> Perm:
         # after[i] has bit j when strand i ends left of strand j > i in the
         # meet; rows fill from the right, so each after[j] OR-ed in is closed
@@ -110,22 +112,10 @@ class BraidStructure(GarsideStructure):
         ui = self.inverse(u)
         return tuple(t[v - 1] for v in ui)
 
-    def _right_quotient_raw(self, s: Perm, g: Perm) -> Perm:
-        gi = self.inverse(g)
-        return tuple(gi[v - 1] for v in s)
-
-    def _tau_raw(self, s: Perm) -> Perm:
-        n1 = self.n + 1
-        return tuple(n1 - s[n1 - 1 - i] for i in range(1, n1))
-
     def _right_complement_raw(self, s: Perm) -> Perm:
         n1 = self.n + 1
         si = self.inverse(s)
         return tuple(n1 - v for v in si)
-
-    def _left_complement_raw(self, s: Perm) -> Perm:
-        si = self.inverse(s)
-        return tuple(si[self.n - 1 - i] for i in range(self.n))
 
     def _starting_set_raw(self, s: Perm) -> frozenset:
         return frozenset(i for i in range(1, self.n) if s[i - 1] > s[i])
@@ -168,43 +158,3 @@ def embed_simple(s: Perm, offset: int, m: int) -> Perm:
     for i, v in enumerate(s):
         out[offset + i] = v + offset
     return tuple(out)
-
-
-def _element_letters(a) -> list:
-    """A representative atom-index word for a as (index, exponent) pairs."""
-    st = a.structure
-    letters = []
-    if a.power != 0:
-        sign = 1 if a.power > 0 else -1
-        delta_word = st.simple_word(st.delta)
-        for _ in range(abs(a.power)):
-            letters.extend((i, sign) for i in delta_word)
-    for f in a.factors:
-        letters.extend((i, 1) for i in st.simple_word(f))
-    return letters
-
-
-def shift_element(a, k: int, m: int):
-    """Apply the index-shift morphism (atom i to atom i+k) inside B_m.
-
-    Every atom index occurring in a representative word of a must stay in
-    the range 1..m-1 after shifting.
-    """
-    from .element import normalize
-
-    if not isinstance(a.structure, BraidStructure):
-        raise UnsupportedStructureOperation("shift is specific to braid structures")
-    letters = _element_letters(a)
-    shifted = [(i + k, e) for i, e in letters]
-    for i, _ in shifted:
-        if not 1 <= i <= m - 1:
-            raise ValueError(f"shift by {k} sends an atom to index {i}, outside B_{m}")
-    return normalize(braid_structure(m), shifted)
-
-
-def rev_element(a):
-    """The reverse antiautomorphism: a representative word read backwards."""
-    from .element import normalize
-
-    letters = _element_letters(a)
-    return normalize(a.structure, list(reversed(letters)))

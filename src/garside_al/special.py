@@ -19,8 +19,7 @@ from typing import Optional
 
 from .absorb import DEFAULT_BUDGET, absorbs, is_absorbable
 from .alcomplex import (
-    _bfs_distance,
-    _vertex_moves,
+    distance_upper_bound,
     identity_vertex,
     preferred_path,
     vertex_of,
@@ -690,11 +689,11 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
     supplied and each power keeps it round, from the absorbable
     decomposition (one edge per factor).  The search radius is capped at
     the decomposition bound since larger search answers would be discarded.
-    Each step that searches takes the move set kept on the structure (see
-    alcomplex._vertex_moves): only the first search of the process at this
-    generator length builds it, under this budget; a later probe with
-    another budget uses the stored exact set, and its budget still caps
-    every search's expansions.
+    Each step that searches is one distance_upper_bound call, on the move
+    set kept on the structure (see alcomplex._vertex_moves): only the first
+    search of the process at this generator length builds it, under this
+    budget; a later probe with another budget uses the stored exact set,
+    and its budget still caps every search's expansions.
     """
     st = g.structure
     home = identity_vertex(st)
@@ -711,9 +710,7 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
         target = vertex_of(gi)
         effective = radius if decomp is None else min(radius, decomp)
         if effective >= 1:
-            found = _bfs_distance(home, target,
-                                  _vertex_moves(st, gen_len, budget, None),
-                                  effective, budget)
+            found = distance_upper_bound(home, target, gen_len, effective, budget)
         else:
             found = 0 if home == target else None
         bounds = [x for x in (found, decomp) if x is not None]

@@ -7,18 +7,33 @@ automorphism induced by the top element.  Simples are opaque hashable values
 (tuples in both concrete structures shipped here); elements built from them
 live in element.py.
 
-Concrete structures subclass this and implement the _raw primitives.  Each
-name in _CACHED gets its own functools.cache per instance, built in __init__
-around the bound _<name>_raw method, since the normal form algorithms hit
-the same small set of (s, t) pairs over and over; the public method is a
-one-line call to that cache.  The public methods stay on the class, so
-code that wraps class attributes sees every call.  The two quotients call
-their _raw methods uncached.
+A concrete structure supplies only the primitives that define it: the left
+and right meets, the left quotient u^-1 t, the right complement
+∂s = s^-1 Δ, the starting and finishing sets, simple_length, and the
+enumeration and validation of simples (all_simples, is_simple_value).  The
+rest is derived here from the right complement, as in any Garside structure
+(Dehornoy et al., Foundations of Garside Theory, Ch. I and V):
+
+- τ = ∂², since ∂(∂s) = Δ^-1 s Δ;
+- the left complement Δ s^-1 is ∂^-1 = τ^-1 ∘ ∂;
+- s*t is simple iff t left-divides ∂s, and then s*t = ∂^-1(t^-1 ∂s);
+- the right quotient s g^-1 is (∂^-1 s)^-1 (∂^-1 g).
+
+A τ that disagrees with the structure's own complement therefore cannot be
+written.
+
+Each name in _CACHED gets its own functools.cache per instance, built in
+__init__ around the bound _<name>_raw method, since the normal form
+algorithms hit the same small set of (s, t) pairs over and over; the public
+method is a one-line call to that cache.  The public methods stay on the
+class, so code that wraps class attributes sees every call.  The two
+quotients call their _raw methods uncached.
 
 slide is the domino step of the normal form cascades in one cached call.
-Its raw method calls the raw meet, product and quotient directly, so a
-cascade leaves nothing in the meet and product caches, and it interns both
-outputs: every cached slide refers to one shared object per distinct simple.
+Its raw method calls the raw meet and quotient directly and forms c*u as
+∂^-1(u^-1 ∂c), so a cascade leaves nothing in the meet and product caches,
+and it interns both outputs: every cached slide refers to one shared
+object per distinct simple.
 
 code_book() numbers the simples for the distance search, which runs on
 small integer codes instead of simple values.  Its slide table is the
@@ -67,11 +82,7 @@ class GarsideStructure:
         for name in self._CACHED:
             setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
-    # -- primitives ---------------------------------------------------------
-
-    def _compose_raw(self, s: Simple, t: Simple) -> Simple | None:
-        """Product s*t if it is simple (lengths add), else None."""
-        raise NotImplementedError
+    # -- primitives a concrete structure supplies ----------------------------
 
     def _left_meet_raw(self, s: Simple, t: Simple) -> Simple:
         raise NotImplementedError
@@ -83,30 +94,8 @@ class GarsideStructure:
         """u^-1 * t, assuming u left-divides t."""
         raise NotImplementedError
 
-    def _right_quotient_raw(self, s: Simple, g: Simple) -> Simple:
-        """s * g^-1, assuming g right-divides s."""
-        raise NotImplementedError
-
-    def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
-        u = self._left_meet_raw(self.right_complement(c), f)
-        if u == self.identity:
-            return None
-        return (self._intern(self._compose_raw(c, u)),
-                self._intern(self._left_quotient_raw(u, f)))
-
-    def _intern(self, s: Simple) -> Simple:
-        return self._interned.setdefault(s, s)
-
-    def _tau_raw(self, s: Simple) -> Simple:
-        """Conjugation delta^-1 * s * delta."""
-        raise NotImplementedError
-
     def _right_complement_raw(self, s: Simple) -> Simple:
         """s^-1 * delta."""
-        raise NotImplementedError
-
-    def _left_complement_raw(self, s: Simple) -> Simple:
-        """delta * s^-1."""
         raise NotImplementedError
 
     def _starting_set_raw(self, s: Simple) -> frozenset:
@@ -128,6 +117,41 @@ class GarsideStructure:
     def is_simple_value(self, s: Any) -> bool:
         """Whether the raw value s encodes a simple of this structure."""
         raise NotImplementedError
+
+    # -- primitives derived from the right complement -------------------------
+
+    def _tau_raw(self, s: Simple) -> Simple:
+        """Conjugation delta^-1 * s * delta, the right complement twice."""
+        return self.right_complement(self.right_complement(s))
+
+    def _left_complement_raw(self, s: Simple) -> Simple:
+        """delta * s^-1, the tau^-1 image of the right complement."""
+        return self.tau_pow(self.right_complement(s), -1)
+
+    def _compose_raw(self, s: Simple, t: Simple) -> Simple | None:
+        """Product s*t if it is simple (t left-divides the right complement
+        of s), else None; it is the left complement of t^-1 * (s^-1 delta)."""
+        c = self.right_complement(s)
+        if not self.left_divides_simple(t, c):
+            return None
+        return self.left_complement(self._left_quotient_raw(t, c))
+
+    def _right_quotient_raw(self, s: Simple, g: Simple) -> Simple:
+        """s * g^-1, assuming g right-divides s: the left quotient of the
+        left complements, (s delta^-1) * (delta g^-1)."""
+        return self._left_quotient_raw(self.left_complement(s), self.left_complement(g))
+
+    def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
+        d = self.right_complement(c)
+        u = self._left_meet_raw(d, f)
+        if u == self.identity:
+            return None
+        # c*u is the left complement of u^-1 * d, since u divides d = ∂c
+        return (self._intern(self.left_complement(self._left_quotient_raw(u, d))),
+                self._intern(self._left_quotient_raw(u, f)))
+
+    def _intern(self, s: Simple) -> Simple:
+        return self._interned.setdefault(s, s)
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         """A canonical reduced atom word for s (greedy smallest starting atom)."""

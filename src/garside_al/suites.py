@@ -139,9 +139,8 @@ def random_positive(rng: random.Random, st, max_len: int) -> GarsideElement:
     return e
 
 
-def random_element(rng: random.Random, st, max_len: int,
-                   power_span: int = 1) -> GarsideElement:
-    return multiply(delta_power(st, rng.randint(-power_span, power_span)),
+def random_element(rng: random.Random, st, max_len: int) -> GarsideElement:
+    return multiply(delta_power(st, rng.randint(-1, 1)),
                     random_positive(rng, st, max_len))
 
 
@@ -176,45 +175,41 @@ def random_right_divisor(rng: random.Random, st, u: GarsideElement,
     return d
 
 
-def between_powers_instance(rng: random.Random, x: GarsideElement,
-                            lam_max: int = 4):
-    """(z, m) with z a random prefix of x^m reached through x^lam."""
-    m = lam_max + 1
-    lam = rng.randint(0, lam_max)
+def between_powers_instance(rng: random.Random, x: GarsideElement):
+    """(z, m) with z a random prefix of x^m reached through x^lam, lam <= 4."""
+    m = 5
+    lam = rng.randint(0, 4)
     d = random_left_divisor(rng, x.structure, power(x, m - lam),
                             rng.randint(0, 2 * x.canonical_length))
     return multiply(power(x, lam), d), m
 
 
-def initial_segment_instance(rng: random.Random, x: GarsideElement,
-                             lam_max: int = 4) -> GarsideElement:
-    """z = x^lam * noise with lam >= 2 and inf(z) = 0."""
+def initial_segment_instance(rng: random.Random, x: GarsideElement) -> GarsideElement:
+    """z = x^lam * noise with 2 <= lam <= 4 and inf(z) = 0."""
     while True:
-        lam = rng.randint(2, lam_max)
+        lam = rng.randint(2, 4)
         z = multiply(power(x, lam), random_positive(rng, x.structure, 3))
         if z.power == 0:
             return z
 
 
-def final_segment_instance(rng: random.Random, x: GarsideElement,
-                           k_max: int = 4):
-    """(z, k) with z = v * x^k for a random suffix v of x."""
-    k = rng.randint(1, k_max)
+def final_segment_instance(rng: random.Random, x: GarsideElement):
+    """(z, k) with z = v * x^k for a random suffix v of x, 1 <= k <= 4."""
+    k = rng.randint(1, 4)
     v = random_right_divisor(rng, x.structure, x,
                              rng.randint(0, 2 * x.canonical_length))
     return multiply(v, power(x, k)), k
 
 
-def path_powers_instance(rng: random.Random, x: GarsideElement,
-                         lam_max: int = 4):
+def path_powers_instance(rng: random.Random, x: GarsideElement):
     """(z1, z2) whose maximal x-power prefixes differ by at least 3.
 
     The noise has fewer factors than x, so it cannot complete another
     x-prefix and the power gap is exact by construction.
     """
     st = x.structure
-    lam1 = rng.randint(0, lam_max - 3)
-    lam2 = rng.randint(lam1 + 3, lam_max)
+    lam1 = rng.randint(0, 1)
+    lam2 = rng.randint(lam1 + 3, 4)
     while True:
         z1 = multiply(power(x, lam1), random_positive(rng, st, 2))
         z2 = multiply(power(x, lam2), random_positive(rng, st, 2))
@@ -310,7 +305,7 @@ def _absorb_checks(rng: random.Random, budget: int, cache_path=None) -> list:
 
     ok_mixed = True
     for _ in range(10):
-        y = random_element(rng, b4, 2, power_span=1)
+        y = random_element(rng, b4, 2)
         cert = is_absorbable(y, budget=budget)
         if cert is not None:
             prod = multiply(cert.x, y)
@@ -335,13 +330,12 @@ def _absorb_checks(rng: random.Random, budget: int, cache_path=None) -> list:
     return checks
 
 
-def _complex_checks(rng: random.Random, budget: int, pairs: int = 30,
-                    triangles: int = 15, adjacent_pairs: int = 10) -> list:
+def _complex_checks(rng: random.Random, budget: int) -> list:
     checks = []
     b3, b4 = braid_structure(3), braid_structure(4)
 
     ok_split = ok_sym = ok_lw = ok_vx = True
-    for _ in range(pairs):
+    for _ in range(30):
         st = rng.choice((b3, b4))
         v = random_vertex(rng, st, 4)
         w = random_vertex(rng, st, 4)
@@ -368,7 +362,7 @@ def _complex_checks(rng: random.Random, budget: int, pairs: int = 30,
     ok_adj = ok_diam = True
     simples4 = [make_element(b4, 0, [s]) for s in b4.nontrivial_simples()]
     labels4 = simples4 + list(enumerate_absorbable(b4, 2, budget=budget))
-    for _ in range(adjacent_pairs):
+    for _ in range(10):
         v = random_vertex(rng, b4, 3)
         w = vertex_of(multiply(v.rep, rng.choice(labels4)))
         if v == w:
@@ -384,7 +378,7 @@ def _complex_checks(rng: random.Random, budget: int, pairs: int = 30,
 
     ok_thin = ok_ovl = True
     gap_seen = 0
-    for _ in range(triangles):
+    for _ in range(15):
         verts = []
         while len(verts) < 3:
             cand = random_vertex(rng, b4, 4)
@@ -421,8 +415,7 @@ def _complex_checks(rng: random.Random, budget: int, pairs: int = 30,
     return checks
 
 
-def _special_checks(rng: random.Random, budget: int,
-                    instances: int = 12) -> list:
+def _special_checks(rng: random.Random, budget: int) -> list:
     checks = []
     b4 = braid_structure(4)
     b5 = braid_structure(5)
@@ -450,7 +443,7 @@ def _special_checks(rng: random.Random, budget: int,
         ok_na))
 
     ok_bp = ok_is = ok_fs = ok_pp = True
-    for _ in range(instances):
+    for _ in range(12):
         z, m = between_powers_instance(rng, x4)
         ok_bp &= check_between_powers(x4, z, m).ok
         ok_is &= check_initial_segment(x4, initial_segment_instance(rng, x4)).ok
@@ -459,13 +452,13 @@ def _special_checks(rng: random.Random, budget: int,
         z1, z2 = path_powers_instance(rng, x4)
         ok_pp &= check_path_through_powers(x4, z1, z2).ok
     checks.append(SuiteCheck("power prefixes sit between consecutive powers",
-                             ok_bp, f"{instances} instances"))
+                             ok_bp, "12 instances"))
     checks.append(SuiteCheck("normal form heads spell out the power prefix",
-                             ok_is, f"{instances} instances"))
+                             ok_is, "12 instances"))
     checks.append(SuiteCheck("normal form tails spell out the power suffix",
-                             ok_fs, f"{instances} instances"))
+                             ok_fs, "12 instances"))
     checks.append(SuiteCheck("paths pass through the power vertices",
-                             ok_pp, f"{instances} instances"))
+                             ok_pp, "12 instances"))
 
     ok_d3 = True
     for n in (4, 5):

@@ -70,3 +70,20 @@ def test_tracer_sees_the_structure_layer():
     assert calls.get("structure.right_complement", 0) > 0
     assert calls.get("structure.preceders", 0) > 0
     assert garside_al.GarsideStructure.left_meet is left_meet
+
+
+def test_tracer_counts_each_probe_search_as_a_distance_search():
+    # an orbit probe searches through distance_upper_bound, so its searches
+    # land in the alcomplex.bfs.* metrics beside those of dist-ub queries
+    st = garside_al.braid_structure(3)
+    g = garside_al.parse_word(st, "s1 s2")
+    t = tracer.Tracer()
+    t.install(garside_al)
+    try:
+        rec = t.begin_query(0)
+        entries = garside_al.orbit_diameter_probe(g, 2, 1, 3)
+        t.end_query(rec)
+    finally:
+        t.uninstall()
+    assert [e.search_bound for e in entries] == [1, 1]
+    assert tracer.layer_metrics(t)["alcomplex.bfs.calls"] == 2

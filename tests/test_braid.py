@@ -12,18 +12,17 @@ from garside_al.braid import (
     BraidStructure,
     embed_simple,
     perm_inverse as braid_perm_inverse,
-    rev_element,
-    shift_element,
     simple_from_word,
 )
 from oracles import (
     _compose as oracle_compose,
     _left_meet as oracle_left_meet,
+    _tau as oracle_tau,
     descents,
+    half_twist,
     inversions,
     perm_inverse,
     perm_of_word,
-    positive_words_equal,
     reduced_word,
 )
 
@@ -79,6 +78,66 @@ def test_complement_identities_exhaustive():
             assert struct.right_complement(c) == struct.tau(s)
             lc = struct.left_complement(s)
             assert struct.compose(lc, s) == struct.delta
+
+
+# ---------------------------------------------------------------------------
+# tau, the left complement, the simple product and the right quotient are
+# derived from the right complement; check them against permutations
+
+
+def _check_derived_primitives_on_perms(struct, pairs):
+    delta = half_twist(struct.n)
+
+    def ell(p):
+        return len(inversions(p))
+
+    for s, t in pairs:
+        assert struct.tau(s) == oracle_tau(s), s
+        assert struct.left_complement(s) == oracle_compose(delta, perm_inverse(s)), s
+        p = oracle_compose(s, t)
+        assert struct.compose(s, t) == (p if ell(p) == ell(s) + ell(t) else None), (s, t)
+        # s * t^-1 is a simple with t as right factor when lengths add
+        q = oracle_compose(s, perm_inverse(t))
+        if ell(q) + ell(t) == ell(s):
+            r = struct.right_quotient(s, t)
+            assert r == q, (s, t)
+            assert struct.compose(r, t) == s, (s, t)
+
+
+@pytest.mark.parametrize("struct", (B3, B4), ids=lambda s: s.structure_id)
+def test_derived_primitives_on_every_pair_of_simples(struct):
+    simples = all_simples(struct)
+    _check_derived_primitives_on_perms(struct, itertools.product(simples, repeat=2))
+
+
+def test_derived_primitives_on_random_simples_of_b12():
+    # B12 has 12! simples, so none of this can come from an enumeration.
+    # A random p is cut into s * t with lengths adding: (s, t) has a simple
+    # product, p right-divides by t, and a random s' with the same t
+    # mostly has none
+    struct, rng = BraidStructure(12), random.Random(12)
+    pairs = []
+    for _ in range(300):
+        p = tuple(rng.sample(range(1, 13), 12))
+        word = reduced_word(p)
+        k = rng.randint(0, len(word))
+        s, t = perm_of_word(word[:k], 12), perm_of_word(word[k:], 12)
+        pairs += [(s, t), (p, t), (tuple(rng.sample(range(1, 13), 12)), t)]
+    _check_derived_primitives_on_perms(struct, pairs)
+    assert struct._left_meet.cache_info().currsize == 0
+
+
+def test_derived_primitives_on_every_pair_of_simples_of_z3():
+    z3 = abelian_structure(3)
+    for s, t in itertools.product(z3.all_simples(), repeat=2):
+        assert z3.tau(s) == s
+        assert z3.left_complement(s) == tuple(1 - v for v in s)
+        total = tuple(a + b for a, b in zip(s, t))
+        assert z3.compose(s, t) == (total if max(total) <= 1 else None), (s, t)
+        if all(b <= a for a, b in zip(s, t)):
+            r = z3.right_quotient(s, t)
+            assert r == tuple(a - b for a, b in zip(s, t)), (s, t)
+            assert z3.compose(r, t) == s, (s, t)
 
 
 def test_tau_formula():
@@ -183,17 +242,6 @@ def test_embed_simple_offsets_support():
     assert embed_simple(s, 0, 5) == b5.atom(1)
     assert embed_simple(s, 2, 5) == b5.atom(3)
     assert embed_simple(B3.delta, 1, 5) == simple_from_word(b5, (2, 3, 2))
-
-
-def test_shift_and_rev_elements():
-    b5 = braid_structure(5)
-    e = make_element(B3, 0, [B3.atom(1), B3.atom(2)])
-    shifted = shift_element(e, 2, 5)
-    assert shifted == make_element(b5, 0, [b5.atom(3), b5.atom(4)])
-    rev = rev_element(e)
-    # reversal of s1 . s2 is s2 . s1 as a word
-    assert rev == make_element(B3, 0, [B3.atom(2), B3.atom(1)])
-    assert positive_words_equal((2, 1), (2, 1))
 
 
 def test_atom_index_bounds():
