@@ -3,8 +3,8 @@
 Simples are 0/1 vectors, the top element is (1,...,1), and the lattice is the
 boolean lattice under coordinatewise min.  The structure supplies the
 meets, the left quotient (coordinatewise difference), the right complement
-(1 - s), the starting and finishing sets, the length, and the enumeration
-and validation of vectors; τ, the left complement, the simple product and
+(1 - s), the starting and finishing sets, and the enumeration and
+validation of vectors; τ, the left complement, the simple product and
 the right quotient are derived in the base class.  Everything commutes, so
 tau is the identity and left/right notions coincide.  Degenerate on
 purpose: a regression fixture for code paths that braids cannot reach
@@ -33,9 +33,6 @@ class AbelianStructure(GarsideStructure):
         self.tau_period = 1
         self.atoms = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
         super().__init__()
-
-    def simple_length(self, s: Vec) -> int:
-        return sum(s)
 
     def _left_meet_raw(self, s: Vec, t: Vec) -> Vec:
         return tuple(min(a, b) for a, b in zip(s, t))

@@ -158,9 +158,8 @@ def _dfs(st, m, leftmost, depth, k, counter):
             counter.prune(1)
             continue
         if depth + 1 == k:
-            if m2.sup == k:
-                return [t]
-            continue
+            # prepending a positive factor never lowers the sup, so m2.sup == k
+            return [t]
         got = _dfs(st, m2, t, depth + 1, k, counter)
         if got is not None:
             got.append(t)

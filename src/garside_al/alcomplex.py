@@ -194,6 +194,23 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     (a generator taken up to right multiplication by Delta: every member
     of such a class leads to the same vertex); running out raises
     SearchBudgetExceeded.
+
+    The search is bidirectional, on coded vertex keys.  A vertex is its
+    representative's factor tuple, each factor replaced by its code in the
+    structure's code book (built once per structure; its slide table holds
+    at most N^2 entries for N simples).  Expanding u by a move m is one
+    right cascade on codes, u * m = Delta^q F, and the neighbour vertex is
+    tau^-q(F), factor by factor.
+
+    The search stops at the first meeting of the two sides.  Before a
+    layer is expanded no vertex is in both, so the subgraph distance
+    exceeds depth_v + depth_w, and a meeting in that layer is a path of
+    length depth + 1 + the other side's depth: the exact distance.  The
+    bound therefore equals that of expanding every layer in full by every
+    generator.  In the last layer the radius allows, new vertices are only
+    looked up on the other side.  Because the search stops at the first
+    meeting, it can answer within a budget that expanding the final layer
+    in full would exceed, and that answer is exact.
     """
     if gen_len < 1 or radius < 1:
         raise ValueError("generator length and radius must be >= 1")
@@ -202,61 +219,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     st = v.structure
     if st != w.structure:
         raise ValueError("vertices from different structures")
-    return _bfs_distance(v, w, _vertex_moves(st, gen_len, budget, cache_path),
-                         radius, budget)
-
-
-def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tuple:
-    """The generators taken up to right multiplication by Delta, coded.
-
-    vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
-    only through its own vertex: each becomes the inf-0 factor tuple of
-    vertex_of(g), in generator order, without repeats, with every factor
-    replaced by its code in st.code_book().  For gen_len 1 this halves the
-    set, since s^-1 and the complement of s share a vertex.
-
-    The set is built once per structure and generator length and kept on
-    the structure, so a process pays for the enumeration, and reads or
-    writes cache_path, only on the first call.  A build that raises
-    (SearchBudgetExceeded, CacheError) stores nothing.  A later call gets
-    the stored exact set whatever its budget, as a cache-file load does;
-    its budget still caps the BFS expansions.
-    """
-    moves = st._move_sets.get(gen_len)
-    if moves is None:
-        gens = _generators(st, gen_len, budget, cache_path)
-        code = st.code_book().code
-        moves = tuple(dict.fromkeys(
-            tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens))
-        st._move_sets[gen_len] = moves
-    return moves
-
-
-def _bfs_distance(v: ALVertex, w: ALVertex, moves: tuple, radius: int,
-                  budget: int) -> Optional[int]:
-    """The bidirectional search behind distance_upper_bound, on coded
-    vertex keys.
-
-    A vertex is its representative's factor tuple, each factor replaced by
-    its code in the structure's code book (built once per structure; its
-    slide table holds at most N^2 entries for N simples).  Expanding u by
-    a move m is one right cascade on codes, u * m = Delta^q F, and the
-    neighbour vertex is tau^-q(F), factor by factor.
-
-    The search stops at the first meeting of the two sides.  Before a
-    layer is expanded no vertex is in both, so the subgraph distance
-    exceeds depth_v + depth_w, and a meeting in that layer is a path of
-    length depth + 1 + the other side's depth: the exact distance.  The
-    bound therefore equals that of expanding every layer in full by every
-    generator.  In the last layer the radius allows, new vertices are only
-    looked up on the other side.  The budget caps expansions (vertex,
-    move), one unit each as before; since the search stops at the first
-    meeting, a budget that used to run out in the final layer may now
-    answer, and the answer is exact.
-    """
-    if v == w:
-        return 0
-    st = v.structure
+    moves = _vertex_moves(st, gen_len, budget, cache_path)
     book = st.code_book()
     rmul, tau, code, period = book.rmul, book.tau, book.code, st.tau_period
     start = tuple([code[f] for f in v.rep.factors])
@@ -299,6 +262,32 @@ def _bfs_distance(v: ALVertex, w: ALVertex, moves: tuple, radius: int,
         else:
             front_w, depth_w = grown, depth_w + 1
     return None
+
+
+def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tuple:
+    """The generators taken up to right multiplication by Delta, coded.
+
+    vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
+    only through its own vertex: each becomes the inf-0 factor tuple of
+    vertex_of(g), in generator order, without repeats, with every factor
+    replaced by its code in st.code_book().  For gen_len 1 this halves the
+    set, since s^-1 and the complement of s share a vertex.
+
+    The set is built once per structure and generator length and kept on
+    the structure, so a process pays for the enumeration, and reads or
+    writes cache_path, only on the first call.  A build that raises
+    (SearchBudgetExceeded, CacheError) stores nothing.  A later call gets
+    the stored exact set whatever its budget, as a cache-file load does;
+    its budget still caps the BFS expansions.
+    """
+    moves = st._move_sets.get(gen_len)
+    if moves is None:
+        gens = _generators(st, gen_len, budget, cache_path)
+        code = st.code_book().code
+        moves = tuple(dict.fromkeys(
+            tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens))
+        st._move_sets[gen_len] = moves
+    return moves
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ top element is the half twist (the order-reversing permutation).
 The structure supplies the primitives GarsideStructure asks for: the left
 meet, the right meet (through inverses), the left quotient u^-1 t, the
 right complement s^-1 Δ, the starting and finishing sets (descents of s
-and of s^-1), the length, and the enumeration and validation of
-permutations.  τ, the left complement, the simple product and the right
-quotient are derived from the right complement in the base class.
+and of s^-1), and the enumeration and validation of permutations.  τ,
+the left complement, the simple product and the right quotient are
+derived from the right complement in the base class.  simple_length, the
+atom length of a simple (its inversion count), is not an interface
+primitive; it stays for callers outside the package, such as the
+benchmark tracer, which wraps it by name.
 
 Left divisibility of simples is inversion-set containment (the weak order),
 which left_divides_simple tests on the cached masks without a meet, so the

@@ -103,10 +103,8 @@ def _lmul_simple(st: GarsideStructure, s: Simple, x: GarsideElement) -> GarsideE
     p = x.power
     # s delta^p = delta^p tau^p(s)
     c = st.tau_pow(s, p)
-    if c == ident:
-        return x
-    if c == delta:
-        return GarsideElement(st, p + 1, x.factors)
+    # c = 1 gives back x (its first slide returns (x_1, 1)), and c = delta
+    # is left-weighted with any x_1, so it joins the power below
     fac = x.factors
     head = []
     for f in fac:
@@ -256,9 +254,9 @@ def complement(a: GarsideElement) -> GarsideElement:
 def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
     """Normal form of a word given as (base, exponent) letters.
 
-    base is an atom index, the delta marker 'D', or a raw simple value;
-    exponents may be negative.  Negative letters are rewritten via
-    s^-1 = delta^-1 * (delta s^-1), so only one engine exists.
+    base is an atom index or the delta marker 'D'; any other base raises
+    ValueError.  Exponents may be negative.  Negative letters are rewritten
+    via s^-1 = delta^-1 * (delta s^-1), so only one engine exists.
 
     With p the delta exponent read so far, the word is delta^p * tau^p(g_1)
     ... tau^p(g_k) for the stored list g: a simple read at exponent p is
@@ -277,9 +275,7 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
         elif base == 'D':
             s = st.delta
         else:
-            s = base
-            if not st.is_simple_value(s):
-                raise ValueError(f"token {s!r} is not a simple of {st.structure_id}")
+            raise ValueError(f"letter {base!r} is neither an atom index nor 'D'")
         if len(fac) + abs(exp) > MAX_SIZE:
             raise SizeLimitExceeded("word expands past the size bound")
         if s == st.delta:

@@ -550,7 +550,8 @@ def _tube_twist_lift(n: int, lo: int, hi: int):
     return tuple(p)
 
 
-def _tubular_pieces(st: BraidStructure, y_tub: GarsideElement, c: RoundCurve) -> list:
+def _tubular_pieces(st: BraidStructure, y_tub: GarsideElement, c: RoundCurve,
+                     budget: int) -> list:
     """Absorbable pieces for the tubular part.
 
     An interior atom power usually absorbs the whole thing.  When it does
@@ -586,7 +587,7 @@ def _tubular_pieces(st: BraidStructure, y_tub: GarsideElement, c: RoundCurve) ->
         lo, hi = n + 1 - hi, n + 1 - lo
     if count == 0:
         raise DecompositionError("tubular part resisted every interior atom power")
-    pieces = _twist_product_pieces(st, twist, count, atom_power_cands)
+    pieces = _twist_product_pieces(st, twist, count, atom_power_cands, budget)
     if not rest.is_identity:
         # the cleared lifts have moved the tube to lo..hi
         pieces.append(_absorber_from(atom_power_cands(rest, lo, hi), rest,
@@ -595,13 +596,13 @@ def _tubular_pieces(st: BraidStructure, y_tub: GarsideElement, c: RoundCurve) ->
 
 
 def _twist_product_pieces(st: BraidStructure, twist: GarsideElement, count: int,
-                          extra_cands) -> list:
+                          extra_cands, budget: int) -> list:
     """Split a product of tube twist lifts into verified absorbable pieces.
 
     The commuting-atom triple used for half-twist powers is tried first; if
     its remainder resists every candidate, the product is rewritten as a
     sup-0 head against a full half-twist power, the head's absorber found
-    by search.
+    by a search under the node budget.
     """
     a = power(simple_element(st, st.atom(1)), count)
     b = power(simple_element(st, st.atom(3)), count)
@@ -622,7 +623,7 @@ def _twist_product_pieces(st: BraidStructure, twist: GarsideElement, count: int,
     pieces = []
     if not head.is_identity:
         inv_head = invert(head)
-        cert = is_absorbable(inv_head)
+        cert = is_absorbable(inv_head, budget=budget)
         if cert is None:
             raise DecompositionError("tube twist product has a non-absorbable head")
         pieces.append(DecompositionPiece(inv_head, cert.x,
@@ -631,14 +632,17 @@ def _twist_product_pieces(st: BraidStructure, twist: GarsideElement, count: int,
     return pieces
 
 
-def nine_absorbable_decomposition(y: GarsideElement, c: RoundCurve) -> tuple:
+def nine_absorbable_decomposition(y: GarsideElement, c: RoundCurve,
+                                  budget: int = DEFAULT_BUDGET) -> tuple:
     """Write a braid that keeps the curve c round as a product of at most
     nine absorbable factors, each with a verified absorber.
 
     Layout: up to three factors clearing the leading half-twist power, up
     to three for the interior part, up to three for the tubular part.
     Raises DecompositionError when the curve does not stay round, when a
-    candidate absorber fails, or when the factor count overruns.
+    candidate absorber fails, or when the factor count overruns, and
+    SearchBudgetExceeded when the one absorber search, for a tube twist
+    head, runs out of its node budget.
     """
     st = _braid(y)
     if st.n < 4:
@@ -656,7 +660,7 @@ def nine_absorbable_decomposition(y: GarsideElement, c: RoundCurve) -> tuple:
         raise DecompositionError("the braid does not keep the curve round")
     split = tube_decomposition(rest, cur)
     pieces.extend(_interior_pieces(st, split.interior, cur))
-    pieces.extend(_tubular_pieces(st, split.tubular, cur))
+    pieces.extend(_tubular_pieces(st, split.tubular, cur, budget))
     prod = identity_element(st)
     for piece in pieces:
         prod = multiply(prod, piece.factor)
@@ -704,7 +708,7 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
         decomp = None
         if curve is not None:
             try:
-                decomp = len(nine_absorbable_decomposition(gi, curve))
+                decomp = len(nine_absorbable_decomposition(gi, curve, budget))
             except DecompositionError:
                 decomp = None
         target = vertex_of(gi)

@@ -9,10 +9,10 @@ live in element.py.
 
 A concrete structure supplies only the primitives that define it: the left
 and right meets, the left quotient u^-1 t, the right complement
-∂s = s^-1 Δ, the starting and finishing sets, simple_length, and the
-enumeration and validation of simples (all_simples, is_simple_value).  The
-rest is derived here from the right complement, as in any Garside structure
-(Dehornoy et al., Foundations of Garside Theory, Ch. I and V):
+∂s = s^-1 Δ, the starting and finishing sets, and the enumeration and
+validation of simples (all_simples, is_simple_value).  The rest is derived
+here from the right complement, as in any Garside structure (Dehornoy et
+al., Foundations of Garside Theory, Ch. I and V):
 
 - τ = ∂², since ∂(∂s) = Δ^-1 s Δ;
 - the left complement Δ s^-1 is ∂^-1 = τ^-1 ∘ ∂;
@@ -104,10 +104,6 @@ class GarsideStructure:
 
     def _finishing_set_raw(self, s: Simple) -> frozenset:
         """Indices of atoms right-dividing s."""
-        raise NotImplementedError
-
-    def simple_length(self, s: Simple) -> int:
-        """Atom length of the simple s."""
         raise NotImplementedError
 
     def all_simples(self) -> Iterable[Simple]:
@@ -229,9 +225,6 @@ class GarsideStructure:
     def is_left_weighted(self, s: Simple, t: Simple) -> bool:
         """No atom can migrate from the head of t into s."""
         return self.starting_set(t) <= self.finishing_set(s)
-
-    def is_right_weighted(self, s: Simple, t: Simple) -> bool:
-        return self.finishing_set(s) <= self.starting_set(t)
 
     def nontrivial_simples(self) -> tuple:
         """All simples except identity and delta, sorted, for search candidates."""

@@ -483,7 +483,7 @@ def _special_checks(rng: random.Random, budget: int) -> list:
               and absorbs(parse_word(b5, "s4^2"), split.interior)
               and absorbs(parse_word(b5, "s1^3"), split.tubular))
     checks.append(SuiteCheck("tube split of the worked example matches", ok_fig))
-    pieces = nine_absorbable_decomposition(ytube, c)
+    pieces = nine_absorbable_decomposition(ytube, c, budget)
     prod = identity_element(b5)
     for piece in pieces:
         prod = multiply(prod, piece.factor)
@@ -494,7 +494,7 @@ def _special_checks(rng: random.Random, budget: int) -> list:
     checks.append(SuiteCheck(
         "squared Garside element decomposes into three factors",
         len(nine_absorbable_decomposition(delta_power(b4, 2),
-                                          RoundCurve(2, 3))) == 3))
+                                          RoundCurve(2, 3), budget)) == 3))
 
     home = identity_vertex(b4)
     x4v = vertex_of(x4)

@@ -35,6 +35,14 @@ def parse_word(st: GarsideStructure, text: str) -> GarsideElement:
     return normalize(st, word)
 
 
+def delta_chunk(p: int) -> list:
+    """The Delta power p as a list of at most one chunk: none for p = 0,
+    `D` for p = 1, else `D^p`."""
+    if p == 0:
+        return []
+    return ["D" if p == 1 else f"D^{p}"]
+
+
 def format_simple(st: GarsideStructure, s) -> str:
     """A simple spelled in atoms, `s<i>` tokens separated by spaces."""
     return " ".join(f"s{i}" for i in st.simple_word(s))
@@ -47,25 +55,15 @@ def format_element(a: GarsideElement) -> str:
     formatted as the empty string.
     """
     st = a.structure
-    parts = []
-    if a.power == 1:
-        parts.append("D")
-    elif a.power != 0:
-        parts.append(f"D^{a.power}")
-    parts.extend(format_simple(st, f) for f in a.factors)
-    return " ".join(parts)
+    return " ".join(delta_chunk(a.power)
+                    + [format_simple(st, f) for f in a.factors])
 
 
 def format_factors(a: GarsideElement) -> str:
     """Normal form display with factor boundaries: `D^p | s.. | s..`."""
     st = a.structure
-    chunks = []
-    if a.power != 0:
-        chunks.append("D" if a.power == 1 else f"D^{a.power}")
-    chunks.extend(format_simple(st, f) for f in a.factors)
-    if not chunks:
-        return "1"
-    return " | ".join(chunks)
+    chunks = delta_chunk(a.power) + [format_simple(st, f) for f in a.factors]
+    return " | ".join(chunks) if chunks else "1"
 
 
 def one_line(st: GarsideStructure, s) -> str:

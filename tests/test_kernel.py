@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from garside_al import (
     GarsideStructure,
     SizeLimitExceeded,
+    abelian_structure,
     braid_structure,
     complement,
     delta_power,
@@ -239,7 +240,8 @@ def test_right_normal_form_properties():
             back = multiply(back, make_element(struct, 0, [f]))
         assert multiply(back, delta_power(struct, rp)) == a
         assert rp == a.power
-        assert all(struct.is_right_weighted(s, t)
+        # right-weighted: no atom can migrate from the tail of s into t
+        assert all(struct.finishing_set(s) <= struct.starting_set(t)
                    for s, t in zip(rfac, rfac[1:]))
 
 
@@ -269,6 +271,13 @@ def test_normalize_letter_engine():
     assert e == multiply(multiply(from_word(B3, (1, 1)), delta_power(B3, -1)),
                          from_word(B3, (2,)))
     assert normalize(B3, [(1, -1), (1, 1)]).is_identity
+
+
+def test_normalize_rejects_letters_other_than_atom_indices_and_delta():
+    # a raw simple value is not a letter, even a valid one
+    for letter in (B3.atom(1), B3.delta, "s1", "d", None):
+        with pytest.raises(ValueError, match="neither an atom index nor 'D'"):
+            normalize(B3, [(letter, 1)])
 
 
 def test_normalize_twists_once_however_many_inverse_letters(monkeypatch):
@@ -398,6 +407,19 @@ def test_cascades_let_a_full_delta_leave_through_the_front(n):
         if p >= 0:
             spelled = [first] + [delta] * x.power + list(x.factors)
             assert nf(want) == reference_normal_form(n, 0, spelled)
+
+
+@pytest.mark.parametrize("struct", (B3, B4, B5, abelian_structure(3)),
+                         ids=lambda st_: st_.structure_id)
+def test_left_cascade_takes_the_identity_and_delta_like_any_simple(struct):
+    rng = random.Random(8200 + struct.n)
+    simples = struct.nontrivial_simples()
+    for _ in range(30):
+        x = make_element(struct, rng.randint(-3, 3),
+                         [rng.choice(simples) for _ in range(rng.randint(0, 6))])
+        for s in (struct.identity, struct.delta):
+            assert _lmul_simple(struct, s, x) == \
+                multiply(simple_element(struct, s), x)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))

@@ -274,6 +274,14 @@ class TestCliErrors:
         assert code == 3 and len(lines) == 1
         assert lines[0].startswith("budget exceeded:") and "depth" in lines[0]
 
+    def test_decompose_reducible_spends_the_budget(self, capsys):
+        # the tube twist head's absorber is the one search this command runs
+        code, out, err = run_cli(capsys, "decompose-reducible",
+                                 "s1 s2 s3 s2 s1 s1 s2 s3 s2 s1", "--n", "4",
+                                 "--curve", "2,3", "--budget", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
     def test_budget_below_one_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "absorbable", "s1", "--n", "4",
                                "--budget", "-1")
