@@ -24,8 +24,8 @@ turn.
 
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
-are absorbable.  The budget applies per search, and the searches skipped
-can no longer exhaust it: an enumeration may answer where it used to raise.
+are absorbable.  The budget applies to each search actually run; a
+skipped chain spends none of it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ its slide table holds at most N^2 entries for N simples), and stops at the
 first meeting of the two frontiers, the standard exit of bidirectional
 search (Pohl, "Bi-directional search", 1971), which is exact here because
 both sides grow one whole layer at a time.  One budget unit is one
-expansion of a vertex by a move, as before; a budget that used to run out
-in the final layer may now answer.
+expansion of a vertex by a move, and the budget caps each search run.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ def are_adjacent(v: ALVertex, w: ALVertex,
         raise ValueError("are_adjacent expects distinct vertices")
     st = v.structure
     z = _coset_difference(v, w)
-    head = multiply(z, delta_power(st, -z.inf))
+    head = vertex_of(z).rep
     if head.canonical_length == 1:
         return EdgeWitness("simple", head, -z.inf)
     cert = is_absorbable(head, budget=budget)
@@ -143,8 +142,7 @@ def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
     label is the i-th normal form factor of x.
     """
     st = v.structure
-    z = _coset_difference(v, w)
-    x = multiply(z, delta_power(st, -z.inf))
+    x = vertex_of(_coset_difference(v, w)).rep
     # the running product v_rep * x_1 ... x_i, one cascade per step
     cur = v.rep
     vertices = [vertex_of(cur)]
@@ -309,20 +307,35 @@ def _checked_connector(mid: GarsideElement, target: GarsideElement,
     return y
 
 
+def _gcd_walk(x: GarsideElement, y: GarsideElement, context: str) -> list:
+    """The gcd path from the identity toward inf-0 representatives x and y.
+
+    With d = gcd(x, y), step i = 0..sup(d) is (m, x_i, y_i, cx, cy), where
+    m = d and Delta^i is the i-th vertex of the gcd path, x_i = x and
+    Delta^i, y_i = y and Delta^i, and m cx = x_i, m cy = y_i.  Each
+    connector that is not the identity is verified absorbable by m; a
+    failure is a fatal invariant breach.  d left-divides x and y, so the
+    walk never runs past either of them.
+    """
+    d = left_gcd(x, y)
+    steps = []
+    for i in range(d.sup + 1):
+        m, xi, yi = delta_prefix(d, i), delta_prefix(x, i), delta_prefix(y, i)
+        steps.append((m, xi, yi,
+                      _checked_connector(m, xi, f"{context} step {i} toward x"),
+                      _checked_connector(m, yi, f"{context} step {i} toward y")))
+    return steps
+
+
 def initial_segment_witnesses(v: ALVertex, w: ALVertex) -> tuple:
     """For d = gcd of the representatives and each i = 1..sup(d), the
     positive connector from the i-th step of the gcd path to the i-th step
     of the path toward v, verified absorbable by that step.  A verification
     failure is a fatal invariant breach, not a report entry.
     """
-    d = left_gcd(v.rep, w.rep)
-    out = []
-    for i in range(1, d.sup + 1):
-        mid = delta_prefix(d, i)
-        y = _checked_connector(mid, delta_prefix(v.rep, i),
-                               f"initial segment witness i={i}")
-        out.append(SegmentWitness(i, y, mid))
-    return tuple(out)
+    steps = _gcd_walk(v.rep, w.rep, "initial segment witness")
+    return tuple(SegmentWitness(i, cx, m)
+                 for i, (m, _, _, cx, _) in enumerate(steps) if i)
 
 
 def overlap_length(v: ALVertex, w: ALVertex) -> int:
@@ -370,49 +383,18 @@ class ThinnessReport:
         return [e.line() for e in self.entries]
 
 
-def _corner_cover(corner: ALVertex, far: ALVertex, other: ALVertex,
-                  path: PreferredPath, reverse: bool, edge_name: str):
-    """Cover steps of the preferred edge corner->far (given as `path`,
-    oriented per `reverse`) by vertices of the edge corner->other.
+def _corner_cover(corner: ALVertex, b: ALVertex, c: ALVertex, context: str) -> list:
+    """The gcd-path walk at one triangle corner, serving both edges there.
 
-    Step i of the translated edge toward `far` is at distance <= 1 from
-    step i of the gcd path, and so is step i of the edge toward `other`;
-    both connectors are produced and verified.  Returns entries indexed by
-    position along `path`.
+    Step i is (p, q, yp, yq): p is step i of the preferred edge toward b, q
+    is step i of the edge toward c, and p and q each lie within distance 1
+    of step i of the gcd path, through the verified connectors yp and yq.
+    The edge toward c reads the same steps with the two sides swapped.
     """
-    x = _coset_difference(corner, far)
-    x = multiply(x, delta_power(corner.structure, -x.inf))
-    y_rep = _coset_difference(corner, other)
-    y_rep = multiply(y_rep, delta_power(corner.structure, -y_rep.inf))
-    d = left_gcd(x, y_rep)
-    k = len(path)
-    entries = {}
-    for i in range(0, min(d.sup, k) + 1):
-        pos = (k - i) if reverse else i
-        p = path.vertices[pos]
-        expect = vertex_of(multiply(corner.rep, delta_prefix(x, i)))
-        if p != expect:
-            raise WitnessError(
-                f"{edge_name}: step {i} from the corner disagrees with the path")
-        q = vertex_of(multiply(corner.rep, delta_prefix(y_rep, i)))
-        if i == 0:
-            entries[pos] = ThinnessEntry(edge_name, pos, p, q, ())
-            continue
-        mid = delta_prefix(d, i)
-        y1 = _checked_connector(mid, delta_prefix(x, i),
-                                f"{edge_name} step {i} toward far end")
-        y2 = _checked_connector(mid, delta_prefix(y_rep, i),
-                                f"{edge_name} step {i} toward third corner")
-        if p == q:
-            labels = ()
-        elif y1.is_identity:
-            labels = ((1, y2),)
-        elif y2.is_identity:
-            labels = ((-1, y1),)
-        else:
-            labels = ((-1, y1), (1, y2))
-        entries[pos] = ThinnessEntry(edge_name, pos, p, q, labels)
-    return entries, min(d.sup, k)
+    x = vertex_of(_coset_difference(corner, b)).rep
+    y = vertex_of(_coset_difference(corner, c)).rep
+    return [(vertex_of(multiply(corner.rep, xi)), vertex_of(multiply(corner.rep, yi)),
+             cx, cy) for _, xi, yi, cx, cy in _gcd_walk(x, y, context)]
 
 
 def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessReport:
@@ -420,25 +402,37 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
 
     Every vertex on each edge is matched with a vertex on the union of the
     other two edges through a verified path of length at most 2 (built from
-    gcd-path connectors at the two adjoining corners).  Incomplete coverage
-    or a failed connector raises WitnessError: both would contradict the
-    overlap bound that makes the triangle thin.
+    gcd-path connectors at the two adjoining corners).  One gcd-path walk
+    per corner serves both edges at that corner.  Incomplete coverage or a
+    failed connector raises WitnessError: both would contradict the overlap
+    bound that makes the triangle thin.
     """
     corners = {"u": u, "v": v, "w": w}
+    steps = {}   # (corner, far end) -> the corner's walk, oriented toward the far end
+    for a, b, c in (("u", "v", "w"), ("v", "w", "u"), ("w", "u", "v")):
+        walk = _corner_cover(corners[a], corners[b], corners[c], f"corner {a}")
+        steps[a, b] = walk
+        steps[a, c] = [(q, p, yq, yp) for p, q, yp, yq in walk]
     all_entries = []
-    for name_a, name_b in (("u", "v"), ("v", "w"), ("u", "w")):
-        a, b = corners[name_a], corners[name_b]
-        third = next(c for nm, c in corners.items() if nm not in (name_a, name_b))
-        edge_name = name_a + name_b
-        path = preferred_path(a, b)
+    for a, b in (("u", "v"), ("v", "w"), ("u", "w")):
+        edge_name = a + b
+        path = preferred_path(corners[a], corners[b])
         k = len(path)
-        from_a, reach_a = _corner_cover(a, b, third, path, False, edge_name)
-        from_b, reach_b = _corner_cover(b, a, third, path, True, edge_name)
+        merged = {}
+        for corner, far in ((a, b), (b, a)):
+            for i, (p, q, yp, yq) in enumerate(steps[corner, far]):
+                pos = i if corner == a else k - i
+                if p != path.vertices[pos]:
+                    raise WitnessError(f"{edge_name}: step {i} from corner "
+                                       f"{corner} disagrees with the path")
+                labels = () if p == q else tuple(
+                    (sign, y) for sign, y in ((-1, yp), (1, yq)) if not y.is_identity)
+                # the corner-a entry stands on the overlap
+                merged.setdefault(pos, ThinnessEntry(edge_name, pos, p, q, labels))
+        reach_a, reach_b = len(steps[a, b]) - 1, len(steps[b, a]) - 1
         if reach_a + reach_b < k:
             raise WitnessError(
                 f"edge {edge_name}: corner segments cover {reach_a}+{reach_b} < {k} steps")
-        merged = dict(from_b)
-        merged.update(from_a)   # prefer the corner-a witness on the overlap
         all_entries.extend(merged[i] for i in range(k + 1))
     return ThinnessReport(tuple(all_entries))
 

@@ -390,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-len", dest="max_len", type=int, default=None,
                         help="canonical length cap for generator enumeration")
     common.add_argument("--budget", type=int, default=None,
-                        help="node budget for absorbability searches")
+                        help="node budget for absorbability searches, and the "
+                             "expansion cap of each distance search")
     common.add_argument("--cache", default=None,
                         help="path of the enumeration cache file")
     common.add_argument("--json", action="store_true",

@@ -562,6 +562,54 @@ class TestThinTriangles:
             w = random_vertex(rng, B4, 5)
             assert triangle_thinness_report(u, v, w).max_gap <= 2
 
+    def test_labels_connect_each_entry_to_its_target(self):
+        # The labels are read from the representative corner * (x and
+        # Delta^i) of the start, which can differ from start.rep by a power
+        # of Delta; so the walk is tried from each of the tau-period shifts,
+        # and one of them must end on the target through adjacent vertices.
+        rng = random.Random(23)
+        checked = 0
+        for t in range(60):
+            st = (B3, B4)[t % 2]
+            u, v, w = (random_vertex(rng, st, 5) for _ in range(3))
+            if t % 4 == 3:
+                w = v
+            for e in triangle_thinness_report(u, v, w).entries:
+                for j in range(st.tau_period):
+                    g = multiply(e.start.rep, delta_power(st, j))
+                    walk = [vertex_of(g)]
+                    for sign, y in e.labels:
+                        g = multiply(g, invert(y) if sign < 0 else y)
+                        walk.append(vertex_of(g))
+                    if walk[-1] == e.target:
+                        break
+                else:
+                    pytest.fail(f"labels of {e.line()} do not reach the target")
+                for p, q in zip(walk, walk[1:]):
+                    if p != q:
+                        assert are_adjacent(p, q) is not None, e.line()
+                        checked += 1
+        assert checked > 60
+
+    def test_one_gcd_walk_per_corner(self, monkeypatch):
+        calls = {"left_gcd": 0, "_gcd_walk": 0}
+
+        def counting(name):
+            inner = getattr(alcomplex, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(alcomplex, name, counting(name))
+        u, v, w = self.triangle()
+        assert triangle_thinness_report(u, v, w).max_gap <= 2
+        assert calls == {"left_gcd": 3, "_gcd_walk": 3}
+        initial_segment_witnesses(v, w)
+        assert calls == {"left_gcd": 4, "_gcd_walk": 4}
+
 
 class TestAdjacentPathDiameter:
     def test_single_edge_path(self):
