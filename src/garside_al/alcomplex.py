@@ -355,7 +355,7 @@ class ThinnessEntry:
     index: int         # its step index along that edge
     start: ALVertex    # p, the covered vertex
     target: ALVertex   # q, a vertex on the union of the other two edges
-    labels: tuple      # connecting edge labels as (direction, element)
+    labels: tuple      # (direction, element) steps from start.rep * Delta^j, some j
 
     @property
     def length(self) -> int:
@@ -406,6 +406,11 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
     per corner serves both edges at that corner.  Incomplete coverage or a
     failed connector raises WitnessError: both would contradict the overlap
     bound that makes the triangle thin.
+
+    An entry's labels act on corner.rep * (x ^ Delta^i), which is
+    start.rep * Delta^j for some j >= 0.  As Delta^j y = tau^-j(y) Delta^j,
+    from start.rep each label is first twisted by tau^-j (try each j below
+    the tau period).
     """
     corners = {"u": u, "v": v, "w": w}
     steps = {}   # (corner, far end) -> the corner's walk, oriented toward the far end

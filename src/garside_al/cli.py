@@ -4,7 +4,8 @@ One executable, `garside-al`, with one subcommand per library entry point.
 Output is plain text by default; `--json` switches every command to a
 single JSON document with a versioned schema.  Exit codes: 0 success,
 1 verification or property failure, 2 usage or parse error, 3 search
-budget exceeded.
+budget exceeded, 4 internal error (an exception no other code covers,
+reported as one `internal error: <type>: <message>` line).
 
 Configuration precedence is flags, then the environment variable
 `GARSIDE_AL_<KEY>` (the key upper-cased), then an ini-style config file
@@ -495,6 +496,9 @@ def main(argv=None) -> int:
     except (WitnessError, DecompositionError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@ slide(s, t), which answers None when the pair is already left-weighted.
   with the same stopping rule; a carry that fills up to delta leaves through
   the front, twisting the prefix by tau.
 
-Right normal forms come from the mirror of _rmul_into inside
-right_normal_form: a simple put in front of a right normal form slides left
-to right until a pair is already right-weighted.
+The right side has no algorithm of its own: _mirror reads an element in
+the opposite structure, where right divisibility is left divisibility, so
+a right normal form is the mirror's left one read backwards and a right
+gcd is the mirror of the left gcd of the mirrors.
 
 The public make_element validates its simples and folds the right cascade
 over them; everything built inside the package from simples it produced
@@ -309,30 +310,10 @@ def _head(st: GarsideStructure, x: GarsideElement) -> Simple:
     return x.factors[0] if x.factors else st.identity
 
 
-def _right_head(st: GarsideStructure, x: GarsideElement) -> Simple:
-    """The largest simple right divisor of a positive x.  It is not the last
-    factor in general (s1 s3 | s1 also ends in s3), so fold it in from the
-    left: the largest simple right divisor of h * f, for simples h and f,
-    is u * f with u the right meet of h and the left complement of f."""
-    if x.power > 0:
-        return st.delta
-    h = st.identity
-    for f in x.factors:
-        h = st.compose(st.right_meet(h, st.left_complement(f)), f)
-    return h
-
-
 def _left_divide(st: GarsideStructure, d: Simple, x: GarsideElement) -> GarsideElement:
     """d^-1 * x = delta^-1 * (left complement of d) * x."""
     y = _lmul_simple(st, st.left_complement(d), x)
     return GarsideElement(st, y.power - 1, y.factors)
-
-
-def _right_divide(st: GarsideStructure, x: GarsideElement, d: Simple) -> GarsideElement:
-    """x * d^-1 = x * (right complement of d) * delta^-1."""
-    y = _rmul_simple(st, x, st.right_complement(d))
-    # y delta^-1 = delta^-1 tau^-1(y)
-    return GarsideElement(st, y.power - 1, tuple(st.tau_pow(f, -1) for f in y.factors))
 
 
 def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
@@ -356,21 +337,9 @@ def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
 
 
 def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """Mirror of left_gcd: the meet on the right of the two right heads is
-    the gcd's last simple; divide it off on the right and repeat."""
-    st = _check_same_structure(a, b)
-    m = min(a.inf, b.inf)
-    ra = multiply(a, delta_power(st, -m))
-    rb = multiply(b, delta_power(st, -m))
-    g = identity_element(st)
-    while True:
-        d = st.right_meet(_right_head(st, ra), _right_head(st, rb))
-        if d == st.identity:
-            break
-        g = _lmul_simple(st, d, g)
-        ra = _right_divide(st, ra, d)
-        rb = _right_divide(st, rb, d)
-    return multiply(g, delta_power(st, m))
+    """The left gcd in the opposite structure, read back."""
+    _check_same_structure(a, b)
+    return _mirror(left_gcd(_mirror(a), _mirror(b)))
 
 
 def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
@@ -386,33 +355,22 @@ def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
 
 # -- alternate normal forms and shape predicates ------------------------------
 
-def right_normal_form(a: GarsideElement) -> tuple[tuple, int]:
-    """Factors and delta power of a = x'_1 ... x'_r * delta^p, pairs right-weighted.
-
-    delta^p X = tau^-p(X) delta^p, and tau^-p(X) has inf 0.  Its right normal
-    form is built from its last factor back, by the mirror of _rmul_into:
-    a simple c put in front of a right normal list slides left to right,
-    giving up u = c ^ (delta f^-1), its largest right divisor that fits in
-    front of the next factor f, until u is 1.  The list is kept last factor
-    first, so putting c in front is an append.  Each x_i is the head of
-    x_i ... x_r, so no carry is swallowed whole and none fills up to delta:
-    the list keeps one factor per factor of a.
-    """
-    st = a.structure
-    ident = st.identity
-    rev: list = []
+def _mirror(a: GarsideElement) -> GarsideElement:
+    """a in the opposite structure: delta^p x_1 ... x_r here is x_r ... x_1
+    delta^p = delta^p tau'^p(x_r) ... tau'^p(x_1) there, tau' its tau."""
+    op = a.structure.opposite()
+    p = a.power
+    fac: list = []
     for x in reversed(a.factors):
-        rev.append(st.tau_pow(x, -a.power))
-        j = len(rev) - 1
-        while j:
-            c, f = rev[j], rev[j - 1]
-            u = st.right_meet(c, st.left_complement(f))
-            if u == ident:
-                break
-            rev[j] = st.right_quotient(c, u)
-            rev[j - 1] = st.compose(u, f)
-            j -= 1
-    return tuple(reversed(rev)), a.power
+        p += _rmul_into(op, fac, op.tau_pow(x, a.power))
+    return GarsideElement(op, p, tuple(fac))
+
+
+def right_normal_form(a: GarsideElement) -> tuple[tuple, int]:
+    """Factors and delta power of a = x'_1 ... x'_r * delta^p, pairs
+    right-weighted: the left normal form of the mirror, read backwards."""
+    m = _mirror(a)
+    return tuple(reversed(m.factors)), m.power
 
 
 def is_rigid(a: GarsideElement) -> bool:

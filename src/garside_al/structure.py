@@ -35,6 +35,11 @@ Its raw method calls the raw meet and quotient directly and forms c*u as
 and it interns both outputs: every cached slide refers to one shared
 object per distinct simple.
 
+opposite() is the opposite structure, built once per instance: the same
+simples and Δ with the product read backwards.  Every right-hand notion
+here is the left-hand one there (Foundations of Garside Theory, Ch. V), so
+the element kernel keeps no mirrored copies of its left algorithms.
+
 code_book() numbers the simples for the distance search, which runs on
 small integer codes instead of simple values.  Its slide table is the
 transition table of Thurston's normal-form automaton (Epstein et al., Word
@@ -79,6 +84,8 @@ class GarsideStructure:
         self._move_sets: dict = {}
         # the BFS's integer codes for simples, built on first use (code_book)
         self._code_book: CodeBook | None = None
+        # the opposite structure, built on first use (opposite)
+        self._opposite: GarsideStructure | None = None
         for name in self._CACHED:
             setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
@@ -191,6 +198,12 @@ class GarsideStructure:
             self._code_book = CodeBook(self)
         return self._code_book
 
+    def opposite(self) -> "GarsideStructure":
+        """The opposite structure, built once; its own opposite is self."""
+        if self._opposite is None:
+            self._opposite = OppositeStructure(self)
+        return self._opposite
+
     def tau_pow(self, s: Simple, k: int) -> Simple:
         k %= self.tau_period
         for _ in range(k):
@@ -258,6 +271,30 @@ class GarsideStructure:
 
     def __repr__(self) -> str:
         return f"<GarsideStructure {self.structure_id}>"
+
+
+class OppositeStructure(GarsideStructure):
+    """The opposite of base: the same simples, atoms and delta, with the
+    product s∘t = t*s, so left divisibility here is right divisibility in
+    base.  Each primitive is base's with the sides swapped (u^-1∘t is
+    base's t*u^-1); the rest is derived, and τ comes out as base's τ^-1.
+    The left complement is taken from base too, which spares each new
+    simple a chain of cold complement calls."""
+
+    def __init__(self, base: GarsideStructure) -> None:
+        self.structure_id = f"{base.structure_id}:opposite"
+        self.n, self.rank, self.atoms = base.n, base.rank, base.atoms
+        self.identity, self.delta, self.tau_period = base.identity, base.delta, base.tau_period
+        self._left_meet_raw, self._right_meet_raw = base.right_meet, base.left_meet
+        self._right_complement_raw = base.left_complement
+        self._left_complement_raw = base.right_complement
+        self._starting_set_raw, self._finishing_set_raw = base.finishing_set, base.starting_set
+        self.all_simples, self.is_simple_value = base.all_simples, base.is_simple_value
+        super().__init__()
+        self._opposite = base
+
+    def _left_quotient_raw(self, u: Simple, t: Simple) -> Simple:
+        return self._opposite.right_quotient(t, u)
 
 
 class _SlideTable(dict):

@@ -36,6 +36,7 @@ from .alcomplex import (
 from .braid import braid_structure
 from .element import (
     GarsideElement,
+    _mirror,
     complement,
     delta_power,
     identity_element,
@@ -46,7 +47,6 @@ from .element import (
     make_element,
     multiply,
     power,
-    right_divides,
     right_normal_form,
     tau_element,
 )
@@ -164,15 +164,9 @@ def random_left_divisor(rng: random.Random, st, u: GarsideElement,
 
 def random_right_divisor(rng: random.Random, st, u: GarsideElement,
                          steps: int) -> GarsideElement:
-    d = identity_element(st)
-    for _ in range(steps):
-        rem = multiply(u, invert(d))
-        opts = [i for i in range(1, st.n)
-                if right_divides(make_element(st, 0, [st.atom(i)]), rem)]
-        if not opts:
-            break
-        d = multiply(make_element(st, 0, [st.atom(rng.choice(opts))]), d)
-    return d
+    """random_left_divisor in the opposite structure: the same draws, one
+    atom at a time down the suffix lattice of u."""
+    return _mirror(random_left_divisor(rng, st.opposite(), _mirror(u), steps))
 
 
 def between_powers_instance(rng: random.Random, x: GarsideElement):

@@ -1,6 +1,7 @@
 """Free abelian fixture: the simplest structure the kernel can drive."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from garside_al import (
     make_element,
     multiply,
     power,
+    right_gcd,
+    right_normal_form,
 )
 
 Z3 = abelian_structure(3)
@@ -76,6 +79,19 @@ def test_gcd_is_coordinatewise_min():
     b = multiply(unit(Z3, 0), power(unit(Z3, 2), 3))   # (1,0,3)
     g = left_gcd(a, b)
     assert g == unit(Z3, 0)
+
+
+def test_right_side_equals_left_side():
+    # everything commutes and tau is trivial, so the right normal form is
+    # the left one read backwards and the two gcds agree
+    rng = random.Random(303)
+    simples = list(Z3.all_simples())
+    for _ in range(300):
+        a, b = (make_element(Z3, rng.randint(-3, 3),
+                             [rng.choice(simples) for _ in range(rng.randint(0, 8))])
+                for _ in range(2))
+        assert right_normal_form(a) == (tuple(reversed(a.factors)), a.power)
+        assert right_gcd(a, b) == left_gcd(a, b)
 
 
 def test_mixed_sign_vectors():

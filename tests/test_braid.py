@@ -277,6 +277,59 @@ def test_structures_do_not_share_caches():
     assert b4._left_meet.cache_info().currsize > 0
 
 
+def _check_opposite_on_pairs(struct, pairs):
+    op = struct.opposite()
+    assert (op.identity, op.delta, op.atoms) == (struct.identity, struct.delta, struct.atoms)
+    assert op != struct
+    for s, t in pairs:
+        assert op.left_meet(s, t) == struct.right_meet(s, t), (s, t)
+        assert op.right_meet(s, t) == struct.left_meet(s, t), (s, t)
+        assert op.left_divides_simple(s, t) == struct.right_divides_simple(s, t), (s, t)
+        assert op.right_divides_simple(s, t) == struct.left_divides_simple(s, t), (s, t)
+        if struct.right_divides_simple(s, t):
+            assert op.left_quotient(s, t) == struct.right_quotient(t, s), (s, t)
+        if struct.left_divides_simple(s, t):
+            assert op.right_quotient(t, s) == struct.left_quotient(s, t), (s, t)
+        assert op.compose(s, t) == struct.compose(t, s), (s, t)
+        for x in (s, t):
+            assert op.right_complement(x) == struct.left_complement(x), x
+            assert op.left_complement(x) == struct.right_complement(x), x
+            assert op.left_complement(x) == op.tau_pow(op.right_complement(x), -1), x
+            assert op.starting_set(x) == struct.finishing_set(x), x
+            assert op.finishing_set(x) == struct.starting_set(x), x
+            assert op.tau(x) == struct.tau_pow(x, -1), x
+
+
+@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
+def test_opposite_structure_swaps_the_sides_on_every_pair_of_simples(struct):
+    simples = list(struct.all_simples())
+    _check_opposite_on_pairs(struct, itertools.product(simples, repeat=2))
+
+
+def test_opposite_structure_swaps_the_sides_on_random_simples_of_b12():
+    # p = s * t with lengths adding, so s left-divides and t right-divides p
+    struct, rng = BraidStructure(12), random.Random(1212)
+    pairs = []
+    for _ in range(150):
+        p = tuple(rng.sample(range(1, 13), 12))
+        word = reduced_word(p)
+        k = rng.randint(0, len(word))
+        s, t = perm_of_word(word[:k], 12), perm_of_word(word[k:], 12)
+        pairs += [(s, p), (t, p), (s, t), (tuple(rng.sample(range(1, 13), 12)), p)]
+    _check_opposite_on_pairs(struct, pairs)
+
+
+def test_opposite_structure_is_built_once_per_instance():
+    op = B4.opposite()
+    assert op is B4.opposite()
+    assert op.opposite() is B4
+    z3 = abelian_structure(3)
+    assert z3.opposite().opposite() is z3
+    fresh = BraidStructure(4)
+    assert fresh.opposite() is not op
+    assert fresh.opposite().opposite() is fresh
+
+
 @pytest.mark.parametrize("struct", (B3, B4, braid_structure(5), abelian_structure(3)),
                          ids=lambda s: s.structure_id)
 def test_slide_stops_exactly_at_left_weighted_pairs_and_keeps_the_product(struct):

@@ -2,8 +2,9 @@
 
 `cli_transcript.json` lists command lines with the stdout, stderr and exit
 code each one produced when the file was recorded.  The list covers every
-subcommand in text and `--json` form and every documented exit code
-(0 answer, 1 failed verification, 2 usage, 3 exhausted budget).  Each case
+subcommand in text and `--json` form and every documented exit code but
+the internal-error code 4, which no correct command reaches (0 answer,
+1 failed verification, 2 usage, 3 exhausted budget).  Each case
 is replayed through `cli.main` in-process, with no `GARSIDE_AL_*` variable
 set and no config file in the working directory.
 

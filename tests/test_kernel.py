@@ -459,6 +459,24 @@ def atom_extension_gcd(a, b, side):
     return multiply(invert(shift), g) if left else multiply(g, invert(shift))
 
 
+def test_right_side_on_b12_matches_the_references():
+    # B12's simples are never enumerated, so the opposite structure must
+    # work from its primitives alone
+    rng = random.Random(8312)
+    struct = braid_structure(12)
+    for _ in range(4):
+        p = rng.randint(-3, 3)
+        simples = random_simples(rng, 12, rng.randint(1, 6))
+        assert (right_normal_form(make_element(struct, p, simples))
+                == reference_right_normal_form(12, p, simples))
+        shared = make_element(struct, rng.randint(-2, 2),
+                              random_simples(rng, 12, rng.randint(0, 3)))
+        u = make_element(struct, 0, random_simples(rng, 12, rng.randint(0, 3)))
+        v = make_element(struct, 0, random_simples(rng, 12, rng.randint(0, 3)))
+        a, b = multiply(u, shared), multiply(v, shared)
+        assert right_gcd(a, b) == atom_extension_gcd(a, b, "right")
+
+
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_gcds_match_atom_extension_up_to_length_40(n):
     rng = random.Random(8200 + n)

@@ -274,6 +274,15 @@ class TestCliErrors:
         assert code == 3 and len(lines) == 1
         assert lines[0].startswith("budget exceeded:") and "depth" in lines[0]
 
+    def test_internal_error_is_exit_four_with_one_line(self, capsys, monkeypatch):
+        def broken(args, cfg):
+            raise RuntimeError("kernel invariant broken")
+
+        monkeypatch.setattr(cli, "_cmd_nf", broken)
+        code, out, err = run_cli(capsys, "nf", "s1", "--n", "3")
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: kernel invariant broken\n"
+
     def test_decompose_reducible_spends_the_budget(self, capsys):
         # the tube twist head's absorber is the one search this command runs
         code, out, err = run_cli(capsys, "decompose-reducible",
