@@ -10,17 +10,28 @@ running product x_i ... x_k * y, so a partial suffix whose product already
 has inf > 0 or sup > k can be discarded with everything above it.
 
 Every running product m the search extends has inf 0 and sup k: y has,
-and a product with a larger sup is discarded.  Most candidates t for the
-next factor are discarded by the first slide of t * m alone, which depends
-only on t and the first factor m_1 of m: if (t, m_1) is left-weighted, t
-stays a factor of its own and the sup grows to k + 1; if the right
-complement of t left-divides m_1, t * m_1 contains delta and the inf
-rises.  Survivor tables, kept on the structure and keyed by (leftmost
-factor of the suffix, m_1), list the candidates that neither test
-discards; only those are multiplied out.  The others are counted as
-visited and pruned in one step, so the node counts, the certificate and
-the point where the budget runs out are those of trying every candidate in
-turn.
+and a candidate t for the next factor is multiplied out only when t * m
+keeps both.  Both halves are decided on simples, before any cascade
+(El-Rifai and Morton, Quart. J. Math. 45, 1994; Dehornoy et al.,
+Foundations of Garside Theory, Ch. I and V):
+
+* inf(t * m) = 0 iff the right complement of t does not left-divide the
+  first factor m_1 of m;
+* sup(t * m) <= k iff t * m left-divides delta^k, that is iff t
+  right-divides the positive X = delta^k m^-1, that is iff t right-divides
+  R, the largest simple right divisor of X.
+
+Survivor tables, kept on the structure and keyed by (leftmost factor of
+the suffix, m_1), list the candidates that pass the inf test and are not
+left-weighted with m_1 (such a t stays a factor of its own, so the sup
+grows to k + 1).  The search holds X in st.opposite(), where right
+divisibility is left divisibility: R is the head of X there, and the X of
+t * m is t^-1 X there, one left division.  A node divides off its own
+leftmost factor only when its table is non-empty, and of the table's
+survivors it multiplies out only those that right-divide R.  The others
+are counted as visited and pruned in one step, so the node counts, the
+certificate and the point where the budget runs out are those of trying
+every candidate in turn.
 
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
@@ -39,7 +50,10 @@ from itertools import accumulate
 
 from .element import (
     GarsideElement,
+    _head,
+    _left_divide,
     _lmul_simple,
+    _mirror,
     invert,
     make_element,
     multiply,
@@ -130,17 +144,21 @@ def _survivors(st, options, leftmost, head):
     return table
 
 
-def _dfs(st, m, leftmost, depth, k, counter):
+def _dfs(st, m, x, leftmost, depth, k, counter):
     """Extend the suffix whose running product is m; leftmost is its first factor.
 
-    The root call (m = y, leftmost None, depth 0) tries every nontrivial
-    proper simple as the absorber's last factor; deeper calls try the
-    simples that can precede leftmost in a left-weighted chain.  Candidates
-    come in sorted permutation order, so the first completion found is the
+    x is delta^k m'^-1 held in st.opposite(), for m' the running product
+    before leftmost was prepended (m' = m at the root): a node divides
+    leftmost off only when its survivor table is non-empty.  The root call
+    (m = y, leftmost None, depth 0) tries every nontrivial proper simple
+    as the absorber's last factor; deeper calls try the simples that can
+    precede leftmost in a left-weighted chain.  Candidates come in sorted
+    permutation order, so the first completion found is the
     lexicographically first absorber and the certificate is deterministic.
-    Only the survivors of the one-step tests are multiplied out; every
-    candidate is still counted as a visited node, and the skipped ones as
-    pruned nodes, in the order the candidates come.
+    A table survivor t is kept iff it right-divides r, the head of
+    delta^k m^-1 in the opposite structure, and only kept candidates are
+    multiplied out; every candidate is still counted as a visited node,
+    and the others as pruned nodes, in the order the candidates come.
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
     completes the suffix into a full absorber, or None.
     """
@@ -148,19 +166,24 @@ def _dfs(st, m, leftmost, depth, k, counter):
     if depth > counter.depth:
         counter.depth = depth
     done = 0  # candidates counted so far
-    for i in _survivors(st, options, leftmost, m.factors[0]):
+    table = _survivors(st, options, leftmost, m.factors[0])
+    if table:
+        op = st.opposite()
+        if leftmost is not None:
+            x = _left_divide(op, leftmost, x)
+        r = _head(op, x)
+    for i in table:
         counter.prune(i - done)
         counter.visit(i + 1 - done)
         done = i + 1
         t = options[i]
-        m2 = _lmul_simple(st, t, m)
-        if m2.power > 0 or m2.sup > k:
+        if not st.right_divides_simple(t, r):
+            # sup(t * m) = k + 1
             counter.prune(1)
             continue
         if depth + 1 == k:
-            # prepending a positive factor never lowers the sup, so m2.sup == k
             return [t]
-        got = _dfs(st, m2, t, depth + 1, k, counter)
+        got = _dfs(st, _lmul_simple(st, t, m), x, t, depth + 1, k, counter)
         if got is not None:
             got.append(t)
             return got
@@ -191,7 +214,9 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     else:
         return None
     counter = _NodeCounter(budget)
-    got = _dfs(st, target, None, 0, target.canonical_length, counter)
+    # delta^k target^-1 is invert(target) without its delta^-k
+    room = _mirror(GarsideElement(st, 0, invert(target).factors))
+    got = _dfs(st, target, room, None, 0, target.canonical_length, counter)
     if got is None:
         return None
     x = GarsideElement(st, 0, tuple(got))

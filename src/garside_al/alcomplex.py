@@ -66,8 +66,7 @@ class ALVertex:
         return self.rep.structure
 
     def __repr__(self) -> str:
-        word = format_element(self.rep)
-        return f"ALVertex({word or '1'})"
+        return f"ALVertex({format_element(self.rep)})"
 
 
 def vertex_of(g: GarsideElement) -> ALVertex:
@@ -363,11 +362,10 @@ class ThinnessEntry:
 
     def line(self) -> str:
         vias = " ".join(
-            ("inv(" + (format_element(g) or "1") + ")") if sign < 0
-            else (format_element(g) or "1")
+            f"inv({format_element(g)})" if sign < 0 else format_element(g)
             for sign, g in self.labels) or "-"
-        p = format_element(self.start.rep) or "1"
-        q = format_element(self.target.rep) or "1"
+        p = format_element(self.start.rep)
+        q = format_element(self.target.rep)
         return f"{p} -> {q} : len={self.length} via {vias}"
 
 

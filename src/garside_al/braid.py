@@ -17,11 +17,13 @@ benchmark tracer, which wraps it by name.
 
 Left divisibility of simples is inversion-set containment (the weak order),
 which left_divides_simple tests on the cached masks without a meet, so the
-derived product tests simplicity without one either.  The meet keeps a
-pair of strands uncrossed when s or t does, closed under transitivity
-(Epstein et al., Word Processing in Groups, Ch. 9).  Inverses and inversion
-masks join the primitives the base class caches per instance, so repeated
-normal form work on the same structure amortizes to cache hits.
+derived product tests simplicity without one either; right divisibility is
+containment of the inverses' inversion sets, which right_divides_simple
+tests on a second cached mask per simple.  The meet keeps a pair of
+strands uncrossed when s or t does, closed under transitivity (Epstein et
+al., Word Processing in Groups, Ch. 9).  Inverses and both masks join the
+primitives the base class caches per instance, so repeated normal form
+work on the same structure amortizes to cache hits.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def perm_inverse(s: Perm) -> Perm:
 
 
 class BraidStructure(GarsideStructure):
-    _CACHED = GarsideStructure._CACHED + ("inverse", "inversion_mask")
+    _CACHED = GarsideStructure._CACHED + ("inverse", "inversion_mask", "inverse_mask")
 
     def __init__(self, n: int) -> None:
         if n < 2:
@@ -83,12 +85,24 @@ class BraidStructure(GarsideStructure):
                 mask |= 1 << bit
         return mask
 
+    def inverse_mask(self, s: Perm) -> int:
+        """The inversion mask of s^-1."""
+        return self._inverse_mask(s)
+
+    def _inverse_mask_raw(self, s: Perm) -> int:
+        return self._inversion_mask_raw(self.inverse(s))
+
     def simple_length(self, s: Perm) -> int:
         return self.inversion_mask(s).bit_count()
 
     def left_divides_simple(self, s: Perm, t: Perm) -> bool:
         ms = self.inversion_mask(s)
         return ms & self.inversion_mask(t) == ms
+
+    def right_divides_simple(self, s: Perm, t: Perm) -> bool:
+        # s right-divides t iff s^-1 left-divides t^-1
+        ms = self._inverse_mask(s)
+        return ms & self._inverse_mask(t) == ms
 
     # -- primitives -----------------------------------------------------------
 
@@ -109,7 +123,7 @@ class BraidStructure(GarsideStructure):
 
     def _right_meet_raw(self, s: Perm, t: Perm) -> Perm:
         # x -> x^-1 maps the right-divisibility order onto the left one
-        return self.inverse(self.left_meet(self.inverse(s), self.inverse(t)))
+        return self.inverse(self._left_meet_raw(self.inverse(s), self.inverse(t)))
 
     def _left_quotient_raw(self, u: Perm, t: Perm) -> Perm:
         ui = self.inverse(u)

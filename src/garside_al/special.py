@@ -295,8 +295,8 @@ class DecompositionPiece:
     rule: str
 
     def line(self) -> str:
-        return (f"{format_element(self.factor) or '1'}  absorbed by  "
-                f"{format_element(self.absorber) or '1'}  [{self.rule}]")
+        return (f"{format_element(self.factor)}  absorbed by  "
+                f"{format_element(self.absorber)}  [{self.rule}]")
 
 
 def _verified_piece(factor: GarsideElement, absorber: GarsideElement,

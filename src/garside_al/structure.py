@@ -279,13 +279,14 @@ class OppositeStructure(GarsideStructure):
     base.  Each primitive is base's with the sides swapped (u^-1∘t is
     base's t*u^-1); the rest is derived, and τ comes out as base's τ^-1.
     The left complement is taken from base too, which spares each new
-    simple a chain of cold complement calls."""
+    simple a chain of cold complement calls.  The meets are base's raw
+    ones, so a meet or slide made here is cached here only."""
 
     def __init__(self, base: GarsideStructure) -> None:
         self.structure_id = f"{base.structure_id}:opposite"
         self.n, self.rank, self.atoms = base.n, base.rank, base.atoms
         self.identity, self.delta, self.tau_period = base.identity, base.delta, base.tau_period
-        self._left_meet_raw, self._right_meet_raw = base.right_meet, base.left_meet
+        self._left_meet_raw, self._right_meet_raw = base._right_meet_raw, base._left_meet_raw
         self._right_complement_raw = base.left_complement
         self._left_complement_raw = base.right_complement
         self._starting_set_raw, self._finishing_set_raw = base.finishing_set, base.starting_set

@@ -1,5 +1,6 @@
 """Word grammar: `s<INT>` for atoms, `D` for the Garside element, optional
-`^<INT>` exponents (negative allowed), whitespace separated."""
+`^<INT>` exponents (negative allowed), whitespace separated; a bare `1`
+stands for the identity."""
 
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ def parse_word(st: GarsideStructure, text: str) -> GarsideElement:
     and denotes the identity."""
     word = []
     for pos, token in enumerate(text.split(), start=1):
+        if token == "1":
+            continue
         m = _TOKEN.match(token)
         if m is None:
             raise WordSyntaxError(f"bad token {token!r} at position {pos}")
@@ -52,11 +55,11 @@ def format_element(a: GarsideElement) -> str:
     """Canonical word for a: the Delta power, then each factor spelled in atoms.
 
     Output reparses (via parse_word) to an equal element.  The identity is
-    formatted as the empty string.
+    formatted as `1`.
     """
     st = a.structure
     return " ".join(delta_chunk(a.power)
-                    + [format_simple(st, f) for f in a.factors])
+                    + [format_simple(st, f) for f in a.factors]) or "1"
 
 
 def format_factors(a: GarsideElement) -> str:

@@ -38,7 +38,13 @@ from garside_al import (
 from garside_al import absorb
 from garside_al.absorb import DEFAULT_BUDGET
 from garside_al.braid import BraidStructure
-from garside_al.element import GarsideElement, _lmul_simple
+from garside_al.element import (
+    GarsideElement,
+    _lmul_simple,
+    _mirror,
+    right_normal_form,
+    simple_element,
+)
 from garside_al.special import _witness_factor_perms
 from garside_al.words import one_line
 
@@ -297,6 +303,50 @@ def test_survivor_tables_keep_the_search_accounting_exact(monkeypatch):
     assert outcomes == 2700
 
 
+def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
+    # at seeded search nodes, a table survivor t right-divides R, the
+    # largest simple right divisor of X = delta^k m^-1, exactly when t * m
+    # keeps inf 0 and sup k; the X a node receives is its parent's, held
+    # in the opposite structure
+    seen = {True: 0, False: 0}
+    nodes = []
+    dfs = absorb._dfs
+
+    def checking(struct, m, x, leftmost, depth, k, counter):
+        if len(nodes) < 30:
+            nodes.append(m)
+            room = multiply(delta_power(struct, k), invert(m))
+            parent_room = (room if leftmost is None
+                           else multiply(room, simple_element(struct, leftmost)))
+            assert x == _mirror(parent_room), (m, leftmost)
+            rfac, rpow = right_normal_form(room)
+            r = struct.delta if rpow > 0 else rfac[-1] if rfac else struct.identity
+            options = (struct.nontrivial_simples() if leftmost is None
+                       else struct.preceders(leftmost))
+            for i in absorb._survivors(struct, options, leftmost, m.factors[0]):
+                t = options[i]
+                m2 = _lmul_simple(struct, t, m)
+                keeps = m2.power == 0 and m2.sup == k
+                assert struct.right_divides_simple(t, r) == keeps, (m, t)
+                seen[keeps] += 1
+        return dfs(struct, m, x, leftmost, depth, k, counter)
+
+    monkeypatch.setattr(absorb, "_dfs", checking)
+    rng = random.Random(1517)
+    groups = ((B3, 5), (B4, 4), (B5, 3), (braid_structure(6), 2),
+              (abelian_structure(3), 3), (abelian_structure(4), 3))
+    for struct, max_len in groups:
+        for _ in range(12):
+            chain = [rng.choice(struct.nontrivial_simples())]
+            for _ in range(rng.randint(1, max_len) - 1):
+                chain.append(rng.choice(struct.followers(chain[-1])))
+            y = GarsideElement(struct, 0, tuple(chain))
+            nodes.clear()
+            is_absorbable(y if rng.random() < 0.75 else invert(y))
+            assert nodes
+    assert seen[True] > 1000 and seen[False] > 10000, seen
+
+
 def test_search_over_more_candidates_than_two_byte_indices_hold():
     # Z^17 has 2^17 - 2 candidates for each factor
     struct = abelian_structure(17)
@@ -322,6 +372,7 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide():
     y = make_element(struct, 0, _witness_factor_perms(5))
     assert is_absorbable(y) is None
     assert struct._left_meet.cache_info().currsize == 0
+    assert struct._right_meet.cache_info().currsize == 0
     assert struct._compose.cache_info().currsize == 0
     hits = struct._slide.cache_info().hits
     outputs = set()

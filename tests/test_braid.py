@@ -319,6 +319,31 @@ def test_opposite_structure_swaps_the_sides_on_random_simples_of_b12():
     _check_opposite_on_pairs(struct, pairs)
 
 
+def _check_right_divisibility(struct, pairs):
+    for s, t in pairs:
+        assert struct.right_divides_simple(s, t) == (struct.right_meet(s, t) == s), (s, t)
+
+
+@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
+def test_right_divisibility_is_the_right_meet_on_every_pair_of_simples(struct):
+    simples = list(struct.all_simples())
+    _check_right_divisibility(struct, itertools.product(simples, repeat=2))
+
+
+def test_right_divisibility_is_the_right_meet_on_random_simples_of_b12():
+    # p = s * t with lengths adding, so t right-divides p
+    struct, rng = BraidStructure(12), random.Random(1215)
+    pairs = []
+    for _ in range(300):
+        p = tuple(rng.sample(range(1, 13), 12))
+        word = reduced_word(p)
+        k = rng.randint(0, len(word))
+        s, t = perm_of_word(word[:k], 12), perm_of_word(word[k:], 12)
+        pairs += [(t, p), (s, p), (tuple(rng.sample(range(1, 13), 12)), p)]
+    assert sum(struct.right_meet(s, t) == s for s, t in pairs) >= 300
+    _check_right_divisibility(struct, pairs)
+
+
 def test_opposite_structure_is_built_once_per_instance():
     op = B4.opposite()
     assert op is B4.opposite()

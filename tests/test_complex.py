@@ -226,7 +226,7 @@ class TestPreferredPaths:
         p = preferred_path(identity_vertex(B3), vertex_of(parse_word(B3, "s1 s1")))
         s1 = B3.atom(1)
         assert p.labels == (s1, s1)
-        assert [format_element(v.rep) for v in p.vertices] == ["", "s1", "s1 s1"]
+        assert [format_element(v.rep) for v in p.vertices] == ["1", "s1", "s1 s1"]
 
     def test_witness_path_is_spelled_by_its_factors(self):
         x4 = distance_witness(4)

@@ -45,8 +45,11 @@ class TestWords:
             a = random_element(rng, B4, 5)
             assert parse_word(B4, format_element(a)) == a
 
-    def test_identity_formats_to_empty_string(self):
-        assert format_element(parse_word(B3, "")) == ""
+    def test_identity_formats_to_one(self):
+        one = parse_word(B3, "")
+        assert format_element(one) == "1"
+        assert parse_word(B3, "1") == one
+        assert parse_word(B3, "s1 1 s1^-1 1") == one
 
     def test_negative_power_display(self):
         a = multiply(delta_power(B3, -1), parse_word(B3, "s1"))
@@ -154,7 +157,7 @@ class TestCliCommands:
     def test_path_lists_labels(self, capsys):
         code, out, _ = run_cli(capsys, "path", "", "s1 s1", "--n", "3")
         assert code == 0
-        assert out.splitlines() == ["2 edges", " -> s1 : s1",
+        assert out.splitlines() == ["2 edges", "1 -> s1 : s1",
                                     "s1 -> s1 s1 : s1"]
 
     def test_dist_ub(self, capsys):
