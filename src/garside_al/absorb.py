@@ -384,7 +384,10 @@ def _cache_append(st, max_len, path, elements) -> None:
             for el in elements]
     data = "\n".join([_cache_header(st, max_len), *rows,
                       _cache_trailer(rows)]).encode("ascii") + b"\n"
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    except OSError as exc:
+        raise CacheError(f"cache: cannot write {path}: {exc}")
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         # a torn last line left by an interrupted writer would swallow the header

@@ -168,14 +168,7 @@ def _generators(st: GarsideStructure, gen_len: int, budget, cache_path):
     gens.extend(enumerate_absorbable(st, gen_len, budget=budget,
                                      cache_path=cache_path))
     gens.extend([invert(g) for g in list(gens)])
-    seen = set()
-    out = []
-    for g in gens:
-        key = (g.power, g.factors)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
+    return gens  # repeats included: _vertex_moves keeps each vertex once
 
 
 def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,

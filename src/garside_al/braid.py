@@ -21,9 +21,10 @@ derived product tests simplicity without one either; right divisibility is
 containment of the inverses' inversion sets, which right_divides_simple
 tests on a second cached mask per simple.  The meet keeps a pair of
 strands uncrossed when s or t does, closed under transitivity (Epstein et
-al., Word Processing in Groups, Ch. 9).  Inverses and both masks join the
-primitives the base class caches per instance, so repeated normal form
-work on the same structure amortizes to cache hits.
+al., Word Processing in Groups, Ch. 9).  Both masks join the primitives
+the base class caches per instance, so repeated normal form work on the
+same structure amortizes to cache hits.  inverse is recomputed on every
+call: on long B8 forms a cache of it missed about as often as it hit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def perm_inverse(s: Perm) -> Perm:
 
 
 class BraidStructure(GarsideStructure):
-    _CACHED = GarsideStructure._CACHED + ("inverse", "inversion_mask", "inverse_mask")
+    _CACHED = GarsideStructure._CACHED + ("inversion_mask", "inverse_mask")
 
     def __init__(self, n: int) -> None:
         if n < 2:
@@ -69,9 +70,7 @@ class BraidStructure(GarsideStructure):
     # -- permutation utilities ------------------------------------------------
 
     def inverse(self, s: Perm) -> Perm:
-        return self._inverse(s)
-
-    _inverse_raw = staticmethod(perm_inverse)
+        return perm_inverse(s)
 
     def inversion_mask(self, s: Perm) -> int:
         return self._inversion_mask(s)

@@ -22,23 +22,26 @@ al., Foundations of Garside Theory, Ch. I and V):
 A τ that disagrees with the structure's own complement therefore cannot be
 written.
 
-Each name in _CACHED gets its own functools.cache per instance, built in
-__init__ around the bound _<name>_raw method, since the normal form
-algorithms hit the same small set of (s, t) pairs over and over; the public
-method is a one-line call to that cache.  The public methods stay on the
-class, so code that wraps class attributes sees every call.  The two
-quotients call their _raw methods uncached.
+The normal form algorithms hit the same few simples over and over, so
+each name in _CACHED (the left meet, slide, τ, both complements, the
+starting and finishing sets, nontrivial_simples and preceders) gets its
+own functools.cache per instance around the bound _<name>_raw method,
+which the public method calls.  The public methods stay on the class, so
+code that wraps class attributes sees every call.  The product, the right
+meet, followers and the quotients are uncached: no hot loop asks for them.
 
 slide is the domino step of the normal form cascades in one cached call.
 Its raw method calls the raw meet and quotient directly and forms c*u as
-∂^-1(u^-1 ∂c), so a cascade leaves nothing in the meet and product caches,
-and it interns both outputs: every cached slide refers to one shared
-object per distinct simple.
+∂^-1(u^-1 ∂c), so a cascade leaves nothing in the meet cache, and it
+interns both outputs: every cached slide refers to one shared object per
+distinct simple.
 
 opposite() is the opposite structure, built once per instance: the same
 simples and Δ with the product read backwards.  Every right-hand notion
 here is the left-hand one there (Foundations of Garside Theory, Ch. V), so
-the element kernel keeps no mirrored copies of its left algorithms.
+the element kernel keeps no mirrored copies of its left algorithms.  It
+shares the base's caches of the complements and the starting and
+finishing sets.
 
 code_book() numbers the simples for the distance search, which runs on
 small integer codes instead of simple values.  Its slide table is the
@@ -72,9 +75,8 @@ class GarsideStructure:
 
     # Each name is served by _<name>_raw through its own per-instance
     # functools.cache, stored as the instance attribute _<name>.
-    _CACHED = ("compose", "left_meet", "right_meet", "slide", "tau",
-               "right_complement", "left_complement", "starting_set",
-               "finishing_set", "nontrivial_simples", "followers", "preceders")
+    _CACHED = ("left_meet", "slide", "tau", "right_complement", "left_complement",
+               "starting_set", "finishing_set", "nontrivial_simples", "preceders")
 
     def __init__(self) -> None:
         self._interned: dict = {}  # one object per distinct simple produced
@@ -87,7 +89,8 @@ class GarsideStructure:
         # the opposite structure, built on first use (opposite)
         self._opposite: GarsideStructure | None = None
         for name in self._CACHED:
-            setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
+            if f"_{name}" not in vars(self):  # an opposite borrows some of its base's
+                setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
     # -- primitives a concrete structure supplies ----------------------------
 
@@ -131,14 +134,6 @@ class GarsideStructure:
         """delta * s^-1, the tau^-1 image of the right complement."""
         return self.tau_pow(self.right_complement(s), -1)
 
-    def _compose_raw(self, s: Simple, t: Simple) -> Simple | None:
-        """Product s*t if it is simple (t left-divides the right complement
-        of s), else None; it is the left complement of t^-1 * (s^-1 delta)."""
-        c = self.right_complement(s)
-        if not self.left_divides_simple(t, c):
-            return None
-        return self.left_complement(self._left_quotient_raw(t, c))
-
     def _right_quotient_raw(self, s: Simple, g: Simple) -> Simple:
         """s * g^-1, assuming g right-divides s: the left quotient of the
         left complements, (s delta^-1) * (delta g^-1)."""
@@ -169,13 +164,18 @@ class GarsideStructure:
     # -- public primitives ----------------------------------------------------
 
     def compose(self, s: Simple, t: Simple) -> Simple | None:
-        return self._compose(s, t)
+        """Product s*t if it is simple (t left-divides the right complement
+        of s), else None; it is the left complement of t^-1 * (s^-1 delta)."""
+        c = self.right_complement(s)
+        if not self.left_divides_simple(t, c):
+            return None
+        return self.left_complement(self._left_quotient_raw(t, c))
 
     def left_meet(self, s: Simple, t: Simple) -> Simple:
         return self._left_meet(s, t)
 
     def right_meet(self, s: Simple, t: Simple) -> Simple:
-        return self._right_meet(s, t)
+        return self._right_meet_raw(s, t)
 
     def left_quotient(self, u: Simple, t: Simple) -> Simple:
         return self._left_quotient_raw(u, t)
@@ -249,9 +249,6 @@ class GarsideStructure:
 
     def followers(self, s: Simple) -> tuple:
         """Nontrivial simples t with (s, t) left-weighted."""
-        return self._followers(s)
-
-    def _followers_raw(self, s: Simple) -> tuple:
         return tuple(t for t in self.nontrivial_simples() if self.is_left_weighted(s, t))
 
     def preceders(self, t: Simple) -> tuple:
@@ -278,9 +275,10 @@ class OppositeStructure(GarsideStructure):
     product s∘t = t*s, so left divisibility here is right divisibility in
     base.  Each primitive is base's with the sides swapped (u^-1∘t is
     base's t*u^-1); the rest is derived, and τ comes out as base's τ^-1.
-    The left complement is taken from base too, which spares each new
-    simple a chain of cold complement calls.  The meets are base's raw
-    ones, so a meet or slide made here is cached here only."""
+    Both complements and the starting and finishing sets are base's cache
+    objects, which spares each new simple a chain of cold complement calls
+    and stores no entry twice.  The meets are base's raw ones, so a meet
+    or slide made here is cached here only."""
 
     def __init__(self, base: GarsideStructure) -> None:
         self.structure_id = f"{base.structure_id}:opposite"
@@ -290,6 +288,8 @@ class OppositeStructure(GarsideStructure):
         self._right_complement_raw = base.left_complement
         self._left_complement_raw = base.right_complement
         self._starting_set_raw, self._finishing_set_raw = base.finishing_set, base.starting_set
+        self._right_complement, self._left_complement = base._left_complement, base._right_complement
+        self._starting_set, self._finishing_set = base._finishing_set, base._starting_set
         self.all_simples, self.is_simple_value = base.all_simples, base.is_simple_value
         super().__init__()
         self._opposite = base

@@ -46,6 +46,7 @@ from garside_al.element import (
     simple_element,
 )
 from garside_al.special import _witness_factor_perms
+from garside_al.structure import GarsideStructure
 from garside_al.words import one_line
 
 B3 = braid_structure(3)
@@ -354,26 +355,45 @@ def test_search_over_more_candidates_than_two_byte_indices_hold():
     assert cert is not None and cert.x.factors == (struct.atom(17),)
 
 
-def test_b6_witness_budget_boundary():
+def _count_products_and_right_meets(monkeypatch):
+    """Count the calls of the product and of the right meet, in a structure
+    or its opposite, which the search must not make.  (The opposite's
+    slides take base's raw right meet as their left meet, uncounted.)"""
+    calls = {"compose": 0, "right_meet": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(GarsideStructure, "compose",
+                        counting("compose", GarsideStructure.compose))
+    monkeypatch.setattr(GarsideStructure, "right_meet",
+                        counting("right_meet", GarsideStructure.right_meet))
+    return calls
+
+
+def test_b6_witness_budget_boundary(monkeypatch):
     y = distance_witness(6)
     struct = y.structure
-    sizes = (struct._left_meet.cache_info().currsize,
-             struct._compose.cache_info().currsize)
+    calls = _count_products_and_right_meets(monkeypatch)
+    size = struct._left_meet.cache_info().currsize
     assert is_absorbable(y, budget=850_735) is None
     with pytest.raises(SearchBudgetExceeded):
         is_absorbable(y, budget=850_734)
     # the search steps with the slide alone
-    assert (struct._left_meet.cache_info().currsize,
-            struct._compose.cache_info().currsize) == sizes
+    assert struct._left_meet.cache_info().currsize == size
+    assert calls == {"compose": 0, "right_meet": 0}
 
 
-def test_search_leaves_no_meet_or_product_and_interns_every_slide():
+def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     struct = BraidStructure(5)
     y = make_element(struct, 0, _witness_factor_perms(5))
+    calls = _count_products_and_right_meets(monkeypatch)
     assert is_absorbable(y) is None
     assert struct._left_meet.cache_info().currsize == 0
-    assert struct._right_meet.cache_info().currsize == 0
-    assert struct._compose.cache_info().currsize == 0
+    assert calls == {"compose": 0, "right_meet": 0}
     hits = struct._slide.cache_info().hits
     outputs = set()
     for c, f in itertools.product(struct.nontrivial_simples(), repeat=2):

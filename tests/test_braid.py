@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from garside_al import abelian_structure, braid_structure, make_element, multiply
+from garside_al import (
+    abelian_structure,
+    braid_structure,
+    is_absorbable,
+    make_element,
+    multiply,
+)
 from garside_al.element import _rmul_into
 from garside_al.braid import (
     BraidStructure,
@@ -14,6 +20,8 @@ from garside_al.braid import (
     perm_inverse as braid_perm_inverse,
     simple_from_word,
 )
+from garside_al.special import _witness_factor_perms
+from garside_al.structure import GarsideStructure
 from oracles import (
     _compose as oracle_compose,
     _left_meet as oracle_left_meet,
@@ -203,12 +211,16 @@ def test_compose_is_the_length_additive_product():
             assert struct.compose(s, t) == (p if additive else None), (s, t)
 
 
-def test_meet_probes_no_products_and_shares_its_results():
+def test_meet_probes_no_products_and_shares_its_results(monkeypatch):
+    products = []
+    compose = GarsideStructure.compose
+    monkeypatch.setattr(GarsideStructure, "compose",
+                        lambda self, s, t: products.append((s, t)) or compose(self, s, t))
     struct = BraidStructure(8)
     half_twist3 = perm_of_word((1, 2, 1), 8)
     m = struct.left_meet(perm_of_word((1, 2, 1, 3, 4), 8), perm_of_word((1, 2, 1, 5, 6), 8))
     assert m == half_twist3
-    assert struct._compose.cache_info().currsize == 0
+    assert products == []
     assert struct._inversion_mask.cache_info().currsize == 0
     assert struct.left_meet(perm_of_word((2, 1, 2, 3), 8), perm_of_word((1, 2, 1, 4), 8)) is m
 
@@ -257,7 +269,8 @@ def test_nontrivial_simples_count():
     assert len(B4.nontrivial_simples()) == 22
 
 
-@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
+@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3), braid_structure(4).opposite()),
+                         ids=lambda s: s.structure_id)
 def test_every_cached_primitive_equals_its_raw_method(struct):
     simples = list(struct.all_simples())
     for name in struct._CACHED:
@@ -275,6 +288,22 @@ def test_structures_do_not_share_caches():
     b4.left_meet(b4.delta, b4.atom(3))
     assert b5._left_meet.cache_info() == before
     assert b4._left_meet.cache_info().currsize > 0
+
+
+def test_opposite_structure_serves_its_borrowed_primitives_from_the_base_caches():
+    base = BraidStructure(5)
+    assert is_absorbable(make_element(base, 0, _witness_factor_perms(5))) is None
+    op = base.opposite()
+    assert op._right_complement is base._left_complement
+    assert op._left_complement is base._right_complement
+    assert op._starting_set is base._finishing_set
+    assert op._finishing_set is base._starting_set
+    assert base._left_complement.cache_info().currsize > 0
+    # the opposite's own caches are those of the primitives it does not borrow
+    shared = [f for f in vars(base).values() if hasattr(f, "cache_info")]
+    own = {name for name, f in vars(op).items()
+           if hasattr(f, "cache_info") and not any(f is g for g in shared)}
+    assert own == {"_left_meet", "_slide", "_tau", "_nontrivial_simples", "_preceders"}
 
 
 def _check_opposite_on_pairs(struct, pairs):

@@ -353,10 +353,29 @@ class TestVertexMoves:
     @pytest.mark.parametrize("n, gen_len, gens, moves", [
         (4, 1, 44, 22), (5, 1, 236, 118), (4, 2, 198, 168)])
     def test_generators_up_to_delta(self, n, gen_len, gens, moves):
+        # gens counts distinct generators; the raw list repeats the
+        # absorbable simples, which _vertex_moves drops with their vertex
         st = braid_structure(n)
-        assert len(alcomplex._generators(st, gen_len, DEFAULT_BUDGET, None)) == gens
+        raw = alcomplex._generators(st, gen_len, DEFAULT_BUDGET, None)
+        assert len({(g.power, g.factors) for g in raw}) == gens
         found = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
         assert isinstance(found, tuple) and len(found) == moves
+
+    @pytest.mark.parametrize("n, gen_len", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1)])
+    def test_moves_are_the_raw_generators_deduplicated_by_vertex(self, n, gen_len):
+        st = BraidStructure(n)
+        gens = [simple_element(st, s) for s in st.nontrivial_simples()]
+        gens += absorb.enumerate_absorbable(st, gen_len)
+        gens += [invert(g) for g in gens]
+        assert alcomplex._generators(st, gen_len, DEFAULT_BUDGET, None) == gens
+        code = st.code_book().code
+        first_seen = {}
+        for g in gens:
+            key = tuple(code[f] for f in vertex_of(g).rep.factors)
+            first_seen.setdefault(key, len(first_seen))
+        moves = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
+        assert moves == tuple(sorted(first_seen, key=first_seen.get))
+        assert len(gens) > len({(g.power, g.factors) for g in gens}) > len(moves)
 
     # B5 with generator length 2 is left out: its 5,356 generators take
     # seconds to enumerate, and the reference search expands each of them.

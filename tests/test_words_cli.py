@@ -277,6 +277,14 @@ class TestCliErrors:
         assert code == 3 and len(lines) == 1
         assert lines[0].startswith("budget exceeded:") and "depth" in lines[0]
 
+    def test_cache_in_a_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "no-such-dir" / "c.txt"
+        code, out, err = run_cli(capsys, "enum-absorbable", "--n", "3",
+                                 "--max-len", "1", "--cache", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cache: cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_internal_error_is_exit_four_with_one_line(self, capsys, monkeypatch):
         def broken(args, cfg):
             raise RuntimeError("kernel invariant broken")
