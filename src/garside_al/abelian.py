@@ -1,12 +1,12 @@
 """Free abelian group Z^n with the coordinatewise Garside structure.
 
 Simples are 0/1 vectors, the top element is (1,...,1), and the lattice is the
-boolean lattice under coordinatewise min.  The structure supplies the
-meets, the left quotient (coordinatewise difference), the right complement
-(1 - s), the starting and finishing sets, and the enumeration and
-validation of vectors; τ, the left complement, the simple product and
-the right quotient are derived in the base class.  Everything commutes, so
-tau is the identity and left/right notions coincide.  Degenerate on
+boolean lattice under coordinatewise min.  The structure supplies the left
+meet, the left quotient (coordinatewise difference), the right complement
+(1 - s), the starting set, the reversal rev, and the enumeration and
+validation of vectors; everything else, the right meet and the finishing
+set included, is derived in the base class.  Everything commutes, so rev
+and tau are the identity and left/right notions coincide.  Degenerate on
 purpose: a regression fixture for code paths that braids cannot reach
 (commutativity, trivial tau).
 """
@@ -37,9 +37,6 @@ class AbelianStructure(GarsideStructure):
     def _left_meet_raw(self, s: Vec, t: Vec) -> Vec:
         return tuple(min(a, b) for a, b in zip(s, t))
 
-    def _right_meet_raw(self, s: Vec, t: Vec) -> Vec:
-        return self._left_meet_raw(s, t)
-
     def _left_quotient_raw(self, u: Vec, t: Vec) -> Vec:
         r = tuple(b - a for a, b in zip(u, t))
         assert all(v >= 0 for v in r), "left quotient of a non-divisor"
@@ -51,8 +48,8 @@ class AbelianStructure(GarsideStructure):
     def _starting_set_raw(self, s: Vec) -> frozenset:
         return frozenset(i + 1 for i, v in enumerate(s) if v == 1)
 
-    def _finishing_set_raw(self, s: Vec) -> frozenset:
-        return self._starting_set_raw(s)
+    def _rev_raw(self, s: Vec) -> Vec:
+        return s
 
     def is_simple_value(self, s) -> bool:
         return (isinstance(s, tuple) and len(s) == self.n

@@ -24,10 +24,10 @@ Foundations of Garside Theory, Ch. I and V):
 Survivor tables, kept on the structure and keyed by (leftmost factor of
 the suffix, m_1), list the candidates that pass the inf test and are not
 left-weighted with m_1 (such a t stays a factor of its own, so the sup
-grows to k + 1).  The search holds X in st.opposite(), where right
-divisibility is left divisibility: R is the head of X there, and the X of
-t * m is t^-1 X there, one left division.  A node divides off its own
-leftmost factor only when its table is non-empty, and of the table's
+grows to k + 1).  The search holds X reversed, since rev swaps right and
+left divisibility: R is rev of the head of rev(X), and rev of the X of
+t * m is rev(t)^-1 rev(X), one left division.  A node divides its own
+leftmost factor off only when its table is non-empty, and of the table's
 survivors it multiplies out only those that right-divide R.  The others
 are counted as visited and pruned in one step, so the node counts, the
 certificate and the point where the budget runs out are those of trying
@@ -53,7 +53,7 @@ from .element import (
     _head,
     _left_divide,
     _lmul_simple,
-    _mirror,
+    _rev,
     invert,
     make_element,
     multiply,
@@ -147,16 +147,16 @@ def _survivors(st, options, leftmost, head):
 def _dfs(st, m, x, leftmost, depth, k, counter):
     """Extend the suffix whose running product is m; leftmost is its first factor.
 
-    x is delta^k m'^-1 held in st.opposite(), for m' the running product
-    before leftmost was prepended (m' = m at the root): a node divides
-    leftmost off only when its survivor table is non-empty.  The root call
+    x is rev(delta^k m'^-1), for m' the running product before leftmost
+    was prepended (m' = m at the root): a node divides rev(leftmost) off
+    only when its survivor table is non-empty.  The root call
     (m = y, leftmost None, depth 0) tries every nontrivial proper simple
     as the absorber's last factor; deeper calls try the simples that can
     precede leftmost in a left-weighted chain.  Candidates come in sorted
     permutation order, so the first completion found is the
     lexicographically first absorber and the certificate is deterministic.
-    A table survivor t is kept iff it right-divides r, the head of
-    delta^k m^-1 in the opposite structure, and only kept candidates are
+    A table survivor t is kept iff it right-divides r, the largest simple
+    right divisor of delta^k m^-1, and only kept candidates are
     multiplied out; every candidate is still counted as a visited node,
     and the others as pruned nodes, in the order the candidates come.
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
@@ -168,10 +168,9 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     done = 0  # candidates counted so far
     table = _survivors(st, options, leftmost, m.factors[0])
     if table:
-        op = st.opposite()
         if leftmost is not None:
-            x = _left_divide(op, leftmost, x)
-        r = _head(op, x)
+            x = _left_divide(st, st.rev(leftmost), x)
+        r = st.rev(_head(st, x))
     for i in table:
         counter.prune(i - done)
         counter.visit(i + 1 - done)
@@ -215,7 +214,7 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
         return None
     counter = _NodeCounter(budget)
     # delta^k target^-1 is invert(target) without its delta^-k
-    room = _mirror(GarsideElement(st, 0, invert(target).factors))
+    room = _rev(GarsideElement(st, 0, invert(target).factors))
     got = _dfs(st, target, room, None, 0, target.canonical_length, counter)
     if got is None:
         return None

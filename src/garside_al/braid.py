@@ -6,14 +6,15 @@ right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
 The structure supplies the primitives GarsideStructure asks for: the left
-meet, the right meet (through inverses), the left quotient u^-1 t, the
-right complement s^-1 Δ, the starting and finishing sets (descents of s
-and of s^-1), and the enumeration and validation of permutations.  τ,
-the left complement, the simple product and the right quotient are
-derived from the right complement in the base class.  simple_length, the
-atom length of a simple (its inversion count), is not an interface
-primitive; it stays for callers outside the package, such as the
-benchmark tracer, which wraps it by name.
+meet, the left quotient u^-1 t, the right complement s^-1 Δ, the starting
+set (the descents of s), the reversal rev, and the enumeration and
+validation of permutations.  Reading a positive word backwards inverts its
+permutation, so rev(s) is s^-1; the base class derives the right meet and
+the finishing set (the descents of s^-1) from it, and τ, the left
+complement, the simple product and the right quotient from the right
+complement.  simple_length, the atom length of a simple (its inversion
+count), is not an interface primitive; it stays for callers outside the
+package, such as the benchmark tracer, which wraps it by name.
 
 Left divisibility of simples is inversion-set containment (the weak order),
 which left_divides_simple tests on the cached masks without a meet, so the
@@ -120,10 +121,6 @@ class BraidStructure(GarsideStructure):
             order.insert(n - 1 - i - row.bit_count(), i + 1)
         return self._intern(perm_inverse(order))
 
-    def _right_meet_raw(self, s: Perm, t: Perm) -> Perm:
-        # x -> x^-1 maps the right-divisibility order onto the left one
-        return self.inverse(self._left_meet_raw(self.inverse(s), self.inverse(t)))
-
     def _left_quotient_raw(self, u: Perm, t: Perm) -> Perm:
         ui = self.inverse(u)
         return tuple(t[v - 1] for v in ui)
@@ -136,8 +133,8 @@ class BraidStructure(GarsideStructure):
     def _starting_set_raw(self, s: Perm) -> frozenset:
         return frozenset(i for i in range(1, self.n) if s[i - 1] > s[i])
 
-    def _finishing_set_raw(self, s: Perm) -> frozenset:
-        return self._starting_set_raw(self.inverse(s))
+    def _rev_raw(self, s: Perm) -> Perm:
+        return perm_inverse(s)
 
     def is_simple_value(self, s) -> bool:
         return isinstance(s, tuple) and sorted(s) == list(range(1, self.n + 1))

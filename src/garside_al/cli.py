@@ -10,8 +10,9 @@ reported as one `internal error: <type>: <message>` line).
 Configuration precedence is flags, then the environment variable
 `GARSIDE_AL_<KEY>` (the key upper-cased), then an ini-style config file
 (`./garside-al.cfg` or the path in `GARSIDE_AL_CONFIG`, section
-`[garside-al]`).  Only the strand count, seed, budgets, and cache path are
-configurable outside flags.
+`[garside-al]`).  Only the five keys `n`, `seed`, `budget`, `max_len` and
+`cache` are configurable outside flags.  The default file is optional; a
+file named by `GARSIDE_AL_CONFIG` that cannot be read is a usage error.
 """
 
 from __future__ import annotations
@@ -111,12 +112,17 @@ class Config:
 
 
 def _file_settings() -> dict:
-    path = os.environ.get("GARSIDE_AL_CONFIG", "garside-al.cfg")
-    if not os.path.exists(path):
-        return {}
+    path = os.environ.get("GARSIDE_AL_CONFIG")
+    if path is None:
+        path = "garside-al.cfg"
+        if not os.path.exists(path):
+            return {}
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        with open(path) as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}")
     except configparser.Error as exc:
         raise UsageError(f"bad config file {path}: {exc}")
     if not parser.has_section("garside-al"):

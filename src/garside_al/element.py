@@ -20,10 +20,11 @@ slide(s, t), which answers None when the pair is already left-weighted.
   with the same stopping rule; a carry that fills up to delta leaves through
   the front, twisting the prefix by tau.
 
-The right side has no algorithm of its own: _mirror reads an element in
-the opposite structure, where right divisibility is left divisibility, so
-a right normal form is the mirror's left one read backwards and a right
-gcd is the mirror of the left gcd of the mirrors.
+The right side has no algorithm of its own: _rev applies the structure's
+word reversal rev, an anti-automorphism that swaps right and left
+divisibility, so a right normal form is the left one of rev(a) read
+backwards through rev, and a right gcd is rev of the left gcd of the
+reversals.
 
 The public make_element validates its simples and folds the right cascade
 over them; everything built inside the package from simples it produced
@@ -270,8 +271,6 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
         if exp == 0:
             continue
         if isinstance(base, int):
-            if not 1 <= base <= st.rank:
-                raise ValueError(f"atom index {base} out of range 1..{st.rank}")
             s = st.atom(base)
         elif base == 'D':
             s = st.delta
@@ -337,9 +336,9 @@ def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
 
 
 def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """The left gcd in the opposite structure, read back."""
+    """rev of the left gcd of the reversals."""
     _check_same_structure(a, b)
-    return _mirror(left_gcd(_mirror(a), _mirror(b)))
+    return _rev(left_gcd(_rev(a), _rev(b)))
 
 
 def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
@@ -355,22 +354,24 @@ def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
 
 # -- alternate normal forms and shape predicates ------------------------------
 
-def _mirror(a: GarsideElement) -> GarsideElement:
-    """a in the opposite structure: delta^p x_1 ... x_r here is x_r ... x_1
-    delta^p = delta^p tau'^p(x_r) ... tau'^p(x_1) there, tau' its tau."""
-    op = a.structure.opposite()
+def _rev(a: GarsideElement) -> GarsideElement:
+    """The reversal of a: rev(delta^p x_1 ... x_r) = rev(x_r) ... rev(x_1)
+    delta^p = delta^p tau^p(rev x_r) ... tau^p(rev x_1)."""
+    st = a.structure
     p = a.power
     fac: list = []
     for x in reversed(a.factors):
-        p += _rmul_into(op, fac, op.tau_pow(x, a.power))
-    return GarsideElement(op, p, tuple(fac))
+        p += _rmul_into(st, fac, st.tau_pow(st.rev(x), a.power))
+    return GarsideElement(st, p, tuple(fac))
 
 
 def right_normal_form(a: GarsideElement) -> tuple[tuple, int]:
     """Factors and delta power of a = x'_1 ... x'_r * delta^p, pairs
-    right-weighted: the left normal form of the mirror, read backwards."""
-    m = _mirror(a)
-    return tuple(reversed(m.factors)), m.power
+    right-weighted: the left normal form of rev(a), read backwards through
+    rev."""
+    st = a.structure
+    m = _rev(a)
+    return tuple(st.rev(f) for f in reversed(m.factors)), m.power
 
 
 def is_rigid(a: GarsideElement) -> bool:

@@ -699,6 +699,8 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
     budget; a later probe with another budget uses the stored exact set,
     and its budget still caps every search's expansions.
     """
+    if gen_len < 1 or radius < 1:
+        raise ValueError("generator length and radius must be >= 1")
     st = g.structure
     home = identity_vertex(st)
     out = []
@@ -715,8 +717,8 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
         effective = radius if decomp is None else min(radius, decomp)
         if effective >= 1:
             found = distance_upper_bound(home, target, gen_len, effective, budget)
-        else:
-            found = 0 if home == target else None
+        else:  # an empty decomposition: gi is the identity, at home
+            found = 0
         bounds = [x for x in (found, decomp) if x is not None]
         out.append(ProbeEntry(i, min(bounds) if bounds else None, found, decomp))
     return tuple(out)

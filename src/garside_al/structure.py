@@ -8,24 +8,30 @@ automorphism induced by the top element.  Simples are opaque hashable values
 live in element.py.
 
 A concrete structure supplies only the primitives that define it: the left
-and right meets, the left quotient u^-1 t, the right complement
-∂s = s^-1 Δ, the starting and finishing sets, and the enumeration and
-validation of simples (all_simples, is_simple_value).  The rest is derived
-here from the right complement, as in any Garside structure (Dehornoy et
-al., Foundations of Garside Theory, Ch. I and V):
+meet, the left quotient u^-1 t, the right complement ∂s = s^-1 Δ, the
+starting set, the word reversal rev, and the enumeration and validation of
+simples (all_simples, is_simple_value).  The rest is derived here, as in
+any Garside structure (Dehornoy et al., Foundations of Garside Theory,
+Ch. I and V):
 
 - τ = ∂², since ∂(∂s) = Δ^-1 s Δ;
 - the left complement Δ s^-1 is ∂^-1 = τ^-1 ∘ ∂;
 - s*t is simple iff t left-divides ∂s, and then s*t = ∂^-1(t^-1 ∂s);
-- the right quotient s g^-1 is (∂^-1 s)^-1 (∂^-1 g).
+- the right quotient s g^-1 is (∂^-1 s)^-1 (∂^-1 g);
+- rev is an anti-automorphism that fixes the atoms and Δ, so it swaps
+  left and right divisibility: the right meet of s and t is
+  rev(rev s ∧ rev t), and the finishing set of s is the starting set of
+  rev s.
 
 A τ that disagrees with the structure's own complement therefore cannot be
-written.
+written.  rev exists in both shipped structures (on braids it reads a word
+backwards, which inverts the permutation; on Z^n it is the identity), and
+element.py reads right normal forms and right gcds through it.
 
 The normal form algorithms hit the same few simples over and over, so
 each name in _CACHED (the left meet, slide, τ, both complements, the
-starting and finishing sets, nontrivial_simples and preceders) gets its
-own functools.cache per instance around the bound _<name>_raw method,
+starting and finishing sets, nontrivial_simples, preceders and rev) gets
+its own functools.cache per instance around the bound _<name>_raw method,
 which the public method calls.  The public methods stay on the class, so
 code that wraps class attributes sees every call.  The product, the right
 meet, followers and the quotients are uncached: no hot loop asks for them.
@@ -35,13 +41,6 @@ Its raw method calls the raw meet and quotient directly and forms c*u as
 ∂^-1(u^-1 ∂c), so a cascade leaves nothing in the meet cache, and it
 interns both outputs: every cached slide refers to one shared object per
 distinct simple.
-
-opposite() is the opposite structure, built once per instance: the same
-simples and Δ with the product read backwards.  Every right-hand notion
-here is the left-hand one there (Foundations of Garside Theory, Ch. V), so
-the element kernel keeps no mirrored copies of its left algorithms.  It
-shares the base's caches of the complements and the starting and
-finishing sets.
 
 code_book() numbers the simples for the distance search, which runs on
 small integer codes instead of simple values.  Its slide table is the
@@ -76,7 +75,7 @@ class GarsideStructure:
     # Each name is served by _<name>_raw through its own per-instance
     # functools.cache, stored as the instance attribute _<name>.
     _CACHED = ("left_meet", "slide", "tau", "right_complement", "left_complement",
-               "starting_set", "finishing_set", "nontrivial_simples", "preceders")
+               "starting_set", "finishing_set", "nontrivial_simples", "preceders", "rev")
 
     def __init__(self) -> None:
         self._interned: dict = {}  # one object per distinct simple produced
@@ -86,18 +85,12 @@ class GarsideStructure:
         self._move_sets: dict = {}
         # the BFS's integer codes for simples, built on first use (code_book)
         self._code_book: CodeBook | None = None
-        # the opposite structure, built on first use (opposite)
-        self._opposite: GarsideStructure | None = None
         for name in self._CACHED:
-            if f"_{name}" not in vars(self):  # an opposite borrows some of its base's
-                setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
+            setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
     # -- primitives a concrete structure supplies ----------------------------
 
     def _left_meet_raw(self, s: Simple, t: Simple) -> Simple:
-        raise NotImplementedError
-
-    def _right_meet_raw(self, s: Simple, t: Simple) -> Simple:
         raise NotImplementedError
 
     def _left_quotient_raw(self, u: Simple, t: Simple) -> Simple:
@@ -112,8 +105,8 @@ class GarsideStructure:
         """Indices of atoms left-dividing s."""
         raise NotImplementedError
 
-    def _finishing_set_raw(self, s: Simple) -> frozenset:
-        """Indices of atoms right-dividing s."""
+    def _rev_raw(self, s: Simple) -> Simple:
+        """The reversal of s: an anti-automorphism fixing the atoms and delta."""
         raise NotImplementedError
 
     def all_simples(self) -> Iterable[Simple]:
@@ -124,7 +117,7 @@ class GarsideStructure:
         """Whether the raw value s encodes a simple of this structure."""
         raise NotImplementedError
 
-    # -- primitives derived from the right complement -------------------------
+    # -- primitives derived from the right complement and rev ----------------
 
     def _tau_raw(self, s: Simple) -> Simple:
         """Conjugation delta^-1 * s * delta, the right complement twice."""
@@ -138,6 +131,14 @@ class GarsideStructure:
         """s * g^-1, assuming g right-divides s: the left quotient of the
         left complements, (s delta^-1) * (delta g^-1)."""
         return self._left_quotient_raw(self.left_complement(s), self.left_complement(g))
+
+    def _right_meet_raw(self, s: Simple, t: Simple) -> Simple:
+        # rev maps the right-divisibility order onto the left one
+        return self.rev(self._left_meet_raw(self.rev(s), self.rev(t)))
+
+    def _finishing_set_raw(self, s: Simple) -> frozenset:
+        """Indices of atoms right-dividing s."""
+        return self.starting_set(self.rev(s))
 
     def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
         d = self.right_complement(c)
@@ -198,12 +199,6 @@ class GarsideStructure:
             self._code_book = CodeBook(self)
         return self._code_book
 
-    def opposite(self) -> "GarsideStructure":
-        """The opposite structure, built once; its own opposite is self."""
-        if self._opposite is None:
-            self._opposite = OppositeStructure(self)
-        return self._opposite
-
     def tau_pow(self, s: Simple, k: int) -> Simple:
         k %= self.tau_period
         for _ in range(k):
@@ -221,6 +216,9 @@ class GarsideStructure:
 
     def finishing_set(self, s: Simple) -> frozenset:
         return self._finishing_set(s)
+
+    def rev(self, s: Simple) -> Simple:
+        return self._rev(s)
 
     # -- derived predicates ---------------------------------------------------
 
@@ -268,34 +266,6 @@ class GarsideStructure:
 
     def __repr__(self) -> str:
         return f"<GarsideStructure {self.structure_id}>"
-
-
-class OppositeStructure(GarsideStructure):
-    """The opposite of base: the same simples, atoms and delta, with the
-    product s∘t = t*s, so left divisibility here is right divisibility in
-    base.  Each primitive is base's with the sides swapped (u^-1∘t is
-    base's t*u^-1); the rest is derived, and τ comes out as base's τ^-1.
-    Both complements and the starting and finishing sets are base's cache
-    objects, which spares each new simple a chain of cold complement calls
-    and stores no entry twice.  The meets are base's raw ones, so a meet
-    or slide made here is cached here only."""
-
-    def __init__(self, base: GarsideStructure) -> None:
-        self.structure_id = f"{base.structure_id}:opposite"
-        self.n, self.rank, self.atoms = base.n, base.rank, base.atoms
-        self.identity, self.delta, self.tau_period = base.identity, base.delta, base.tau_period
-        self._left_meet_raw, self._right_meet_raw = base._right_meet_raw, base._left_meet_raw
-        self._right_complement_raw = base.left_complement
-        self._left_complement_raw = base.right_complement
-        self._starting_set_raw, self._finishing_set_raw = base.finishing_set, base.starting_set
-        self._right_complement, self._left_complement = base._left_complement, base._right_complement
-        self._starting_set, self._finishing_set = base._finishing_set, base._starting_set
-        self.all_simples, self.is_simple_value = base.all_simples, base.is_simple_value
-        super().__init__()
-        self._opposite = base
-
-    def _left_quotient_raw(self, u: Simple, t: Simple) -> Simple:
-        return self._opposite.right_quotient(t, u)
 
 
 class _SlideTable(dict):

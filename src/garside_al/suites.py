@@ -36,7 +36,7 @@ from .alcomplex import (
 from .braid import braid_structure
 from .element import (
     GarsideElement,
-    _mirror,
+    _rev,
     complement,
     delta_power,
     identity_element,
@@ -164,9 +164,9 @@ def random_left_divisor(rng: random.Random, st, u: GarsideElement,
 
 def random_right_divisor(rng: random.Random, st, u: GarsideElement,
                          steps: int) -> GarsideElement:
-    """random_left_divisor in the opposite structure: the same draws, one
-    atom at a time down the suffix lattice of u."""
-    return _mirror(random_left_divisor(rng, st.opposite(), _mirror(u), steps))
+    """random_left_divisor through the reversal: the same draws, one atom
+    at a time down the suffix lattice of u."""
+    return _rev(random_left_divisor(rng, st, _rev(u), steps))
 
 
 def between_powers_instance(rng: random.Random, x: GarsideElement):

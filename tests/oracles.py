@@ -231,6 +231,31 @@ def _left_meet(s: tuple, t: tuple) -> tuple:
     return cur
 
 
+def _right_divides(d: tuple, p: tuple) -> bool:
+    """d right-divides the permutation braid p when p d^-1 is positive,
+    that is when the inversion counts add up: len(p d^-1) + len(d) = len(p)."""
+    return (len(_inversions(_compose(p, perm_inverse(d))))
+            == len(_inversions(p)) - len(_inversions(d)))
+
+
+@lru_cache(maxsize=None)
+def _right_meet(s: tuple, t: tuple) -> tuple:
+    """The largest common right divisor, grown one atom at a time on its
+    left while it right-divides both."""
+    n = len(s)
+    cur = tuple(range(1, n + 1))
+    grown = True
+    while grown:
+        grown = False
+        for i in range(1, n):
+            ext = _compose(perm_of_word((i,), n), cur)
+            if (len(_inversions(ext)) == len(_inversions(cur)) + 1
+                    and _right_divides(ext, s) and _right_divides(ext, t)):
+                cur, grown = ext, True
+                break
+    return cur
+
+
 def reference_normal_form(n: int, power: int, simples) -> tuple:
     """(p, factors) of delta^power * s_1 ... s_k, each s_i a permutation.
 

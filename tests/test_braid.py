@@ -9,10 +9,10 @@ import pytest
 from garside_al import (
     abelian_structure,
     braid_structure,
-    is_absorbable,
     make_element,
     multiply,
 )
+from garside_al.abelian import AbelianStructure
 from garside_al.element import _rmul_into
 from garside_al.braid import (
     BraidStructure,
@@ -20,11 +20,12 @@ from garside_al.braid import (
     perm_inverse as braid_perm_inverse,
     simple_from_word,
 )
-from garside_al.special import _witness_factor_perms
 from garside_al.structure import GarsideStructure
 from oracles import (
     _compose as oracle_compose,
     _left_meet as oracle_left_meet,
+    _right_divides as oracle_right_divides,
+    _right_meet as oracle_right_meet,
     _tau as oracle_tau,
     descents,
     half_twist,
@@ -269,8 +270,7 @@ def test_nontrivial_simples_count():
     assert len(B4.nontrivial_simples()) == 22
 
 
-@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3), braid_structure(4).opposite()),
-                         ids=lambda s: s.structure_id)
+@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
 def test_every_cached_primitive_equals_its_raw_method(struct):
     simples = list(struct.all_simples())
     for name in struct._CACHED:
@@ -290,52 +290,42 @@ def test_structures_do_not_share_caches():
     assert b4._left_meet.cache_info().currsize > 0
 
 
-def test_opposite_structure_serves_its_borrowed_primitives_from_the_base_caches():
-    base = BraidStructure(5)
-    assert is_absorbable(make_element(base, 0, _witness_factor_perms(5))) is None
-    op = base.opposite()
-    assert op._right_complement is base._left_complement
-    assert op._left_complement is base._right_complement
-    assert op._starting_set is base._finishing_set
-    assert op._finishing_set is base._starting_set
-    assert base._left_complement.cache_info().currsize > 0
-    # the opposite's own caches are those of the primitives it does not borrow
-    shared = [f for f in vars(base).values() if hasattr(f, "cache_info")]
-    own = {name for name, f in vars(op).items()
-           if hasattr(f, "cache_info") and not any(f is g for g in shared)}
-    assert own == {"_left_meet", "_slide", "_tau", "_nontrivial_simples", "_preceders"}
-
-
-def _check_opposite_on_pairs(struct, pairs):
-    op = struct.opposite()
-    assert (op.identity, op.delta, op.atoms) == (struct.identity, struct.delta, struct.atoms)
-    assert op != struct
+def _check_rev_on_pairs(struct, pairs, right_meet, finishing_set):
+    """rev is an involution fixing the atoms and delta that reverses
+    products, and the right meet and finishing set derived from it match
+    the references."""
+    rev = struct.rev
+    assert all(rev(a) == a for a in struct.atoms) and rev(struct.delta) == struct.delta
     for s, t in pairs:
-        assert op.left_meet(s, t) == struct.right_meet(s, t), (s, t)
-        assert op.right_meet(s, t) == struct.left_meet(s, t), (s, t)
-        assert op.left_divides_simple(s, t) == struct.right_divides_simple(s, t), (s, t)
-        assert op.right_divides_simple(s, t) == struct.left_divides_simple(s, t), (s, t)
-        if struct.right_divides_simple(s, t):
-            assert op.left_quotient(s, t) == struct.right_quotient(t, s), (s, t)
-        if struct.left_divides_simple(s, t):
-            assert op.right_quotient(t, s) == struct.left_quotient(s, t), (s, t)
-        assert op.compose(s, t) == struct.compose(t, s), (s, t)
         for x in (s, t):
-            assert op.right_complement(x) == struct.left_complement(x), x
-            assert op.left_complement(x) == struct.right_complement(x), x
-            assert op.left_complement(x) == op.tau_pow(op.right_complement(x), -1), x
-            assert op.starting_set(x) == struct.finishing_set(x), x
-            assert op.finishing_set(x) == struct.starting_set(x), x
-            assert op.tau(x) == struct.tau_pow(x, -1), x
+            assert rev(rev(x)) == x, x
+            assert struct.finishing_set(x) == finishing_set(x), x
+        p = struct.compose(s, t)
+        assert (None if p is None else rev(p)) == struct.compose(rev(t), rev(s)), (s, t)
+        assert struct.right_meet(s, t) == right_meet(s, t), (s, t)
+
+
+def _braid_finishing_set(s):
+    n = len(s)
+    return frozenset(i for i in range(1, n) if oracle_right_divides(perm_of_word((i,), n), s))
+
+
+# the reference right meet and finishing set of each structure class
+_REFERENCES = {
+    BraidStructure: (oracle_right_meet, _braid_finishing_set),
+    AbelianStructure: (lambda s, t: tuple(map(min, s, t)),
+                       lambda s: frozenset(i + 1 for i, v in enumerate(s) if v)),
+}
 
 
 @pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
-def test_opposite_structure_swaps_the_sides_on_every_pair_of_simples(struct):
+def test_rev_swaps_the_sides_on_every_pair_of_simples(struct):
     simples = list(struct.all_simples())
-    _check_opposite_on_pairs(struct, itertools.product(simples, repeat=2))
+    _check_rev_on_pairs(struct, itertools.product(simples, repeat=2),
+                        *_REFERENCES[type(struct)])
 
 
-def test_opposite_structure_swaps_the_sides_on_random_simples_of_b12():
+def test_rev_swaps_the_sides_on_random_simples_of_b12():
     # p = s * t with lengths adding, so s left-divides and t right-divides p
     struct, rng = BraidStructure(12), random.Random(1212)
     pairs = []
@@ -345,7 +335,8 @@ def test_opposite_structure_swaps_the_sides_on_random_simples_of_b12():
         k = rng.randint(0, len(word))
         s, t = perm_of_word(word[:k], 12), perm_of_word(word[k:], 12)
         pairs += [(s, p), (t, p), (s, t), (tuple(rng.sample(range(1, 13), 12)), p)]
-    _check_opposite_on_pairs(struct, pairs)
+    assert sum(struct.right_meet(a, b) == a for a, b in pairs) >= 150
+    _check_rev_on_pairs(struct, pairs, *_REFERENCES[BraidStructure])
 
 
 def _check_right_divisibility(struct, pairs):
@@ -371,17 +362,6 @@ def test_right_divisibility_is_the_right_meet_on_random_simples_of_b12():
         pairs += [(t, p), (s, p), (tuple(rng.sample(range(1, 13), 12)), p)]
     assert sum(struct.right_meet(s, t) == s for s, t in pairs) >= 300
     _check_right_divisibility(struct, pairs)
-
-
-def test_opposite_structure_is_built_once_per_instance():
-    op = B4.opposite()
-    assert op is B4.opposite()
-    assert op.opposite() is B4
-    z3 = abelian_structure(3)
-    assert z3.opposite().opposite() is z3
-    fresh = BraidStructure(4)
-    assert fresh.opposite() is not op
-    assert fresh.opposite().opposite() is fresh
 
 
 @pytest.mark.parametrize("struct", (B3, B4, braid_structure(5), abelian_structure(3)),

@@ -460,8 +460,8 @@ def atom_extension_gcd(a, b, side):
 
 
 def test_right_side_on_b12_matches_the_references():
-    # B12's simples are never enumerated, so the opposite structure must
-    # work from its primitives alone
+    # B12's simples are never enumerated, so the reversal must work from
+    # the structure's primitives alone
     rng = random.Random(8312)
     struct = braid_structure(12)
     for _ in range(4):

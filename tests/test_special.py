@@ -380,6 +380,18 @@ class TestOrbitProbe:
         assert [(e.power, e.upper_bound) for e in probe] == \
             [(1, 0), (2, 0), (3, 0)]
 
+    def test_radius_and_generator_length_below_one_are_refused(self):
+        g = parse_word(B4, "s1 s2 s3")
+        for gen_len, radius in ((1, 0), (0, 1), (0, 0)):
+            with pytest.raises(ValueError, match="generator length and radius must be >= 1"):
+                orbit_diameter_probe(g, 2, gen_len, radius)
+
+    def test_empty_decomposition_puts_the_power_at_home(self):
+        # the identity keeps every curve round and decomposes into no factors
+        probe = orbit_diameter_probe(delta_power(B4, 0), 2, 1, 2, curve=RoundCurve(1, 3))
+        assert [(e.power, e.upper_bound, e.search_bound, e.decomposition_bound)
+                for e in probe] == [(1, 0, 0, 0), (2, 0, 0, 0)]
+
     def test_periodic_braid_orbit_stays_bounded(self):
         probe = orbit_diameter_probe(parse_word(B4, "s1 s2 s3"), 4, 1, 3)
         assert [(e.power, e.upper_bound) for e in probe] == \

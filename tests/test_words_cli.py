@@ -285,6 +285,13 @@ class TestCliErrors:
         assert err.startswith(f"error: cache: cannot write {path}: ")
         assert err.count("\n") == 1
 
+    def test_probe_orbit_radius_below_one_is_a_usage_error(self, capsys):
+        for extra in (("--radius", "0"), ("--radius", "1", "--max-len", "0")):
+            code, out, err = run_cli(capsys, "probe-orbit", "s1", "--n", "3",
+                                     "--steps", "2", *extra)
+            assert code == 2 and out == "", extra
+            assert err == "error: generator length and radius must be >= 1\n", extra
+
     def test_internal_error_is_exit_four_with_one_line(self, capsys, monkeypatch):
         def broken(args, cfg):
             raise RuntimeError("kernel invariant broken")
@@ -381,6 +388,16 @@ class TestCliConfig:
         monkeypatch.setenv("GARSIDE_AL_CONFIG", str(cfg))
         code, out, _ = run_cli(capsys, "nf", "s1 s2 s1")
         assert code == 0 and out == "D\n"
+
+    def test_missing_config_file_named_by_the_environment_is_a_usage_error(
+            self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "no-such.cfg"
+        monkeypatch.setenv("GARSIDE_AL_CONFIG", str(path))
+        for argv in (("nf", "s1"), ("nf", "s1", "--n", "3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"error: cannot read config file {path}: "), argv
+            assert err.count("\n") == 1, argv
 
     def test_unknown_config_key_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
         (tmp_path / "garside-al.cfg").write_text("[garside-al]\nbudgte = 3\n")
