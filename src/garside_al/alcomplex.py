@@ -32,7 +32,8 @@ from .absorb import (
 )
 from .element import (
     GarsideElement,
-    _rmul_simple,
+    _fold,
+    _left_gcd_cofactors,
     complement,
     delta_power,
     delta_prefix,
@@ -70,8 +71,11 @@ class ALVertex:
 
 
 def vertex_of(g: GarsideElement) -> ALVertex:
-    """The vertex of the coset g<Delta>."""
-    return ALVertex(multiply(g, delta_power(g.structure, -g.inf)))
+    """The vertex of the coset g<Delta>: delta^p F delta^-p = tau^-p(F)."""
+    st, p = g.structure, g.power
+    if p % st.tau_period == 0:
+        return ALVertex(g if p == 0 else GarsideElement(st, 0, g.factors))
+    return ALVertex(GarsideElement(st, 0, tuple([st.tau_pow(f, -p) for f in g.factors])))
 
 
 def identity_vertex(st: GarsideStructure) -> ALVertex:
@@ -139,15 +143,18 @@ def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
     Step i sits at the vertex of v_rep * (x and Delta^i), where x is the
     distinguished representative of (v_rep^-1 w_rep) Delta^Z; the i-th edge
     label is the i-th normal form factor of x.
+
+    The running product v_rep * x_1 ... x_i is kept as L * Delta^e, one
+    cascade per step (element._fold); L is that step's vertex.
     """
     st = v.structure
     x = vertex_of(_coset_difference(v, w)).rep
-    # the running product v_rep * x_1 ... x_i, one cascade per step
-    cur = v.rep
-    vertices = [vertex_of(cur)]
+    fac = list(v.rep.factors)
+    e = 0
+    vertices = [v]
     for f in x.factors:
-        cur = _rmul_simple(st, cur, f)
-        vertices.append(vertex_of(cur))
+        e = _fold(st, fac, e, (f,))
+        vertices.append(ALVertex(GarsideElement(st, 0, tuple(fac))))
     return PreferredPath(tuple(vertices), x.factors)
 
 
@@ -189,8 +196,8 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     representative's factor tuple, each factor replaced by its code in the
     structure's code book (built once per structure; its slide table holds
     at most N^2 entries for N simples).  Expanding u by a move m is one
-    right cascade on codes, u * m = Delta^q F, and the neighbour vertex is
-    tau^-q(F), factor by factor.
+    right cascade on codes, u * m = F * Delta^q, and F is the neighbour
+    vertex.
 
     The search stops at the first meeting of the two sides.  Before a
     layer is expanded no vertex is in both, so the subgraph distance
@@ -211,7 +218,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
         raise ValueError("vertices from different structures")
     moves = _vertex_moves(st, gen_len, budget, cache_path)
     book = st.code_book()
-    rmul, tau, code, period = book.rmul, book.tau, book.code, st.tau_period
+    rmul, code = book.rmul, book.code
     start = tuple([code[f] for f in v.rep.factors])
     target = tuple([code[f] for f in w.rep.factors])
     dist_v, dist_w = {start: 0}, {target: 0}
@@ -236,10 +243,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
                         f"{'start' if dist is dist_v else 'target'} side's "
                         f"frontier of size {len(front)}")
                 fac = list(u)
-                q = rmul(fac, m)
-                if q % period:
-                    for _ in range(-q % period):
-                        fac = [tau[f] for f in fac]
+                rmul(fac, m)
                 k = tuple(fac)
                 if k in other:
                     return depth + 1 + other[k]
@@ -334,9 +338,7 @@ def overlap_length(v: ALVertex, w: ALVertex) -> int:
     """sup of the gcd of the complement of v's representative with the
     complement of a times tau^r(b), where v_rep = da, w_rep = db,
     d = gcd, r = sup(a).  Always at least r."""
-    d = left_gcd(v.rep, w.rep)
-    a = multiply(invert(d), v.rep)
-    b = multiply(invert(d), w.rep)
+    _, a, b = _left_gcd_cofactors(v.rep, w.rep)
     r = a.sup
     return left_gcd(complement(v.rep), multiply(complement(a), tau_element(b, r))).sup
 

@@ -18,7 +18,14 @@ slide(s, t), which answers None when the pair is already left-weighted.
   pair that is already left-weighted.  Leading deltas join the power.
 * _rmul_into (x * s, on a factor list) appends s and slides right to left
   with the same stopping rule; a carry that fills up to delta leaves through
-  the front, twisting the prefix by tau.
+  the back, twisting by tau^-1 only the suffix the cascade already walked
+  (x_1 ... Delta ... = x_1 ... tau^-1(...) Delta).
+
+A running product of the right cascade is therefore a list L times a power
+Delta^e on the right: _fold appends each later simple s as tau^-e(s), and
+_finish twists the finished list once, L Delta^e = Delta^e tau^e(L), only
+when e is not a multiple of the tau period.  L itself is the inf-0
+representative of the product's coset g<Delta>.
 
 The right side has no algorithm of its own: _rev applies the structure's
 word reversal rev, an anti-automorphism that swaps right and left
@@ -127,15 +134,13 @@ def _lmul_simple(st: GarsideStructure, s: Simple, x: GarsideElement) -> GarsideE
 
 
 def _rmul_into(st: GarsideStructure, fac: list, s: Simple) -> int:
-    """Replace the normal factor list fac by that of fac * s, in place, by
-    the right-to-left cascade; returns the number of deltas (0 or 1) that
-    left through the front and now belong to the power."""
+    """Replace the normal factor list fac by the list L with fac * s =
+    L * delta^q, in place, by the right-to-left cascade; returns q (0 or 1),
+    the number of deltas that left through the back."""
     ident, delta = st.identity, st.delta
     if s == ident:
         return 0
     if s == delta:
-        # x delta = delta tau(x)
-        fac[:] = [st.tau(f) for f in fac]
         return 1
     fac.append(s)
     j = len(fac) - 1
@@ -149,28 +154,41 @@ def _rmul_into(st: GarsideStructure, fac: list, s: Simple) -> int:
         else:
             fac[j] = rest
         if c == delta:
-            fac[:j] = [st.tau(x) for x in fac[:j - 1]]
+            # x_1 ... x_(j-1) delta y = x_1 ... x_(j-1) tau^-1(y) delta
+            fac[j - 1:] = [st.tau_pow(y, -1) for y in fac[j:]]
             return 1
         fac[j - 1] = c
         j -= 1
     return 0
 
 
-def _rmul_simple(st: GarsideStructure, x: GarsideElement, s: Simple) -> GarsideElement:
-    """Normal form of x * s for a simple s, by the right-to-left cascade."""
-    fac = list(x.factors)
-    p = x.power + _rmul_into(st, fac, s)
-    return GarsideElement(st, p, tuple(fac))
+def _fold(st: GarsideStructure, fac: list, e: int, simples: Iterable[Simple]) -> int:
+    """Multiply fac * delta^e by the simples, in place: each enters the
+    list as tau^-e(s), since delta^e s = tau^-e(s) delta^e.  Returns the new
+    e; the product is fac * delta^e."""
+    period = st.tau_period
+    for s in simples:
+        if e % period:
+            s = st.tau_pow(s, -e)
+        e += _rmul_into(st, fac, s)
+    return e
+
+
+def _finish(st: GarsideStructure, p: int, fac: list, e: int) -> GarsideElement:
+    """The element delta^p * fac * delta^e = delta^(p+e) tau^e(fac)."""
+    if e % st.tau_period:
+        fac = [st.tau_pow(f, e) for f in fac]
+    return GarsideElement(st, p + e, tuple(fac))
 
 
 def make_element(st: GarsideStructure, power: int, simples: Iterable[Simple]) -> GarsideElement:
     """The element delta^power * s_1 ... s_k; every s_i must be a simple."""
-    fac: list = []
+    simples = tuple(simples)
     for s in simples:
         if not st.is_simple_value(s):
             raise ValueError(f"not a simple of {st.structure_id}: {s!r}")
-        power += _rmul_into(st, fac, s)
-    return GarsideElement(st, power, tuple(fac))
+    fac: list = []
+    return _finish(st, power, fac, _fold(st, fac, 0, simples))
 
 
 def identity_element(st: GarsideStructure) -> GarsideElement:
@@ -194,12 +212,9 @@ def _check_same_structure(a: GarsideElement, b: GarsideElement) -> GarsideStruct
 
 def multiply(a: GarsideElement, b: GarsideElement) -> GarsideElement:
     st = _check_same_structure(a, b)
-    # delta^pa A delta^pb B = delta^(pa+pb) tau^pb(A) B
-    fac = [st.tau_pow(f, b.power) for f in a.factors]
-    p = a.power + b.power
-    for s in b.factors:
-        p += _rmul_into(st, fac, s)
-    return GarsideElement(st, p, tuple(fac))
+    # delta^pa A delta^pb B = delta^pa A tau^-pb(B) delta^pb
+    fac = list(a.factors)
+    return _finish(st, a.power, fac, _fold(st, fac, b.power, b.factors))
 
 
 def invert(a: GarsideElement) -> GarsideElement:
@@ -261,9 +276,10 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
     via s^-1 = delta^-1 * (delta s^-1), so only one engine exists.
 
     With p the delta exponent read so far, the word is delta^p * tau^p(g_1)
-    ... tau^p(g_k) for the stored list g: a simple read at exponent p is
-    stored as tau^-p of itself, so a delta letter only moves p and the
-    whole list is twisted once, by the final p.
+    ... tau^p(g_k) = g_1 ... g_k delta^p for the stored list g: a simple
+    read at exponent p is stored as tau^-p of itself, so a delta letter
+    only moves p, and the list is folded and twisted once, by the final
+    exponent.
     """
     p = 0
     fac: list = []
@@ -287,7 +303,8 @@ def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:
             for _ in range(-exp):
                 p -= 1
                 fac.append(st.tau_pow(c, -p))
-    return make_element(st, p, [st.tau_pow(g, p) for g in fac])
+    out: list = []
+    return _finish(st, 0, out, _fold(st, out, 0, fac) + p)
 
 
 # -- divisibility and gcds ----------------------------------------------------
@@ -316,10 +333,18 @@ def _left_divide(st: GarsideStructure, d: Simple, x: GarsideElement) -> GarsideE
 
 
 def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """Greedy: with both sides shifted to inf >= 0, the gcd's next normal
+    """The greatest common left divisor of a and b."""
+    return _left_gcd_cofactors(a, b)[0]
+
+
+def _left_gcd_cofactors(a: GarsideElement, b: GarsideElement) -> tuple:
+    """(d, d^-1 a, d^-1 b) for d the left gcd of a and b.
+
+    Greedy: with both sides shifted to inf >= 0, the gcd's next normal
     form factor is the meet of the two heads (delta when inf > 0, else the
     first factor); divide it off both sides and repeat until it is 1.  One
-    side keeps inf 0 throughout, so no picked factor is delta."""
+    side keeps inf 0 throughout, so no picked factor is delta.  What the
+    loop leaves of the two sides are the cofactors."""
     st = _check_same_structure(a, b)
     m = min(a.inf, b.inf)
     ra = multiply(delta_power(st, -m), a)
@@ -332,7 +357,7 @@ def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
         picked.append(d)
         ra = _left_divide(st, d, ra)
         rb = _left_divide(st, d, rb)
-    return GarsideElement(st, m, tuple(picked))
+    return GarsideElement(st, m, tuple(picked)), ra, rb
 
 
 def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
@@ -356,13 +381,11 @@ def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
 
 def _rev(a: GarsideElement) -> GarsideElement:
     """The reversal of a: rev(delta^p x_1 ... x_r) = rev(x_r) ... rev(x_1)
-    delta^p = delta^p tau^p(rev x_r) ... tau^p(rev x_1)."""
+    delta^p."""
     st = a.structure
-    p = a.power
     fac: list = []
-    for x in reversed(a.factors):
-        p += _rmul_into(st, fac, st.tau_pow(st.rev(x), a.power))
-    return GarsideElement(st, p, tuple(fac))
+    e = _fold(st, fac, 0, [st.rev(x) for x in reversed(a.factors)])
+    return _finish(st, 0, fac, e + a.power)
 
 
 def right_normal_form(a: GarsideElement) -> tuple[tuple, int]:

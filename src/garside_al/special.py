@@ -701,6 +701,8 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
     """
     if gen_len < 1 or radius < 1:
         raise ValueError("generator length and radius must be >= 1")
+    if steps < 1:
+        raise ValueError("step count must be >= 1")
     st = g.structure
     home = identity_vertex(st)
     out = []

@@ -291,8 +291,8 @@ class _SlideTable(dict):
 class CodeBook:
     """The simples of one structure numbered 0 .. N-1, as
     (identity, *nontrivial_simples(), delta): the identity is code 0 and
-    delta is code N-1.  code maps a simple to its code, tau is the tau
-    image of each code, and slide is the slide table.
+    delta is code N-1.  code maps a simple to its code, tau_inv is the
+    tau^-1 image of each code, and slide is the slide table.
 
     rmul is the right cascade of element._rmul_into on lists of codes.
     The element kernel keeps its own cascade on simple values because it
@@ -300,28 +300,32 @@ class CodeBook:
     strands); a code book needs them all.
     """
 
-    __slots__ = ("simples", "code", "tau", "slide")
+    __slots__ = ("simples", "code", "tau_inv", "slide")
 
     def __init__(self, st: GarsideStructure) -> None:
         self.simples = (st.identity, *st.nontrivial_simples(), st.delta)
         self.code = {s: i for i, s in enumerate(self.simples)}
-        self.tau = [self.code[st.tau(s)] for s in self.simples]
+        self.tau_inv = [self.code[st.tau_pow(s, -1)] for s in self.simples]
         self.slide = _SlideTable(st, self)
 
     def rmul(self, fac: list, move) -> int:
-        """Replace the coded normal factor list fac by that of fac * s_1 ...
-        s_k, in place, for the codes s_i of nontrivial proper simples in
-        move; returns the number of deltas that left through the front.
+        """Replace the coded normal factor list fac by the list L with
+        fac * s_1 ... s_k = L * delta^q, in place, for the codes s_i of
+        nontrivial proper simples in move; returns q.  For an inf-0 fac, L
+        is the inf-0 representative of the product's coset.
 
-        Each s_i is appended and slid right to left until a pair is
-        left-weighted; an identity rest is deleted, and a carry that
-        fills up to delta leaves through the front, twisting the prefix
-        by tau."""
-        slide, tau = self.slide, self.tau
-        n = len(tau)
+        Each s_i enters as tau^-q(s_i) for the q so far, is appended and
+        slid right to left until a pair is left-weighted; an identity rest
+        is deleted, and a carry that fills up to delta leaves through the
+        back, twisting by tau^-1 the suffix the cascade walked."""
+        slide, tau_inv = self.slide, self.tau_inv
+        n = len(tau_inv)
         top = n - 1
         q = 0
         for f in move:
+            if q:
+                for _ in range(q):
+                    f = tau_inv[f]
             j = len(fac)
             fac.append(f)
             while j:
@@ -334,7 +338,7 @@ class CodeBook:
                 else:
                     del fac[j]
                 if c == top:
-                    fac[:j] = [tau[x] for x in fac[:j - 1]]
+                    fac[j - 1:] = [tau_inv[x] for x in fac[j:]]
                     q += 1
                     break
                 fac[j - 1] = f = c

@@ -13,7 +13,8 @@ from garside_al import (
     multiply,
 )
 from garside_al.abelian import AbelianStructure
-from garside_al.element import _rmul_into
+from garside_al.alcomplex import vertex_of
+from garside_al.element import _fold
 from garside_al.braid import (
     BraidStructure,
     embed_simple,
@@ -387,7 +388,7 @@ def test_code_book_numbers_identity_first_and_delta_last(struct):
     assert book.simples == (struct.identity, *struct.nontrivial_simples(), struct.delta)
     assert book.code[struct.identity] == 0
     assert book.code[struct.delta] == len(book.simples) - 1
-    assert book.tau == [book.code[struct.tau(s)] for s in book.simples]
+    assert book.tau_inv == [book.code[struct.tau_pow(s, -1)] for s in book.simples]
 
 
 def test_structures_do_not_share_code_books():
@@ -404,25 +405,36 @@ def test_coded_cascade_is_the_element_cascade(struct):
     code = book.code
     simples = struct.nontrivial_simples()
     rng = random.Random(f"code-book/{struct.structure_id}")
-    branches = {"delta exit": 0, "identity rest": 0}
-    for trial in range(300):
-        x = make_element(struct, 0, [rng.choice(simples)
-                                     for _ in range(rng.randint(0, 6))])
+    branches = {"delta exit": 0, "delta exit past a rest": 0, "identity rest": 0}
+    for trial in range(400):
+        x = vertex_of(make_element(struct, 0, [rng.choice(simples)
+                                               for _ in range(rng.randint(0, 6))])).rep
         move = [rng.choice(simples) for _ in range(rng.randint(1, 3))]
-        if x.factors and trial % 3:
-            # the complement of the last factor takes the delta exit; a
-            # proper divisor of it leaves an identity rest
+        if x.factors and trial % 4:
+            # the complement of the last factor takes the delta exit, and
+            # the simples after it enter twisted; a proper multiple of it
+            # exits with a rest, twisted by tau^-1; a proper divisor of it
+            # leaves an identity rest
             comp = struct.right_complement(x.factors[-1])
+            multiples = [s for s in simples
+                         if s != comp and struct.left_divides_simple(comp, s)]
             divisors = [s for s in simples if struct.left_divides_simple(s, comp)]
-            if trial % 3 == 1:
-                move = [comp]
+            if trial % 4 == 1:
+                move = [comp] + move[1:]
                 branches["delta exit"] += 1
-            elif divisors:
+            elif trial % 4 == 2 and multiples:
+                move = [rng.choice(multiples)]
+                branches["delta exit past a rest"] += 1
+            elif trial % 4 == 3 and divisors:
                 move = [rng.choice(divisors)]
                 branches["identity rest"] += 1
+        # both leave L with x * move = L * delta^q, and L is the vertex
         want = list(x.factors)
-        q_want = sum(_rmul_into(struct, want, s) for s in move)
+        q_want = _fold(struct, want, 0, move)
         got = [code[f] for f in x.factors]
         q = book.rmul(got, [code[s] for s in move])
         assert (q, got) == (q_want, [code[f] for f in want]), (x, move)
+        product = multiply(x, make_element(struct, 0, move))
+        assert tuple(want) == vertex_of(product).rep.factors, (x, move)
+        assert q == product.power, (x, move)
     assert min(branches.values()) > 10, branches

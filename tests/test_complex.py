@@ -40,6 +40,7 @@ from garside_al.absorb import DEFAULT_BUDGET
 from garside_al.braid import BraidStructure
 from garside_al.element import delta_prefix
 from garside_al.suites import random_element, random_positive, random_vertex
+from oracles import _tau as oracle_tau, reference_normal_form
 
 B3 = braid_structure(3)
 B4 = braid_structure(4)
@@ -252,6 +253,30 @@ class TestPreferredPaths:
         assert p.vertices[0] == v and p.vertices[-1] == w
         for i, q in enumerate(p.vertices):
             assert q == vertex_of(multiply(v.rep, delta_prefix(x, i)))
+
+    @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
+    def test_path_vertices_match_the_reference_normaliser(self, n):
+        # v and w share a prefix, so the path first cancels v's tail: its
+        # running product sheds a delta at most of those steps
+        st = braid_structure(n)
+        rng = random.Random(f"path-reference/{n}")
+        exits = 0
+        for _ in range(4):
+            shared = random_positive(rng, st, 10)
+            v = vertex_of(multiply(shared, random_positive(rng, st, 6)))
+            w = vertex_of(multiply(shared, random_positive(rng, st, 6)))
+            path = preferred_path(v, w)
+            assert path.vertices[-1] == w
+            last = 0
+            for i, q in enumerate(path.vertices):
+                p, fac = reference_normal_form(
+                    n, 0, list(v.rep.factors) + list(path.labels[:i]))
+                # the vertex of delta^p F is tau^-p(F), and tau is an involution
+                want = fac if p % 2 == 0 else tuple(oracle_tau(f) for f in fac)
+                assert q.rep.power == 0 and q.rep.factors == want, (n, i)
+                exits += p - last
+                last = p
+        assert exits > 0
 
     def test_gcd_vertex_examples(self):
         v = vertex_of(parse_word(B3, "s1 s1"))

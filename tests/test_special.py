@@ -386,6 +386,12 @@ class TestOrbitProbe:
             with pytest.raises(ValueError, match="generator length and radius must be >= 1"):
                 orbit_diameter_probe(g, 2, gen_len, radius)
 
+    def test_step_count_below_one_is_refused(self):
+        g = parse_word(B4, "s1 s2 s3")
+        for steps in (0, -2):
+            with pytest.raises(ValueError, match="step count must be >= 1"):
+                orbit_diameter_probe(g, steps, 1, 2)
+
     def test_empty_decomposition_puts_the_power_at_home(self):
         # the identity keeps every curve round and decomposes into no factors
         probe = orbit_diameter_probe(delta_power(B4, 0), 2, 1, 2, curve=RoundCurve(1, 3))

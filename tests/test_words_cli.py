@@ -292,6 +292,13 @@ class TestCliErrors:
             assert code == 2 and out == "", extra
             assert err == "error: generator length and radius must be >= 1\n", extra
 
+    def test_probe_orbit_step_count_below_one_is_a_usage_error(self, capsys):
+        for steps in ("0", "-2"):
+            code, out, err = run_cli(capsys, "probe-orbit", "s1", "--n", "3",
+                                     "--steps", steps, "--radius", "2")
+            assert code == 2 and out == "", steps
+            assert err == "error: step count must be >= 1\n", steps
+
     def test_internal_error_is_exit_four_with_one_line(self, capsys, monkeypatch):
         def broken(args, cfg):
             raise RuntimeError("kernel invariant broken")
