@@ -7,14 +7,19 @@ is a nontrivial proper simple, or an absorbable element.  Only two Delta
 shifts can make the difference satisfy the inf-or-sup-zero requirement of
 absorbability, so adjacency is exactly decidable.
 
-distance_upper_bound is a bidirectional breadth-first search over a fixed
-set of generators.  It runs on integer codes for simples, through one code
-book per structure (GarsideStructure.code_book, built on the first search;
-its slide table holds at most N^2 entries for N simples), and stops at the
-first meeting of the two frontiers, the standard exit of bidirectional
-search (Pohl, "Bi-directional search", 1971), which is exact here because
-both sides grow one whole layer at a time.  One budget unit is one
-expansion of a vertex by a move, and the budget caps each search run.
+distance_upper_bound first brackets the distance by canonical length: with
+z = v_rep^-1 w_rep and L the generator length, it lies in
+[ceil(ell(z) / L), ell(z)], because ell is subadditive (El-Rifai and
+Morton, 1994).  For L = 1 the bracket is one point and nothing is searched.
+Otherwise the open part of the bracket is searched: a bidirectional
+breadth-first search over a fixed set of generators.  It runs on integer
+codes for simples, through one code book per structure
+(GarsideStructure.code_book, built on the first search; its slide table
+holds at most N^2 entries for N simples), and stops at the first meeting of
+the two frontiers, the standard exit of bidirectional search (Pohl,
+"Bi-directional search", 1971), which is exact here because both sides grow
+one whole layer at a time.  One budget unit is one expansion of a vertex by
+a move, and the budget caps each search run.
 """
 
 from __future__ import annotations
@@ -186,11 +191,23 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     at most gen_len (closed under inversion).
 
     The result bounds the true distance from above; values 0 and 1 are
-    exact.  Returns None when the subgraph distance exceeds radius.  The
-    budget caps edge expansions, one per vertex and distinct vertex move
-    (a generator taken up to right multiplication by Delta: every member
-    of such a class leads to the same vertex); running out raises
-    SearchBudgetExceeded.
+    exact.  Returns None when the subgraph distance exceeds radius.
+
+    Canonical length brackets the answer before any search.  With
+    z = v_rep^-1 w_rep and r = ell(z), the normal form factors of z are
+    moves, so the subgraph distance is at most r; every generator has
+    ell <= gen_len, Delta twists keep ell, and ell is subadditive, so a
+    path of length d has r <= d * gen_len.  The distance therefore lies in
+    [lb, r] with lb = ceil(r / gen_len).  When lb > radius the answer is
+    None, and when lb == r (always for gen_len 1) it is r: neither case
+    builds a move set or code book, reads cache_path or spends budget.
+    Otherwise the search below runs with radius min(radius, r - 1), and
+    when it finds nothing the answer is r if r <= radius, else None.
+
+    The budget caps the search's edge expansions, one per vertex and
+    distinct vertex move (a generator taken up to right multiplication by
+    Delta: every member of such a class leads to the same vertex); running
+    out raises SearchBudgetExceeded.
 
     The search is bidirectional, on coded vertex keys.  A vertex is its
     representative's factor tuple, each factor replaced by its code in the
@@ -204,18 +221,23 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     exceeds depth_v + depth_w, and a meeting in that layer is a path of
     length depth + 1 + the other side's depth: the exact distance.  The
     bound therefore equals that of expanding every layer in full by every
-    generator.  In the last layer the radius allows, new vertices are only
-    looked up on the other side.  Because the search stops at the first
-    meeting, it can answer within a budget that expanding the final layer
-    in full would exceed, and that answer is exact.
+    generator.  In the last layer the search radius allows, new vertices
+    are only looked up on the other side.  Because the search stops at the
+    first meeting, it can answer within a budget that expanding the final
+    layer in full would exceed, and that answer is exact.
     """
     if gen_len < 1 or radius < 1:
         raise ValueError("generator length and radius must be >= 1")
     if v == w:
         return 0
+    r = _coset_difference(v, w).canonical_length
+    lb = -(-r // gen_len)
+    if lb > radius:
+        return None
+    if lb == r:
+        return r
+    cap = min(radius, r - 1)
     st = v.structure
-    if st != w.structure:
-        raise ValueError("vertices from different structures")
     moves = _vertex_moves(st, gen_len, budget, cache_path)
     book = st.code_book()
     rmul, code = book.rmul, book.code
@@ -225,12 +247,12 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     front_v, front_w = [start], [target]
     depth_v = depth_w = 0
     expansions = 0
-    while front_v and front_w and depth_v + depth_w < radius:
+    while front_v and front_w and depth_v + depth_w < cap:
         if len(front_v) <= len(front_w):
             dist, other, front, depth = dist_v, dist_w, front_v, depth_v
         else:
             dist, other, front, depth = dist_w, dist_v, front_w, depth_w
-        last = depth_v + depth_w + 1 == radius
+        last = depth_v + depth_w + 1 == cap
         grown = []
         for u in front:
             for m in moves:
@@ -255,7 +277,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
             front_v, depth_v = grown, depth_v + 1
         else:
             front_w, depth_w = grown, depth_w + 1
-    return None
+    return r if r <= radius else None
 
 
 def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tuple:
@@ -267,9 +289,11 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     replaced by its code in st.code_book().  For gen_len 1 this halves the
     set, since s^-1 and the complement of s share a vertex.
 
-    The set is built once per structure and generator length and kept on
-    the structure, so a process pays for the enumeration, and reads or
-    writes cache_path, only on the first call.  A build that raises
+    distance_upper_bound asks for a move set only when its canonical-length
+    bracket leaves a search to run, which never happens at gen_len 1.  The
+    set is built once per structure and generator length and kept on the
+    structure, so a process pays for the enumeration, and reads or writes
+    cache_path, only on the first call.  A build that raises
     (SearchBudgetExceeded, CacheError) stores nothing.  A later call gets
     the stored exact set whatever its budget, as a cache-file load does;
     its budget still caps the BFS expansions.

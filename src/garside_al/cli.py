@@ -453,7 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("path", _cmd_path, "preferred path between two coset vertices")
     p.add_argument("left")
     p.add_argument("right")
-    p = add("dist-ub", _cmd_dist_ub, "bidirectional search distance upper bound")
+    p = add("dist-ub", _cmd_dist_ub,
+            "distance upper bound: bracketed by canonical length, searched "
+            "inside the bracket")
+    p.description = (
+        "Upper bound on the distance between the vertices of two words.  "
+        "With r the canonical length of left^-1 right, the distance lies in "
+        "[ceil(r / max-len), r]; only the inside of that bracket is "
+        "searched, up to radius min(radius, r - 1), and --budget caps only "
+        "that search.  At --max-len 1 the bracket is one point: nothing is "
+        "searched, no --cache is read and no budget is spent.")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--radius", type=int, required=True)

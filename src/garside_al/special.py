@@ -693,8 +693,12 @@ def orbit_diameter_probe(g: GarsideElement, steps: int, gen_len: int, radius: in
     supplied and each power keeps it round, from the absorbable
     decomposition (one edge per factor).  The search radius is capped at
     the decomposition bound since larger search answers would be discarded.
-    Each step that searches is one distance_upper_bound call, on the move
-    set kept on the structure (see alcomplex._vertex_moves): only the first
+    Each step is one distance_upper_bound call, which brackets the
+    distance by canonical length first.  At gen_len 1 the bracket answers
+    every step: no move set is built, no budget is spent on the distance,
+    and the distances need no enumeration of simples, so they work past 8
+    strands.  A step whose bracket leaves a search runs it on the move set
+    kept on the structure (see alcomplex._vertex_moves): only the first
     search of the process at this generator length builds it, under this
     budget; a later probe with another budget uses the stored exact set,
     and its budget still caps every search's expansions.

@@ -411,7 +411,8 @@ class TestVertexMoves:
     # to two distinct answers instead of three.
     @pytest.mark.parametrize("n, gen_len, pairs, v_len, w_len, kinds", [
         pytest.param(*row, id="-".join(map(str, row[:3]))) for row in (
-            (3, 1, 12, 3, 4, 3), (3, 2, 12, 3, 4, 3), (4, 1, 10, 3, 4, 3),
+            (3, 1, 12, 3, 4, 3), (3, 2, 12, 3, 4, 3), (3, 3, 12, 3, 4, 3),
+            (4, 1, 10, 3, 4, 3),
             (4, 2, 6, 3, 4, 3), (5, 1, 4, 3, 4, 3), (6, 1, 4, 1, 1, 2))])
     def test_bound_matches_the_search_over_every_generator(self, n, gen_len, pairs,
                                                            v_len, w_len, kinds):
@@ -455,11 +456,12 @@ class TestVertexMoves:
     def test_a_build_out_of_budget_stores_nothing(self):
         st = BraidStructure(4)
         v = identity_vertex(st)
-        w = vertex_of(parse_word(st, "s1 s2 s3 s1"))
+        # ell 4: the bracket [2, 4] leaves a search, so the move set is built
+        w = vertex_of(parse_word(st, "s1 s1 s2 s2 s3 s3"))
         with pytest.raises(SearchBudgetExceeded, match="absorber search"):
-            distance_upper_bound(v, w, 1, 3, budget=10)
+            distance_upper_bound(v, w, 2, 3, budget=10)
         assert st._move_sets == {}
-        assert distance_upper_bound(v, w, 1, 3) == reference_distance(v, w, 1, 3)
+        assert distance_upper_bound(v, w, 2, 3) == reference_distance(v, w, 2, 3)
 
     def test_structures_do_not_share_move_sets(self, monkeypatch):
         shared = alcomplex._vertex_moves(B4, 1, DEFAULT_BUDGET, None)
@@ -478,40 +480,136 @@ class TestVertexMoves:
         assert B4._move_sets[1] is shared
 
     def test_the_search_stops_at_the_first_meeting(self):
-        v = vertex_of(parse_word(B4, "s2 s1"))
-        w = vertex_of(parse_word(B4, "s1 s3 s1 s2"))
-        assert reference_distance(v, w, 1, 4) == 3
-        # B4 has 22 moves: one layer from each end, then the first meeting
-        # comes 33 expansions into the next layer; finishing that layer
-        # first would take 22 * (1 + 1 + 22) = 528 expansions
-        assert distance_upper_bound(v, w, 1, 4, budget=77) == 3
+        alcomplex._vertex_moves(B4, 2, DEFAULT_BUDGET, None)
+        v = vertex_of(parse_word(B4, "s1 s3"))
+        w = vertex_of(parse_word(B4, "s1 s2 s1 s3 s2 s2 s2 s1"))
+        assert alcomplex._coset_difference(v, w).canonical_length == 4
+        assert reference_distance(v, w, 2, 4) == 2
+        # B4 has 168 moves at generator length 2: one layer from the start,
+        # then the first meeting comes 105 expansions into the target's
+        # layer; finishing that layer first would take 2 * 168 = 336
+        assert distance_upper_bound(v, w, 2, 4, budget=273) == 2
         with pytest.raises(SearchBudgetExceeded):
-            distance_upper_bound(v, w, 1, 4, budget=76)
+            distance_upper_bound(v, w, 2, 4, budget=272)
 
     def test_search_leaves_the_slide_cache_alone(self):
         st = BraidStructure(4)
-        alcomplex._vertex_moves(st, 1, DEFAULT_BUDGET, None)
+        alcomplex._vertex_moves(st, 2, DEFAULT_BUDGET, None)
         rng = random.Random("moves/slide-cache")
         pairs = [(random_vertex(rng, st, 3), random_vertex(rng, st, 4))
-                 for _ in range(6)]
+                 for _ in range(8)]
+        # the bracket's product v_rep^-1 w_rep is kernel work and fills the
+        # slide cache; taking it first leaves only the search to watch.
+        # Pairs at ell 1 are answered without a search and are dropped.
+        pairs = [(v, w) for v, w in pairs
+                 if alcomplex._coset_difference(v, w).canonical_length >= 2]
+        assert len(pairs) >= 4
         before = st._slide.cache_info().currsize
         for v, w in pairs:
-            distance_upper_bound(v, w, 1, 4)
+            distance_upper_bound(v, w, 2, 4)
         assert st._slide.cache_info().currsize == before
         n = len(st.code_book().simples)
         assert 0 < len(st.code_book().slide) <= n * n
 
     def test_budget_error_says_how_far_the_search_got(self):
+        alcomplex._vertex_moves(B3, 2, DEFAULT_BUDGET, None)
         v = identity_vertex(B3)
         w = vertex_of(parse_word(B3, "s1 s1 s1 s2 s2 s2"))
+        # ell 5: the bracket [3, 5] leaves a search up to radius 4
         with pytest.raises(SearchBudgetExceeded) as err:
-            distance_upper_bound(v, w, 1, 4, budget=5)
+            distance_upper_bound(v, w, 2, 4, budget=5)
         # the start side grew one layer with B3's four moves; the fifth
         # expansion is the target's first, and the sixth is over budget
         assert str(err.value) == (
             "distance search spent its 5-expansion budget at depth 1 from the "
             "start and 0 from the target, while expanding the target side's "
             "frontier of size 1")
+
+
+class TestDistanceBracket:
+    """distance_upper_bound brackets the distance in [ceil(r / L), r] for
+    r = ell(v_rep^-1 w_rep) and generator length L, and searches only the
+    open part of the bracket, up to radius min(radius, r - 1)."""
+
+    # B5 takes gen_len 1 only: its gen_len-2 reference takes seconds a query
+    @pytest.mark.parametrize("n, gen_len, pairs", [
+        (3, 2, 8), (4, 1, 6), (4, 2, 8), (5, 1, 2)])
+    def test_every_branch_matches_the_reference(self, n, gen_len, pairs,
+                                                monkeypatch):
+        st = braid_structure(n)
+        builds = []
+        moves_of = alcomplex._vertex_moves
+
+        def counting(*args):
+            builds.append(args[1])
+            return moves_of(*args)
+
+        monkeypatch.setattr(alcomplex, "_vertex_moves", counting)
+        rng = random.Random(f"bracket/{n}/{gen_len}")
+        seen = set()
+        for _ in range(pairs):
+            v = random_vertex(rng, st, rng.randint(1, 3))
+            w = random_vertex(rng, st, rng.randint(1, 4))
+            r = alcomplex._coset_difference(v, w).canonical_length
+            lb = -(-r // gen_len)
+            for radius in range(1, 5):
+                builds.clear()
+                got = distance_upper_bound(v, w, gen_len, radius)
+                assert got == reference_distance(v, w, gen_len, radius), \
+                    (v, w, gen_len, radius)
+                if lb > radius:
+                    branch = "beyond the radius"
+                    assert got is None
+                elif lb == r:
+                    branch = "one point"
+                    assert got == r
+                elif got is None:
+                    branch = "searched, r beyond the radius"
+                elif got < r:
+                    branch = "searched, found below r"
+                else:
+                    branch = "searched, nothing below r"
+                    assert got == r
+                assert builds == ([gen_len] if branch.startswith("searched")
+                                  else []), branch
+                seen.add(branch)
+        assert {"beyond the radius", "one point"} <= seen
+        if gen_len > 1:
+            assert "searched, nothing below r" in seen
+            assert "searched, r beyond the radius" in seen
+        if (n, gen_len) == (4, 2):
+            assert "searched, found below r" in seen
+
+    def test_the_search_stops_below_the_canonical_length(self):
+        alcomplex._vertex_moves(B3, 2, DEFAULT_BUDGET, None)
+        v = identity_vertex(B3)
+        w = vertex_of(parse_word(B3, "s1 s1 s2 s2 s1 s1"))
+        assert alcomplex._coset_difference(v, w).canonical_length == 4
+        # B3 has four moves: the layers to depth 3 take 4 + 4 + 16 = 24
+        # expansions, and the factor path answers 4 without a fourth layer
+        assert distance_upper_bound(v, w, 2, 4, budget=24) == 4
+        assert distance_upper_bound(v, w, 2, 9, budget=24) == 4
+        with pytest.raises(SearchBudgetExceeded):
+            distance_upper_bound(v, w, 2, 4, budget=23)
+
+    def test_generator_length_one_needs_no_search(self, tmp_path):
+        # no move set or code book, no cache file and no budget: the
+        # bracket is one point, even where simples cannot be enumerated
+        missing = str(tmp_path / "no-such-dir" / "absorb.cache")
+        rng = random.Random("bracket/gen-len-1")
+        for n in (4, 12):
+            st = BraidStructure(n)
+            for _ in range(6):
+                v = random_vertex(rng, st, 3)
+                w = random_vertex(rng, st, 4)
+                r = len(preferred_path(v, w))
+                for radius in range(1, 5):
+                    got = distance_upper_bound(v, w, 1, radius, budget=1,
+                                               cache_path=missing)
+                    assert got == (r if r <= radius else None)
+                    if n == 4:
+                        assert got == reference_distance(v, w, 1, radius)
+            assert st._move_sets == {} and st._code_book is None
 
 
 # ---------------------------------------------------------------------------

@@ -414,13 +414,15 @@ class TestOrbitProbe:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(alcomplex, "_generators", counting)
+        # at generator length 2 the square (ell 2) is searched; the first
+        # and third powers (ell 1) are answered by the bracket alone
         for _ in range(2):
-            probe = orbit_diameter_probe(parse_word(st, "s1 s2 s3"), 3, 1, 3)
+            probe = orbit_diameter_probe(parse_word(st, "s1 s2 s3"), 3, 2, 3)
             assert [(e.power, e.upper_bound) for e in probe] == \
                 [(1, 1), (2, 2), (3, 1)]
         assert distance_upper_bound(identity_vertex(st),
-                                    vertex_of(parse_word(st, "s1 s2")), 1, 3) == 1
-        assert builds == [(st, 1)] and builds[0][0] is st
+                                    vertex_of(parse_word(st, "s1 s1")), 2, 3) == 1
+        assert builds == [(st, 2)] and builds[0][0] is st
 
     def test_tube_preserving_braid_stays_within_nine(self):
         keeper = multiply(tube_braid(),

@@ -270,12 +270,15 @@ class TestCliErrors:
         assert lines[0].startswith("budget exceeded:") and "depth" in lines[0]
 
     def test_distance_budget_exhaustion_reports_the_depth(self, capsys):
+        # ell 5 brackets the distance in [3, 5]: the search runs, and a
+        # budget of 10 covers the B3 move set's build (6 nodes) but not it
         code, _, err = run_cli(capsys, "dist-ub", "", "s1 s1 s1 s2 s2 s2",
-                               "--n", "3", "--max-len", "1", "--radius", "4",
-                               "--budget", "5")
+                               "--n", "3", "--max-len", "2", "--radius", "4",
+                               "--budget", "10")
         lines = err.splitlines()
         assert code == 3 and len(lines) == 1
-        assert lines[0].startswith("budget exceeded:") and "depth" in lines[0]
+        assert lines[0].startswith("budget exceeded: distance search")
+        assert "depth" in lines[0]
 
     def test_cache_in_a_missing_directory_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "no-such-dir" / "c.txt"
