@@ -14,8 +14,8 @@ Morton, 1994).  For L = 1 the bracket is one point and nothing is searched.
 Otherwise the open part of the bracket is searched: a bidirectional
 breadth-first search over a fixed set of generators.  It runs on integer
 codes for simples, through one code book per structure
-(GarsideStructure.code_book, built on the first search; its slide table
-holds at most N^2 entries for N simples), and stops at the first meeting of
+(GarsideStructure.code_book, built on the first search; its slide rows
+hold at most N^2 entries for N simples), and stops at the first meeting of
 the two frontiers, the standard exit of bidirectional search (Pohl,
 "Bi-directional search", 1971), which is exact here because both sides grow
 one whole layer at a time.  One budget unit is one expansion of a vertex by
@@ -211,10 +211,10 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
 
     The search is bidirectional, on coded vertex keys.  A vertex is its
     representative's factor tuple, each factor replaced by its code in the
-    structure's code book (built once per structure; its slide table holds
-    at most N^2 entries for N simples).  Expanding u by a move m is one
-    right cascade on codes, u * m = F * Delta^q, and F is the neighbour
-    vertex.
+    structure's code book (built once per structure; its slide rows hold
+    at most N^2 entries for N simples).  Expanding u by a move m is the
+    one right cascade, element._fold, run on the code book:
+    u * m = F * Delta^q, and F is the neighbour vertex.
 
     The search stops at the first meeting of the two sides.  Before a
     layer is expanded no vertex is in both, so the subgraph distance
@@ -228,8 +228,6 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     """
     if gen_len < 1 or radius < 1:
         raise ValueError("generator length and radius must be >= 1")
-    if v == w:
-        return 0
     r = _coset_difference(v, w).canonical_length
     lb = -(-r // gen_len)
     if lb > radius:
@@ -240,7 +238,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     st = v.structure
     moves = _vertex_moves(st, gen_len, budget, cache_path)
     book = st.code_book()
-    rmul, code = book.rmul, book.code
+    code = book.code
     start = tuple([code[f] for f in v.rep.factors])
     target = tuple([code[f] for f in w.rep.factors])
     dist_v, dist_w = {start: 0}, {target: 0}
@@ -265,7 +263,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
                         f"{'start' if dist is dist_v else 'target'} side's "
                         f"frontier of size {len(front)}")
                 fac = list(u)
-                rmul(fac, m)
+                _fold(book, fac, 0, m)
                 k = tuple(fac)
                 if k in other:
                     return depth + 1 + other[k]
@@ -286,8 +284,7 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
     only through its own vertex: each becomes the inf-0 factor tuple of
     vertex_of(g), in generator order, without repeats, with every factor
-    replaced by its code in st.code_book().  For gen_len 1 this halves the
-    set, since s^-1 and the complement of s share a vertex.
+    replaced by its code in st.code_book().
 
     distance_upper_bound asks for a move set only when its canonical-length
     bracket leaves a search to run, which never happens at gen_len 1.  The

@@ -10,22 +10,27 @@ for multiplying a normal form by one simple (Dehornoy et al., Foundations of
 Garside Theory, EMS 2015, Ch. III; Thurston in Epstein et al., Word
 Processing in Groups, 1992, Ch. 9).  Sliding a pair (s, t) that is not
 left-weighted means replacing it by (s*u, u^-1*t) with u = ds ^ t, where ds
-is the right complement of s.  Each step is one cached structure call,
-slide(s, t), which answers None when the pair is already left-weighted.
+is the right complement of s.  Each step is one lookup in the structure's
+slide rows, rows[s][t], which hold None when the pair is already
+left-weighted.
 
 * _lmul_simple (s * x) slides s into x_1, the remainder into x_2, and so on,
   left to right, and stops as soon as the carry is the identity or meets a
   pair that is already left-weighted.  Leading deltas join the power.
-* _rmul_into (x * s, on a factor list) appends s and slides right to left
-  with the same stopping rule; a carry that fills up to delta leaves through
-  the back, twisting by tau^-1 only the suffix the cascade already walked
-  (x_1 ... Delta ... = x_1 ... tau^-1(...) Delta).
+* _fold (x * s_1 ... s_k, on a factor list) appends each s and slides right
+  to left with the same stopping rule; a carry that fills up to delta
+  leaves through the back, twisting by tau^-1 only the suffix the cascade
+  already walked (x_1 ... Delta ... = x_1 ... tau^-1(...) Delta).
 
 A running product of the right cascade is therefore a list L times a power
 Delta^e on the right: _fold appends each later simple s as tau^-e(s), and
 _finish twists the finished list once, L Delta^e = Delta^e tau^e(L), only
 when e is not a multiple of the tau period.  L itself is the inf-0
 representative of the product's coset g<Delta>.
+
+There is one right cascade.  _fold reads its tables (rows and tau_inv) by
+subscript from whatever it is given: a structure, on simple values, or the
+structure's code book, on integer codes, as the distance search does.
 
 The right side has no algorithm of its own: _rev applies the structure's
 word reversal rev, an anti-automorphism that swaps right and left
@@ -115,9 +120,10 @@ def _lmul_simple(st: GarsideStructure, s: Simple, x: GarsideElement) -> GarsideE
     # c = 1 gives back x (its first slide returns (x_1, 1)), and c = delta
     # is left-weighted with any x_1, so it joins the power below
     fac = x.factors
+    rows = st.rows
     head = []
     for f in fac:
-        step = st.slide(c, f)
+        step = rows[c][f]
         if step is None:
             break
         cu, c = step
@@ -133,44 +139,45 @@ def _lmul_simple(st: GarsideStructure, s: Simple, x: GarsideElement) -> GarsideE
     return GarsideElement(st, p + k, (*head[k:], *fac[i:]))
 
 
-def _rmul_into(st: GarsideStructure, fac: list, s: Simple) -> int:
-    """Replace the normal factor list fac by the list L with fac * s =
-    L * delta^q, in place, by the right-to-left cascade; returns q (0 or 1),
-    the number of deltas that left through the back."""
-    ident, delta = st.identity, st.delta
-    if s == ident:
-        return 0
-    if s == delta:
-        return 1
-    fac.append(s)
-    j = len(fac) - 1
-    while j:
-        step = st.slide(fac[j - 1], fac[j])
-        if step is None:
-            return 0
-        c, rest = step
-        if rest == ident:
-            del fac[j]
-        else:
-            fac[j] = rest
-        if c == delta:
-            # x_1 ... x_(j-1) delta y = x_1 ... x_(j-1) tau^-1(y) delta
-            fac[j - 1:] = [st.tau_pow(y, -1) for y in fac[j:]]
-            return 1
-        fac[j - 1] = c
-        j -= 1
-    return 0
+def _fold(t, fac: list, e: int, simples: Iterable) -> int:
+    """Multiply fac * delta^e by the simples, in place, by the right
+    cascade; returns the new e, and the product is fac * delta^e.
 
-
-def _fold(st: GarsideStructure, fac: list, e: int, simples: Iterable[Simple]) -> int:
-    """Multiply fac * delta^e by the simples, in place: each enters the
-    list as tau^-e(s), since delta^e s = tau^-e(s) delta^e.  Returns the new
-    e; the product is fac * delta^e."""
-    period = st.tau_period
+    t is a structure, whose list entries are simples, or its code book,
+    whose entries are codes: the cascade reads only t.rows, t.tau_inv,
+    t.identity, t.delta and t.tau_period, and looks the tables up by
+    subscript.  Each simple enters as tau^-e(s), since delta^e s =
+    tau^-e(s) delta^e, is appended and slid right to left until a pair is
+    left-weighted; an identity rest is deleted, and a carry that fills up
+    to delta leaves through the back, twisting by tau^-1 only the suffix
+    the cascade walked (x_1 ... delta y = x_1 ... tau^-1(y) delta)."""
+    rows, tau_inv, ident, delta, period = t.rows, t.tau_inv, t.identity, t.delta, t.tau_period
     for s in simples:
         if e % period:
-            s = st.tau_pow(s, -e)
-        e += _rmul_into(st, fac, s)
+            for _ in range(e % period):
+                s = tau_inv[s]
+        if s == ident:
+            continue
+        if s == delta:
+            e += 1
+            continue
+        j = len(fac)
+        fac.append(s)
+        while j:
+            step = rows[fac[j - 1]][s]
+            if step is None:
+                break
+            c, rest = step
+            if rest == ident:
+                del fac[j]
+            else:
+                fac[j] = rest
+            if c == delta:
+                fac[j - 1:] = [tau_inv[y] for y in fac[j:]]
+                e += 1
+                break
+            fac[j - 1] = s = c
+            j -= 1
     return e
 
 

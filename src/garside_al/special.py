@@ -656,9 +656,9 @@ def nine_absorbable_decomposition(y: GarsideElement, c: RoundCurve,
         rest = multiply(delta_power(st, -y.inf), y)
         if y.inf % 2:
             cur = cur.reflected(st.n)
-    if push_round_curve(rest, cur) is None:
-        raise DecompositionError("the braid does not keep the curve round")
     split = tube_decomposition(rest, cur)
+    if split is None:
+        raise DecompositionError("the braid does not keep the curve round")
     pieces.extend(_interior_pieces(st, split.interior, cur))
     pieces.extend(_tubular_pieces(st, split.tubular, cur, budget))
     prod = identity_element(st)

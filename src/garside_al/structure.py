@@ -29,37 +29,54 @@ backwards, which inverts the permutation; on Z^n it is the identity), and
 element.py reads right normal forms and right gcds through it.
 
 The normal form algorithms hit the same few simples over and over, so
-each name in _CACHED (the left meet, slide, τ, both complements, the
-starting and finishing sets, nontrivial_simples, preceders and rev) gets
-its own functools.cache per instance around the bound _<name>_raw method,
-which the public method calls.  The public methods stay on the class, so
-code that wraps class attributes sees every call.  The product, the right
+each name in _CACHED (the left meet, τ, both complements, the starting
+and finishing sets, nontrivial_simples, preceders and rev) gets its own
+functools.cache per instance around the bound _<name>_raw method, which
+the public method calls.  The public methods stay on the class, so code
+that wraps class attributes sees every call.  The product, the right
 meet, followers and the quotients are uncached: no hot loop asks for them.
 
-slide is the domino step of the normal form cascades in one cached call.
-Its raw method calls the raw meet and quotient directly and forms c*u as
-∂^-1(u^-1 ∂c), so a cascade leaves nothing in the meet cache, and it
-interns both outputs: every cached slide refers to one shared object per
-distinct simple.
+The right cascade (element._fold) reads two tables by subscript, with no
+call per step: rows, where rows[c][f] is the domino step slide(c, f),
+and tau_inv, the τ^-1 image of each simple.  Both fill a missing entry
+once, on first use.  A row entry comes from the raw slide, which calls
+the raw meet and quotient directly and forms c*u as ∂^-1(u^-1 ∂c), so a
+cascade leaves nothing in the meet cache, and it interns both outputs:
+every slide refers to one shared object per distinct simple.  slide(c, f)
+is the row lookup.
 
-code_book() numbers the simples for the distance search, which runs on
-small integer codes instead of simple values.  Its slide table is the
-transition table of Thurston's normal-form automaton (Epstein et al., Word
-Processing in Groups, Ch. 9) filled on demand from the raw slide, so it
-holds at most N^2 entries for N simples and adds nothing to the cached
-slide.
+code_book() numbers the simples for the distance search and carries the
+same tables on integer codes, so the search folds through the same
+cascade.  Its rows are the transition table of Thurston's normal-form
+automaton (Epstein et al., Word Processing in Groups, Ch. 9), filled on
+demand from the raw slide, so they hold at most N^2 entries for N simples
+and add nothing to the structure's own rows.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Any, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
 Simple = Hashable
 
 
 class UnsupportedStructureOperation(Exception):
     """Raised when a structure cannot enumerate its simples (rank too big)."""
+
+
+class _Table(dict):
+    """A dict that fills a missing key k with fill(*args, k), once."""
+
+    __slots__ = ("_fill", "_args")
+
+    def __init__(self, fill: Callable[..., Any], *args: Any) -> None:
+        super().__init__()
+        self._fill, self._args = fill, args
+
+    def __missing__(self, key: Any) -> Any:
+        got = self[key] = self._fill(*self._args, key)
+        return got
 
 
 class GarsideStructure:
@@ -74,7 +91,7 @@ class GarsideStructure:
 
     # Each name is served by _<name>_raw through its own per-instance
     # functools.cache, stored as the instance attribute _<name>.
-    _CACHED = ("left_meet", "slide", "tau", "right_complement", "left_complement",
+    _CACHED = ("left_meet", "tau", "right_complement", "left_complement",
                "starting_set", "finishing_set", "nontrivial_simples", "preceders", "rev")
 
     def __init__(self) -> None:
@@ -85,6 +102,11 @@ class GarsideStructure:
         self._move_sets: dict = {}
         # the BFS's integer codes for simples, built on first use (code_book)
         self._code_book: CodeBook | None = None
+        # the right cascade's tables (element._fold): rows[c][f] is
+        # slide(c, f) and tau_inv[s] is tau^-1(s), each filled on first use;
+        # a missing row c is _Table(self._slide_raw, c)
+        self.rows = _Table(_Table, self._slide_raw)
+        self.tau_inv = _Table(lambda s: self.tau_pow(s, -1))
         for name in self._CACHED:
             setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
@@ -188,7 +210,7 @@ class GarsideStructure:
         """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
         of the right complement of c and f, or None when u is 1, that is
         when (c, f) is already left-weighted.  The product c*f is kept."""
-        return self._slide(c, f)
+        return self.rows[c][f]
 
     def tau(self, s: Simple) -> Simple:
         return self._tau(s)
@@ -268,79 +290,30 @@ class GarsideStructure:
         return f"<GarsideStructure {self.structure_id}>"
 
 
-class _SlideTable(dict):
-    """slide on codes, keyed c*N + f: None when the pair is left-weighted,
-    else the codes of the two outputs.  Each entry is computed once, from
-    the raw slide."""
-
-    __slots__ = ("_st", "_book")
-
-    def __init__(self, st: GarsideStructure, book: "CodeBook") -> None:
-        super().__init__()
-        self._st, self._book = st, book
-
-    def __missing__(self, key: int) -> tuple | None:
-        book = self._book
-        c, f = divmod(key, len(book.simples))
-        step = self._st._slide_raw(book.simples[c], book.simples[f])
-        got = self[key] = (None if step is None
-                           else (book.code[step[0]], book.code[step[1]]))
-        return got
-
-
 class CodeBook:
     """The simples of one structure numbered 0 .. N-1, as
     (identity, *nontrivial_simples(), delta): the identity is code 0 and
     delta is code N-1.  code maps a simple to its code, tau_inv is the
-    tau^-1 image of each code, and slide is the slide table.
+    tau^-1 image of each code, and rows[c][f] is the slide on codes: None
+    when the pair is left-weighted, else the codes of the two outputs.
 
-    rmul is the right cascade of element._rmul_into on lists of codes.
-    The element kernel keeps its own cascade on simple values because it
-    serves structures whose simples cannot be enumerated (braids up to 64
-    strands); a code book needs them all.
+    The book carries the five names element._fold reads (rows, tau_inv,
+    identity, delta, tau_period), so the distance search folds coded
+    vertices through the one right cascade.  Each row entry is computed
+    once, from the raw slide, so the rows hold at most N^2 entries and add
+    nothing to the structure's own rows.
     """
 
-    __slots__ = ("simples", "code", "tau_inv", "slide")
+    __slots__ = ("simples", "code", "tau_inv", "rows", "identity", "delta", "tau_period")
 
     def __init__(self, st: GarsideStructure) -> None:
-        self.simples = (st.identity, *st.nontrivial_simples(), st.delta)
-        self.code = {s: i for i, s in enumerate(self.simples)}
-        self.tau_inv = [self.code[st.tau_pow(s, -1)] for s in self.simples]
-        self.slide = _SlideTable(st, self)
+        self.simples = simples = (st.identity, *st.nontrivial_simples(), st.delta)
+        self.code = code = {s: i for i, s in enumerate(simples)}
+        self.tau_inv = [code[st.tau_pow(s, -1)] for s in simples]
+        self.identity, self.delta, self.tau_period = 0, len(simples) - 1, st.tau_period
 
-    def rmul(self, fac: list, move) -> int:
-        """Replace the coded normal factor list fac by the list L with
-        fac * s_1 ... s_k = L * delta^q, in place, for the codes s_i of
-        nontrivial proper simples in move; returns q.  For an inf-0 fac, L
-        is the inf-0 representative of the product's coset.
+        def coded_slide(c: int, f: int) -> tuple | None:
+            step = st._slide_raw(simples[c], simples[f])
+            return None if step is None else (code[step[0]], code[step[1]])
 
-        Each s_i enters as tau^-q(s_i) for the q so far, is appended and
-        slid right to left until a pair is left-weighted; an identity rest
-        is deleted, and a carry that fills up to delta leaves through the
-        back, twisting by tau^-1 the suffix the cascade walked."""
-        slide, tau_inv = self.slide, self.tau_inv
-        n = len(tau_inv)
-        top = n - 1
-        q = 0
-        for f in move:
-            if q:
-                for _ in range(q):
-                    f = tau_inv[f]
-            j = len(fac)
-            fac.append(f)
-            while j:
-                step = slide[fac[j - 1] * n + f]
-                if step is None:
-                    break
-                c, rest = step
-                if rest:
-                    fac[j] = rest
-                else:
-                    del fac[j]
-                if c == top:
-                    fac[j - 1:] = [tau_inv[x] for x in fac[j:]]
-                    q += 1
-                    break
-                fac[j - 1] = f = c
-                j -= 1
-        return q
+        self.rows = _Table(_Table, coded_slide)

@@ -42,6 +42,7 @@ from garside_al.element import (
     GarsideElement,
     _lmul_simple,
     _rev,
+    fraction_form,
     right_normal_form,
     simple_element,
 )
@@ -394,17 +395,22 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     assert is_absorbable(y) is None
     assert struct._left_meet.cache_info().currsize == 0
     assert calls == {"compose": 0, "right_meet": 0}
-    hits = struct._slide.cache_info().hits
+
+    def entries():
+        return sum(len(row) for row in struct.rows.values())
+
+    before = entries()
     outputs = set()
-    for c, f in itertools.product(struct.nontrivial_simples(), repeat=2):
+    pairs = list(itertools.product(struct.nontrivial_simples(), repeat=2))
+    for c, f in pairs:
         step = struct.slide(c, f)
         if step is not None:
             for s in step:
                 assert struct._interned[s] is s
                 outputs.add(id(s))
-    # some answers came from the search's cache entries, and every simple
+    # some answers came from the search's row entries, and every simple
     # the slides hand out is one shared object
-    assert struct._slide.cache_info().hits > hits
+    assert entries() - before < len(pairs)
     assert len(outputs) <= 120
 
 
@@ -488,15 +494,31 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_rejects_tampering(tmp_path):
-    path = tmp_path / "absorb.cache"
-    enumerate_absorbable(B3, 3, cache_path=str(path))
-    lines = path.read_text().splitlines()
-    lines[1] = "999"
-    # a trailer that matches the tampered rows, so that validation sees them
-    lines[-1] = absorb._cache_trailer(lines[1:-1])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheError):
+    # the sound B3 block at L = 3 holds the rows 132 and 213 (the atoms);
+    # each case replaces them, and every rejection has its own message
+    cases = {
+        ("999", "213"): "cache: '999' is not a simple element",
+        ("1x2", "213"): "cache: unparsable permutation '1x2'",
+        # s1 followed by s2 is not left-weighted
+        ("132", "213|132"): "cache: entry '213|132' is not left-weighted",
+        ("132", "213|213|213|213"):
+            "cache: entry '213|213|213|213' exceeds the block's length bound",
+        ("213", "132"): "cache: block entries out of order",
+        ("132", "132"): "cache: duplicate block entries",
+        # s1 s2 is not absorbable, and entry 0 is re-searched
+        ("231",): "cache: spot check failed for entry 0",
+    }
+    for k, (rows, message) in enumerate(cases.items()):
+        path = tmp_path / f"absorb-{k}.cache"
         enumerate_absorbable(B3, 3, cache_path=str(path))
+        lines = path.read_text().splitlines()
+        assert lines[1:-1] == ["132", "213"]
+        # a trailer that matches the tampered rows, so that validation sees them
+        lines[1:] = [*rows, absorb._cache_trailer(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheError) as err:
+            enumerate_absorbable(B3, 3, cache_path=str(path))
+        assert str(err.value) == message, rows
 
 
 def test_cache_block_cut_short_is_skipped_and_recomputed(tmp_path):
@@ -625,6 +647,35 @@ def test_cache_append_waits_while_another_writer_holds_the_lock(tmp_path):
     appender.join(timeout=30)
     assert not appender.is_alive()
     assert path.read_bytes() == held + appended
+
+
+def test_prime_variant_answers_come_from_their_branches(monkeypatch):
+    searched = []
+    chains = absorb._chains
+    monkeypatch.setattr(absorb, "_chains",
+                        lambda *args: searched.append(args) or chains(*args))
+    # y = u^-1 v with u^-1 not absorbable, so the answer is no before the
+    # numerator v is looked at or any candidate is searched
+    decided = []
+    search = absorb.is_absorbable
+    monkeypatch.setattr(absorb, "is_absorbable",
+                        lambda y, **kw: decided.append(y) or search(y, **kw))
+    y = parse_word(B4, "s2 s1^-1 s3^-1")
+    fr = fraction_form(y)
+    assert is_absorbable(invert(fr.negative)) is None
+    assert is_absorbable_prime(y) == "no"
+    assert decided == [invert(fr.negative)] and searched == []
+    # inf -1, sup 2, both fraction parts absorbable: the two-factor
+    # candidate search answers yes
+    y = parse_word(B4, "s3 s1^-1 s3 s2")
+    assert (y.inf, y.sup) == (-1, 2)
+    fr = fraction_form(y)
+    decided.clear()
+    assert is_absorbable_prime(y) == "yes"
+    assert decided == [invert(fr.negative), fr.positive]
+    assert all(search(x) is not None for x in decided)
+    assert searched == [(B4, absorb._PRIME_SEARCH_LEN)]
+    assert absorb._PRIME_SEARCH_LEN == 2
 
 
 def test_prime_variant_values():

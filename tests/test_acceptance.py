@@ -283,3 +283,10 @@ def test_criterion_13_scope_statement_in_suite_output():
                       "power tracking", "preferred paths",
                       "triangle thinness"):
             assert token in joined, f"scope statement must mention {token!r}"
+
+
+def test_absorb_and_complex_suites_pass_every_check():
+    for name in ("absorb", "complex"):
+        result = run_suite(name, seed=0)
+        assert result.checks, name
+        assert result.ok, [c.line() for c in result.checks if not c.ok]

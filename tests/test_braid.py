@@ -274,8 +274,13 @@ def test_nontrivial_simples_count():
 @pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
 def test_every_cached_primitive_equals_its_raw_method(struct):
     simples = list(struct.all_simples())
-    for name in struct._CACHED:
-        public, raw = getattr(struct, name), getattr(struct, f"_{name}_raw")
+    primitives = [(name, getattr(struct, name), getattr(struct, f"_{name}_raw"))
+                  for name in struct._CACHED]
+    # the right cascade's tables, filled on first use
+    primitives += [("slide", struct.slide, struct._slide_raw),
+                   ("tau_inv", struct.tau_inv.__getitem__,
+                    lambda s: struct.tau_pow(s, -1))]
+    for name, public, raw in primitives:
         arity = len(inspect.signature(raw).parameters)
         for args in itertools.product(simples, repeat=arity):
             assert public(*args) == raw(*args), (name, args)
@@ -289,6 +294,12 @@ def test_structures_do_not_share_caches():
     b4.left_meet(b4.delta, b4.atom(3))
     assert b5._left_meet.cache_info() == before
     assert b4._left_meet.cache_info().currsize > 0
+    # nor the right cascade's tables
+    assert b4.rows is not b5.rows and b4.tau_inv is not b5.tau_inv
+    rows = {c: dict(row) for c, row in b5.rows.items()}
+    b4.slide(b4.atom(1), b4.atom(2))
+    assert {c: dict(row) for c, row in b5.rows.items()} == rows
+    assert b4.rows[b4.atom(1)]
 
 
 def _check_rev_on_pairs(struct, pairs, right_meet, finishing_set):
@@ -394,7 +405,7 @@ def test_code_book_numbers_identity_first_and_delta_last(struct):
 def test_structures_do_not_share_code_books():
     fresh = BraidStructure(4)
     assert fresh.code_book() is not B4.code_book()
-    assert fresh.code_book().slide is not B4.code_book().slide
+    assert fresh.code_book().rows is not B4.code_book().rows
     assert fresh.code_book().simples == B4.code_book().simples
 
 
@@ -432,9 +443,15 @@ def test_coded_cascade_is_the_element_cascade(struct):
         want = list(x.factors)
         q_want = _fold(struct, want, 0, move)
         got = [code[f] for f in x.factors]
-        q = book.rmul(got, [code[s] for s in move])
+        q = _fold(book, got, 0, [code[s] for s in move])
         assert (q, got) == (q_want, [code[f] for f in want]), (x, move)
         product = multiply(x, make_element(struct, 0, move))
         assert tuple(want) == vertex_of(product).rep.factors, (x, move)
         assert q == product.power, (x, move)
     assert min(branches.values()) > 10, branches
+    # every coded row entry the cascades filled is the structure's slide
+    simples = book.simples
+    for c, row in book.rows.items():
+        for f, step in row.items():
+            want = struct.slide(simples[c], simples[f])
+            assert step == (None if want is None else tuple(code[s] for s in want))

@@ -504,12 +504,15 @@ class TestVertexMoves:
         pairs = [(v, w) for v, w in pairs
                  if alcomplex._coset_difference(v, w).canonical_length >= 2]
         assert len(pairs) >= 4
-        before = st._slide.cache_info().currsize
+        def entries(rows):
+            return sum(len(row) for row in rows.values())
+
+        before = entries(st.rows)
         for v, w in pairs:
             distance_upper_bound(v, w, 2, 4)
-        assert st._slide.cache_info().currsize == before
+        assert entries(st.rows) == before
         n = len(st.code_book().simples)
-        assert 0 < len(st.code_book().slide) <= n * n
+        assert 0 < entries(st.code_book().rows) <= n * n
 
     def test_budget_error_says_how_far_the_search_got(self):
         alcomplex._vertex_moves(B3, 2, DEFAULT_BUDGET, None)
