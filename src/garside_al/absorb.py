@@ -136,11 +136,10 @@ def _survivors(st, options, leftmost, head):
         # two-byte indices cover every braid group whose simples enumerate
         code = "H" if len(options) <= 1 << 16 else "L"
         # is_left_weighted(t, head), with the starting set of head read once
-        starts = st.starting_set(head)
+        starts, finishing, dc = st.starting_set(head), st._finishing_set, st._right_complement
         table = st._survivor_tables[key] = array(code, (
             i for i, t in enumerate(options)
-            if not starts <= st.finishing_set(t)
-            and not st.left_divides_simple(st.right_complement(t), head)))
+            if not starts <= finishing[t] and not st.left_divides_simple(dc[t], head)))
     return table
 
 

@@ -17,15 +17,15 @@ count), is not an interface primitive; it stays for callers outside the
 package, such as the benchmark tracer, which wraps it by name.
 
 Left divisibility of simples is inversion-set containment (the weak order),
-which left_divides_simple tests on the cached masks without a meet, so the
-derived product tests simplicity without one either; right divisibility is
-containment of the inverses' inversion sets, which right_divides_simple
-tests on a second cached mask per simple.  The meet keeps a pair of
-strands uncrossed when s or t does, closed under transitivity (Epstein et
-al., Word Processing in Groups, Ch. 9).  Both masks join the primitives
-the base class caches per instance, so repeated normal form work on the
-same structure amortizes to cache hits.  inverse is recomputed on every
-call: on long B8 forms a cache of it missed about as often as it hit.
+which left_divides_simple tests on the masks in _inversion_mask without a
+meet, so the derived product tests simplicity without one either; right
+divisibility is containment of the inverses' inversion sets, which
+right_divides_simple tests on the masks in _inverse_mask.  The meet keeps
+a pair of strands uncrossed when s or t does, closed under transitivity
+(Epstein et al., Word Processing in Groups, Ch. 9).  Both mask tables are
+_Tables like the base class's, so repeated normal form work amortizes to
+table hits.  inverse is recomputed on every call: on long B8 forms a
+cache of it missed about as often as it hit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .structure import GarsideStructure, UnsupportedStructureOperation
+from .structure import GarsideStructure, UnsupportedStructureOperation, _Table
 
 # Enumerating all n! simples is only sane for small n; arithmetic has no such limit.
 MAX_ENUMERABLE_STRANDS = 8
@@ -49,8 +49,6 @@ def perm_inverse(s: Perm) -> Perm:
 
 
 class BraidStructure(GarsideStructure):
-    _CACHED = GarsideStructure._CACHED + ("inversion_mask", "inverse_mask")
-
     def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError(f"need at least 2 strands, got {n}")
@@ -67,6 +65,8 @@ class BraidStructure(GarsideStructure):
             atoms.append(tuple(a))
         self.atoms = tuple(atoms)
         super().__init__()
+        self._inversion_mask = _Table(self._inversion_mask_raw)
+        self._inverse_mask = _Table(self._inverse_mask_raw)
 
     # -- permutation utilities ------------------------------------------------
 
@@ -74,7 +74,7 @@ class BraidStructure(GarsideStructure):
         return perm_inverse(s)
 
     def inversion_mask(self, s: Perm) -> int:
-        return self._inversion_mask(s)
+        return self._inversion_mask[s]
 
     def _inversion_mask_raw(self, s: Perm) -> int:
         # bit k stands for the k-th position pair (i, j), i < j, in
@@ -85,24 +85,21 @@ class BraidStructure(GarsideStructure):
                 mask |= 1 << bit
         return mask
 
-    def inverse_mask(self, s: Perm) -> int:
-        """The inversion mask of s^-1."""
-        return self._inverse_mask(s)
-
     def _inverse_mask_raw(self, s: Perm) -> int:
+        """The inversion mask of s^-1."""
         return self._inversion_mask_raw(self.inverse(s))
 
     def simple_length(self, s: Perm) -> int:
         return self.inversion_mask(s).bit_count()
 
     def left_divides_simple(self, s: Perm, t: Perm) -> bool:
-        ms = self.inversion_mask(s)
-        return ms & self.inversion_mask(t) == ms
+        ms = self._inversion_mask[s]
+        return ms & self._inversion_mask[t] == ms
 
     def right_divides_simple(self, s: Perm, t: Perm) -> bool:
         # s right-divides t iff s^-1 left-divides t^-1
-        ms = self._inverse_mask(s)
-        return ms & self._inverse_mask(t) == ms
+        ms = self._inverse_mask[s]
+        return ms & self._inverse_mask[t] == ms
 
     # -- primitives -----------------------------------------------------------
 
@@ -119,7 +116,7 @@ class BraidStructure(GarsideStructure):
                     row |= 1 << j | after[j]
             after[i] = row
             order.insert(n - 1 - i - row.bit_count(), i + 1)
-        return self._intern(perm_inverse(order))
+        return self._interned[perm_inverse(order)]
 
     def _left_quotient_raw(self, u: Perm, t: Perm) -> Perm:
         ui = self.inverse(u)

@@ -12,7 +12,8 @@ Processing in Groups, 1992, Ch. 9).  Sliding a pair (s, t) that is not
 left-weighted means replacing it by (s*u, u^-1*t) with u = ds ^ t, where ds
 is the right complement of s.  Each step is one lookup in the structure's
 slide rows, rows[s][t], which hold None when the pair is already
-left-weighted.
+left-weighted.  The rows are bounded tables (structure.TABLE_BOUND), so no
+answer depends on what they hold.
 
 * _lmul_simple (s * x) slides s into x_1, the remainder into x_2, and so on,
   left to right, and stops as soon as the carry is the identity or meets a
@@ -154,8 +155,7 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
     rows, tau_inv, ident, delta, period = t.rows, t.tau_inv, t.identity, t.delta, t.tau_period
     for s in simples:
         if e % period:
-            for _ in range(e % period):
-                s = tau_inv[s]
+            s = tau_inv[s]
         if s == ident:
             continue
         if s == delta:

@@ -28,37 +28,40 @@ written.  rev exists in both shipped structures (on braids it reads a word
 backwards, which inverts the permutation; on Z^n it is the identity), and
 element.py reads right normal forms and right gcds through it.
 
-The normal form algorithms hit the same few simples over and over, so
-each name in _CACHED (the left meet, τ, both complements, the starting
-and finishing sets, nontrivial_simples, preceders and rev) gets its own
-functools.cache per instance around the bound _<name>_raw method, which
-the public method calls.  The public methods stay on the class, so code
-that wraps class attributes sees every call.  The product, the right
-meet, followers and the quotients are uncached: no hot loop asks for them.
+Each cached primitive is a _Table, a dict that fills a missing entry once
+from the matching _<name>_raw method and that hot loops read by subscript,
+with no Python call on a hit: _tau, both complements, the starting and
+finishing sets, _rev, _preceders, the braid inversion masks and the
+two-level _left_meet[s][t].  A public method of the same name, where one
+exists, reads each and stays on the class for code that wraps class
+attributes.  As the τ period is at most 2, tau_inv is the τ table.
 
-The right cascade (element._fold) reads two tables by subscript, with no
-call per step: rows, where rows[c][f] is the domino step slide(c, f),
-and tau_inv, the τ^-1 image of each simple.  Both fill a missing entry
-once, on first use.  A row entry comes from the raw slide, which calls
-the raw meet and quotient directly and forms c*u as ∂^-1(u^-1 ∂c), so a
-cascade leaves nothing in the meet cache, and it interns both outputs:
-every slide refers to one shared object per distinct simple.  slide(c, f)
-is the row lookup.
+The right cascade (element._fold) reads the slide rows, where rows[c][f]
+is the domino step on (c, f), and tau_inv by subscript.  A row entry
+comes from the raw slide, which calls the raw meet and quotient directly,
+so a cascade leaves nothing in the meet table, and it interns both
+outputs in _interned: until that table clears, the slides share one
+object per distinct simple.  code_book() carries the same tables on
+integer codes for the distance search; its rows are the transition table
+of Thurston's normal-form automaton (Epstein et al., Word Processing in
+Groups, Ch. 9).
 
-code_book() numbers the simples for the distance search and carries the
-same tables on integer codes, so the search folds through the same
-cascade.  Its rows are the transition table of Thurston's normal-form
-automaton (Epstein et al., Word Processing in Groups, Ch. 9), filled on
-demand from the raw slide, so they hold at most N^2 entries for N simples
-and add nothing to the structure's own rows.
+Each table holds at most TABLE_BOUND entries, a two-level one (the slide,
+meet and code book rows) counting its rows too; a miss that finds it full
+empties it first.  An entry costs 100 to 300 bytes on B8, so a full
+table holds 13 to 40 MB.  For N simples, a unary table holds at most N
+entries (40,320 on B8), the code book's rows N^2, the absorber's survivor
+tables (N+1)*N keys, and the move sets one per generator length.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Any, Callable, Hashable, Iterable
 
 Simple = Hashable
+
+# the most entries one _Table holds, its rows' entries counted too
+TABLE_BOUND = 1 << 17
 
 
 class UnsupportedStructureOperation(Exception):
@@ -66,17 +69,32 @@ class UnsupportedStructureOperation(Exception):
 
 
 class _Table(dict):
-    """A dict that fills a missing key k with fill(*args, k), once."""
+    """A dict that fills a missing key k with fill(*args, k), once.  Each
+    entry counts against an owner, the table itself or, for a row of a
+    two-level table (_rows), that table; a miss that finds its owner
+    holding TABLE_BOUND entries empties the owner first."""
 
-    __slots__ = ("_fill", "_args")
+    __slots__ = ("_fill", "_args", "_owner", "_size")
 
-    def __init__(self, fill: Callable[..., Any], *args: Any) -> None:
+    def __init__(self, fill: Callable[..., Any], *args: Any, owner: Any = None) -> None:
         super().__init__()
-        self._fill, self._args = fill, args
+        self._fill, self._args, self._size = fill, args, 0
+        self._owner = self if owner is None else owner
 
     def __missing__(self, key: Any) -> Any:
+        owner = self._owner
+        if owner._size >= TABLE_BOUND:
+            owner.clear()
+            owner._size = 0
         got = self[key] = self._fill(*self._args, key)
+        owner._size += 1
         return got
+
+
+def _rows(fill: Callable[[Any, Any], Any]) -> _Table:
+    """The two-level table t with t[a][b] = fill(a, b); a row is an entry too."""
+    top = _Table(lambda a: _Table(fill, a, owner=top))
+    return top
 
 
 class GarsideStructure:
@@ -89,26 +107,26 @@ class GarsideStructure:
     delta: Simple
     tau_period: int    # order of tau on simples (2 for braids, 1 for free abelian)
 
-    # Each name is served by _<name>_raw through its own per-instance
-    # functools.cache, stored as the instance attribute _<name>.
-    _CACHED = ("left_meet", "tau", "right_complement", "left_complement",
-               "starting_set", "finishing_set", "nontrivial_simples", "preceders", "rev")
-
     def __init__(self) -> None:
-        self._interned: dict = {}  # one object per distinct simple produced
-        # the absorber search's survivor tables (absorb._survivors)
+        if self.tau_period > 2:
+            raise ValueError(f"tau period {self.tau_period} > 2, so tau^-1 is not tau")
+        self._left_meet = _rows(self._left_meet_raw)
+        self._tau = _Table(self._tau_raw)
+        self._right_complement = _Table(self._right_complement_raw)
+        self._left_complement = _Table(self._left_complement_raw)
+        self._starting_set = _Table(self._starting_set_raw)
+        self._finishing_set = _Table(self._finishing_set_raw)
+        self._rev = _Table(self._rev_raw)
+        self._preceders = _Table(self._preceders_raw)
+        self._interned = _Table(lambda s: s)  # one object per distinct simple produced
+        # the right cascade's tables (element._fold); tau^-1 is tau
+        self.rows = _rows(self._slide_raw)
+        self.tau_inv = self._tau
+        self._nontrivial: tuple | None = None
+        # built on first use: absorb._survivors, alcomplex._vertex_moves, code_book
         self._survivor_tables: dict = {}
-        # the BFS's vertex move sets by generator length (alcomplex._vertex_moves)
         self._move_sets: dict = {}
-        # the BFS's integer codes for simples, built on first use (code_book)
         self._code_book: CodeBook | None = None
-        # the right cascade's tables (element._fold): rows[c][f] is
-        # slide(c, f) and tau_inv[s] is tau^-1(s), each filled on first use;
-        # a missing row c is _Table(self._slide_raw, c)
-        self.rows = _Table(_Table, self._slide_raw)
-        self.tau_inv = _Table(lambda s: self.tau_pow(s, -1))
-        for name in self._CACHED:
-            setattr(self, f"_{name}", cache(getattr(self, f"_{name}_raw")))
 
     # -- primitives a concrete structure supplies ----------------------------
 
@@ -147,12 +165,7 @@ class GarsideStructure:
 
     def _left_complement_raw(self, s: Simple) -> Simple:
         """delta * s^-1, the tau^-1 image of the right complement."""
-        return self.tau_pow(self.right_complement(s), -1)
-
-    def _right_quotient_raw(self, s: Simple, g: Simple) -> Simple:
-        """s * g^-1, assuming g right-divides s: the left quotient of the
-        left complements, (s delta^-1) * (delta g^-1)."""
-        return self._left_quotient_raw(self.left_complement(s), self.left_complement(g))
+        return self.tau_inv[self.right_complement(s)]
 
     def _right_meet_raw(self, s: Simple, t: Simple) -> Simple:
         # rev maps the right-divisibility order onto the left one
@@ -163,16 +176,16 @@ class GarsideStructure:
         return self.starting_set(self.rev(s))
 
     def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
+        """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
+        of the right complement of c and f, or None when u is 1, that is
+        when (c, f) is already left-weighted.  The product c*f is kept."""
         d = self.right_complement(c)
         u = self._left_meet_raw(d, f)
         if u == self.identity:
             return None
         # c*u is the left complement of u^-1 * d, since u divides d = ∂c
-        return (self._intern(self.left_complement(self._left_quotient_raw(u, d))),
-                self._intern(self._left_quotient_raw(u, f)))
-
-    def _intern(self, s: Simple) -> Simple:
-        return self._interned.setdefault(s, s)
+        return (self._interned[self.left_complement(self._left_quotient_raw(u, d))],
+                self._interned[self._left_quotient_raw(u, f)])
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         """A canonical reduced atom word for s (greedy smallest starting atom)."""
@@ -195,7 +208,7 @@ class GarsideStructure:
         return self.left_complement(self._left_quotient_raw(t, c))
 
     def left_meet(self, s: Simple, t: Simple) -> Simple:
-        return self._left_meet(s, t)
+        return self._left_meet[s][t]
 
     def right_meet(self, s: Simple, t: Simple) -> Simple:
         return self._right_meet_raw(s, t)
@@ -204,16 +217,12 @@ class GarsideStructure:
         return self._left_quotient_raw(u, t)
 
     def right_quotient(self, s: Simple, g: Simple) -> Simple:
-        return self._right_quotient_raw(s, g)
-
-    def slide(self, c: Simple, f: Simple) -> tuple | None:
-        """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
-        of the right complement of c and f, or None when u is 1, that is
-        when (c, f) is already left-weighted.  The product c*f is kept."""
-        return self.rows[c][f]
+        """s * g^-1, assuming g right-divides s: the left quotient of the
+        left complements, (s delta^-1) * (delta g^-1)."""
+        return self._left_quotient_raw(self.left_complement(s), self.left_complement(g))
 
     def tau(self, s: Simple) -> Simple:
-        return self._tau(s)
+        return self._tau[s]
 
     def code_book(self) -> "CodeBook":
         """The integer codes of this structure's simples, built once."""
@@ -222,25 +231,23 @@ class GarsideStructure:
         return self._code_book
 
     def tau_pow(self, s: Simple, k: int) -> Simple:
-        k %= self.tau_period
-        for _ in range(k):
-            s = self.tau(s)
-        return s
+        # tau is its own inverse, so tau^k is tau for odd k
+        return self._tau[s] if k % self.tau_period else s
 
     def right_complement(self, s: Simple) -> Simple:
-        return self._right_complement(s)
+        return self._right_complement[s]
 
     def left_complement(self, s: Simple) -> Simple:
-        return self._left_complement(s)
+        return self._left_complement[s]
 
     def starting_set(self, s: Simple) -> frozenset:
-        return self._starting_set(s)
+        return self._starting_set[s]
 
     def finishing_set(self, s: Simple) -> frozenset:
-        return self._finishing_set(s)
+        return self._finishing_set[s]
 
     def rev(self, s: Simple) -> Simple:
-        return self._rev(s)
+        return self._rev[s]
 
     # -- derived predicates ---------------------------------------------------
 
@@ -261,11 +268,10 @@ class GarsideStructure:
 
     def nontrivial_simples(self) -> tuple:
         """All simples except identity and delta, sorted, for search candidates."""
-        return self._nontrivial_simples()
-
-    def _nontrivial_simples_raw(self) -> tuple:
-        return tuple(sorted(s for s in self.all_simples()
-                            if s != self.identity and s != self.delta))
+        if self._nontrivial is None:
+            self._nontrivial = tuple(sorted(s for s in self.all_simples()
+                                            if s != self.identity and s != self.delta))
+        return self._nontrivial
 
     def followers(self, s: Simple) -> tuple:
         """Nontrivial simples t with (s, t) left-weighted."""
@@ -273,7 +279,7 @@ class GarsideStructure:
 
     def preceders(self, t: Simple) -> tuple:
         """Nontrivial simples s with (s, t) left-weighted."""
-        return self._preceders(t)
+        return self._preceders[t]
 
     def _preceders_raw(self, t: Simple) -> tuple:
         return tuple(s for s in self.nontrivial_simples() if self.is_left_weighted(s, t))
@@ -299,21 +305,18 @@ class CodeBook:
 
     The book carries the five names element._fold reads (rows, tau_inv,
     identity, delta, tau_period), so the distance search folds coded
-    vertices through the one right cascade.  Each row entry is computed
-    once, from the raw slide, so the rows hold at most N^2 entries and add
-    nothing to the structure's own rows.
-    """
+    vertices through the one right cascade."""
 
     __slots__ = ("simples", "code", "tau_inv", "rows", "identity", "delta", "tau_period")
 
     def __init__(self, st: GarsideStructure) -> None:
         self.simples = simples = (st.identity, *st.nontrivial_simples(), st.delta)
         self.code = code = {s: i for i, s in enumerate(simples)}
-        self.tau_inv = [code[st.tau_pow(s, -1)] for s in simples]
+        self.tau_inv = [code[st.tau_inv[s]] for s in simples]
         self.identity, self.delta, self.tau_period = 0, len(simples) - 1, st.tau_period
 
         def coded_slide(c: int, f: int) -> tuple | None:
             step = st._slide_raw(simples[c], simples[f])
             return None if step is None else (code[step[0]], code[step[1]])
 
-        self.rows = _Table(_Table, coded_slide)
+        self.rows = _rows(coded_slide)

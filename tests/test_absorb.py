@@ -356,6 +356,11 @@ def test_search_over_more_candidates_than_two_byte_indices_hold():
     assert cert is not None and cert.x.factors == (struct.atom(17),)
 
 
+def _entries(table):
+    """The entries of a two-level table, its rows counted too."""
+    return len(table) + sum(len(row) for row in table.values())
+
+
 def _count_products_and_right_meets(monkeypatch):
     """Count the calls of the product and of the right meet, which the
     search must not make; the raw right meet is counted, so a call of
@@ -379,12 +384,12 @@ def test_b6_witness_budget_boundary(monkeypatch):
     y = distance_witness(6)
     struct = y.structure
     calls = _count_products_and_right_meets(monkeypatch)
-    size = struct._left_meet.cache_info().currsize
+    size = _entries(struct._left_meet)
     assert is_absorbable(y, budget=850_735) is None
     with pytest.raises(SearchBudgetExceeded):
         is_absorbable(y, budget=850_734)
     # the search steps with the slide alone
-    assert struct._left_meet.cache_info().currsize == size
+    assert _entries(struct._left_meet) == size
     assert calls == {"compose": 0, "right_meet": 0}
 
 
@@ -393,7 +398,7 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     y = make_element(struct, 0, _witness_factor_perms(5))
     calls = _count_products_and_right_meets(monkeypatch)
     assert is_absorbable(y) is None
-    assert struct._left_meet.cache_info().currsize == 0
+    assert not struct._left_meet
     assert calls == {"compose": 0, "right_meet": 0}
 
     def entries():
@@ -403,10 +408,10 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     outputs = set()
     pairs = list(itertools.product(struct.nontrivial_simples(), repeat=2))
     for c, f in pairs:
-        step = struct.slide(c, f)
+        step = struct.rows[c][f]
         if step is not None:
             for s in step:
-                assert struct._interned[s] is s
+                assert struct._interned.get(s) is s
                 outputs.add(id(s))
     # some answers came from the search's row entries, and every simple
     # the slides hand out is one shared object

@@ -7,21 +7,28 @@ import random
 import pytest
 
 from garside_al import (
+    SearchBudgetExceeded,
     abelian_structure,
     braid_structure,
+    invert,
+    is_absorbable,
+    left_gcd,
     make_element,
     multiply,
+    preferred_path,
 )
+from garside_al import structure
 from garside_al.abelian import AbelianStructure
 from garside_al.alcomplex import vertex_of
-from garside_al.element import _fold
+from garside_al.element import _fold, right_gcd
 from garside_al.braid import (
     BraidStructure,
     embed_simple,
     perm_inverse as braid_perm_inverse,
     simple_from_word,
 )
-from garside_al.structure import GarsideStructure
+from garside_al.special import _witness_factor_perms
+from garside_al.structure import GarsideStructure, _Table
 from oracles import (
     _compose as oracle_compose,
     _left_meet as oracle_left_meet,
@@ -134,7 +141,7 @@ def test_derived_primitives_on_random_simples_of_b12():
         s, t = perm_of_word(word[:k], 12), perm_of_word(word[k:], 12)
         pairs += [(s, t), (p, t), (tuple(rng.sample(range(1, 13), 12)), t)]
     _check_derived_primitives_on_perms(struct, pairs)
-    assert struct._left_meet.cache_info().currsize == 0
+    assert not struct._left_meet
 
 
 def test_derived_primitives_on_every_pair_of_simples_of_z3():
@@ -223,7 +230,7 @@ def test_meet_probes_no_products_and_shares_its_results(monkeypatch):
     m = struct.left_meet(perm_of_word((1, 2, 1, 3, 4), 8), perm_of_word((1, 2, 1, 5, 6), 8))
     assert m == half_twist3
     assert products == []
-    assert struct._inversion_mask.cache_info().currsize == 0
+    assert not struct._inversion_mask
     assert struct.left_meet(perm_of_word((2, 1, 2, 3), 8), perm_of_word((1, 2, 1, 4), 8)) is m
 
 
@@ -271,34 +278,75 @@ def test_nontrivial_simples_count():
     assert len(B4.nontrivial_simples()) == 22
 
 
+def _tables(struct):
+    """Every table the structure keeps, by attribute name, and the code
+    book's rows once the book is built."""
+    tables = {name: t for name, t in vars(struct).items() if isinstance(t, _Table)}
+    if struct._code_book is not None:
+        tables["code book rows"] = struct._code_book.rows
+    return tables
+
+
+def _entries(table):
+    """The entries of a table, the rows of a two-level table counted too."""
+    return len(table) + sum(len(v) for v in table.values() if isinstance(v, _Table))
+
+
+def _contents(table):
+    return {k: dict(v) if isinstance(v, _Table) else v for k, v in table.items()}
+
+
 @pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3)), ids=lambda s: s.structure_id)
 def test_every_cached_primitive_equals_its_raw_method(struct):
     simples = list(struct.all_simples())
-    primitives = [(name, getattr(struct, name), getattr(struct, f"_{name}_raw"))
-                  for name in struct._CACHED]
-    # the right cascade's tables, filled on first use
-    primitives += [("slide", struct.slide, struct._slide_raw),
-                   ("tau_inv", struct.tau_inv.__getitem__,
-                    lambda s: struct.tau_pow(s, -1))]
-    for name, public, raw in primitives:
-        arity = len(inspect.signature(raw).parameters)
-        for args in itertools.product(simples, repeat=arity):
-            assert public(*args) == raw(*args), (name, args)
+    book = struct.code_book()
+
+    def coded_slide(c, f):
+        step = struct._slide_raw(book.simples[c], book.simples[f])
+        return None if step is None else tuple(book.code[s] for s in step)
+
+    # tau^-1 is tau, checked against an inverse of the raw tau
+    assert struct.tau_inv is struct._tau
+    untau = {struct._tau_raw(s): s for s in simples}
+    raws = {"rows": struct._slide_raw, "tau_inv": lambda s: untau[s],
+            "_interned": lambda s: s, "code book rows": coded_slide}
+    tables = _tables(struct)
+    assert {"_left_meet", "_tau", "_right_complement", "_left_complement",
+            "_starting_set", "_finishing_set", "_rev", "_preceders", "_interned",
+            "rows", "tau_inv", "code book rows"} <= tables.keys()
+    for name, table in tables.items():
+        raw = raws.get(name) or getattr(struct, f"{name}_raw")
+        public = getattr(struct, name[1:], None) if name.startswith("_") else None
+        keys = range(len(book.simples)) if name == "code book rows" else simples
+        if len(inspect.signature(raw).parameters) == 2:
+            for a, b in itertools.product(keys, repeat=2):
+                assert table[a][b] == raw(a, b), (name, a, b)
+                assert public is None or public(a, b) == raw(a, b), (name, a, b)
+        else:
+            for a in keys:
+                assert table[a] == raw(a), (name, a)
+                assert public is None or public(a) == raw(a), (name, a)
 
 
 def test_structures_do_not_share_caches():
     b4, b5 = braid_structure(4), braid_structure(5)
-    for name in b4._CACHED:
-        assert getattr(b4, f"_{name}") is not getattr(b5, f"_{name}"), name
-    before = b5._left_meet.cache_info()
+    b4.code_book(), b5.code_book()
+    t4, t5 = _tables(b4), _tables(b5)
+    assert t4.keys() == t5.keys()
+    for name in t4:
+        assert t4[name] is not t5[name], name
+    before = {name: _contents(t) for name, t in t5.items()}
+    # one fresh entry in every table of b4 leaves every table of b5 as it was
+    key = b4.compose(b4.atom(3), b4.atom(1))
     b4.left_meet(b4.delta, b4.atom(3))
-    assert b5._left_meet.cache_info() == before
-    assert b4._left_meet.cache_info().currsize > 0
-    # nor the right cascade's tables
-    assert b4.rows is not b5.rows and b4.tau_inv is not b5.tau_inv
-    rows = {c: dict(row) for c, row in b5.rows.items()}
-    b4.slide(b4.atom(1), b4.atom(2))
-    assert {c: dict(row) for c, row in b5.rows.items()} == rows
+    for name, table in t4.items():
+        k = 1 if name == "code book rows" else key
+        row = table[k]
+        if isinstance(row, _Table):
+            row[k]
+        assert table, name
+    assert {name: _contents(t) for name, t in t5.items()} == before
+    assert b4._left_meet[b4.delta][b4.atom(3)] == b4.atom(3)
     assert b4.rows[b4.atom(1)]
 
 
@@ -381,7 +429,7 @@ def test_right_divisibility_is_the_right_meet_on_random_simples_of_b12():
 def test_slide_stops_exactly_at_left_weighted_pairs_and_keeps_the_product(struct):
     simples = list(struct.all_simples())
     for c, f in itertools.product(simples, repeat=2):
-        step = struct.slide(c, f)
+        step = struct.rows[c][f]
         assert (step is None) == struct.is_left_weighted(c, f), (c, f)
         if step is not None:
             assert (make_element(struct, 0, step)
@@ -453,5 +501,90 @@ def test_coded_cascade_is_the_element_cascade(struct):
     simples = book.simples
     for c, row in book.rows.items():
         for f, step in row.items():
-            want = struct.slide(simples[c], simples[f])
+            want = struct.rows[simples[c]][simples[f]]
             assert step == (None if want is None else tuple(code[s] for s in want))
+
+
+# ---------------------------------------------------------------------------
+# one bound on every table
+
+
+def _watch_tables(monkeypatch, sized=True):
+    """After every miss, record how often the table it counts against has
+    been filled and, when sized, its entries; returns both records."""
+    sizes, fills = [], {}
+    missing = _Table.__missing__
+
+    def watched(self, key):
+        got = missing(self, key)
+        owner = self._owner
+        if sized:
+            sizes.append(_entries(owner))
+        fills[id(owner)] = fills.get(id(owner), 0) + 1
+        return got
+
+    monkeypatch.setattr(_Table, "__missing__", watched)
+    return sizes, fills
+
+
+def _b5_answers(struct):
+    """Seeded B5 products, gcds, preferred paths and absorber searches,
+    then the x5 witness search and its budget error."""
+    rng = random.Random(2105)
+    simples = struct.nontrivial_simples()
+    answers = []
+    for _ in range(40):
+        a, b = (make_element(struct, rng.randint(-2, 2),
+                             [rng.choice(simples) for _ in range(rng.randint(0, 8))])
+                for _ in range(2))
+        answers += [multiply(a, b), multiply(invert(a), b), left_gcd(a, b), right_gcd(a, b),
+                    preferred_path(vertex_of(a), vertex_of(b))]
+        chain = [rng.choice(simples)]
+        for _ in range(rng.randint(0, 2)):
+            chain.append(rng.choice(struct.followers(chain[-1])))
+        y = make_element(struct, 0, chain)
+        answers.append(is_absorbable(y if rng.random() < 0.5 else invert(y)))
+    witness = make_element(struct, 0, _witness_factor_perms(5))
+    answers.append(is_absorbable(witness))
+    with pytest.raises(SearchBudgetExceeded) as err:
+        is_absorbable(witness, budget=3000)
+    return answers + [str(err.value)]
+
+
+def test_a_small_bound_changes_no_answer(monkeypatch):
+    want = _b5_answers(BraidStructure(5))
+    # every sixth answer is an absorber search's certificate or None
+    assert sum(cert is not None for cert in want[5::6]) > 5
+    monkeypatch.setattr(structure, "TABLE_BOUND", 64)
+    sizes, fills = _watch_tables(monkeypatch)
+    # certificates compare their visited and pruned counts too
+    assert _b5_answers(BraidStructure(5)) == want
+    # tables fill up to the bound, start over, and never pass it
+    assert max(sizes) == 64
+    assert max(fills.values()) > 20 * 64
+
+
+def test_every_b12_table_stays_within_the_bound(monkeypatch):
+    # B12 enumerates nothing, so only the bound keeps its tables small
+    struct, rng = BraidStructure(12), random.Random(12)
+    _sizes, fills = _watch_tables(monkeypatch, sized=False)
+    x = make_element(struct, 0, [])
+    for _ in range(500):
+        x = multiply(x, make_element(struct, 0, [tuple(rng.sample(range(1, 13), 12))
+                                                 for _ in range(20)]))
+        if len(x.factors) > 60:
+            x = make_element(struct, 0, [])
+    assert max(fills.values()) > structure.TABLE_BOUND
+    for name, table in _tables(struct).items():
+        assert _entries(table) <= structure.TABLE_BOUND, name
+
+
+def test_a_tau_period_above_two_is_refused():
+    # tau^-1 is read from the tau table, which only holds up to period 2
+    class PeriodThree(GarsideStructure):
+        def __init__(self):
+            self.structure_id, self.tau_period = "stub:3", 3
+            super().__init__()
+
+    with pytest.raises(ValueError, match="^tau period 3 > 2, so tau\\^-1 is not tau$"):
+        PeriodThree()
