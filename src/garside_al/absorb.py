@@ -21,17 +21,18 @@ Foundations of Garside Theory, Ch. I and V):
   right-divides the positive X = delta^k m^-1, that is iff t right-divides
   R, the largest simple right divisor of X.
 
-Survivor tables, kept on the structure and keyed by (leftmost factor of
-the suffix, m_1), list the candidates that pass the inf test and are not
-left-weighted with m_1 (such a t stays a factor of its own, so the sup
-grows to k + 1).  The search holds X reversed, since rev swaps right and
-left divisibility: R is rev of the head of rev(X), and rev of the X of
-t * m is rev(t)^-1 rev(X), one left division.  A node divides its own
-leftmost factor off only when its table is non-empty, and of the table's
-survivors it multiplies out only those that right-divide R.  The others
-are counted as visited and pruned in one step, so the node counts, the
-certificate and the point where the budget runs out are those of trying
-every candidate in turn.
+Survivor tables, the structure table _survivors[leftmost factor of the
+suffix][m_1] (bounded like every structure table), list the candidates
+that pass the inf test and are not left-weighted with m_1 (such a t stays
+a factor of its own, so the sup grows to k + 1).  The search holds X
+reversed, since rev swaps right and left divisibility: R is rev of the
+head of rev(X), and rev of the X of t * m is rev(t)^-1 rev(X), one left
+division.  A node divides its own leftmost factor off only when its table
+is non-empty, and of the table's survivors it keeps, multiplying out,
+only those that right-divide R.  The candidates up to each survivor are
+counted visited in one run, and pruned is visited minus kept, so the node
+counts, the certificate and the point where the budget runs out are those
+of trying every candidate in turn.
 
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
@@ -44,7 +45,6 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -106,41 +106,28 @@ def absorbs(x: GarsideElement, y: GarsideElement) -> bool:
 
 
 class _NodeCounter:
-    __slots__ = ("visited", "pruned", "budget", "depth")
+    # every candidate tried is visited, and pruned unless it is kept (multiplied out)
+    __slots__ = ("visited", "kept", "budget", "depth")
 
     def __init__(self, budget: int) -> None:
         self.visited = 0
-        self.pruned = 0
+        self.kept = 0
         self.budget = budget
         self.depth = 0  # the deepest _dfs call so far
 
-    def visit(self, count: int) -> None:
+    @property
+    def pruned(self) -> int:
+        return self.visited - self.kept
+
+    def visit(self, count: int, untested: int) -> None:
+        """Count a run of candidates; its last untested ones (a table
+        survivor before its R test) are not pruned yet."""
         self.visited += count
         if self.visited > self.budget:
             raise SearchBudgetExceeded(
-                f"absorber search exceeded the {self.budget}-node budget "
-                f"with {self.visited} nodes visited and {self.pruned} pruned; "
+                f"absorber search exceeded the {self.budget}-node budget with {self.visited} "
+                f"nodes visited and {self.pruned - untested} pruned; "
                 f"the deepest call reached depth {self.depth}")
-
-    def prune(self, count: int) -> None:
-        self.pruned += count
-
-
-def _survivors(st, options, leftmost, head):
-    """The survivor table: indices into options of the candidates t that
-    the first slide of t * m does not prune, for a running product m with
-    first factor head."""
-    key = (leftmost, head)
-    table = st._survivor_tables.get(key)
-    if table is None:
-        # two-byte indices cover every braid group whose simples enumerate
-        code = "H" if len(options) <= 1 << 16 else "L"
-        # is_left_weighted(t, head), with the starting set of head read once
-        starts, finishing, dc = st.starting_set(head), st._finishing_set, st._right_complement
-        table = st._survivor_tables[key] = array(code, (
-            i for i, t in enumerate(options)
-            if not starts <= finishing[t] and not st.left_divides_simple(dc[t], head)))
-    return table
 
 
 def _dfs(st, m, x, leftmost, depth, k, counter):
@@ -157,7 +144,7 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     A table survivor t is kept iff it right-divides r, the largest simple
     right divisor of delta^k m^-1, and only kept candidates are
     multiplied out; every candidate is still counted as a visited node,
-    and the others as pruned nodes, in the order the candidates come.
+    in the order the candidates come, and the ones not kept are pruned.
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
     completes the suffix into a full absorber, or None.
     """
@@ -165,28 +152,25 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     if depth > counter.depth:
         counter.depth = depth
     done = 0  # candidates counted so far
-    table = _survivors(st, options, leftmost, m.factors[0])
+    table = st._survivors[leftmost][m.factors[0]]
     if table:
         if leftmost is not None:
             x = _left_divide(st, st.rev(leftmost), x)
         r = st.rev(_head(st, x))
     for i in table:
-        counter.prune(i - done)
-        counter.visit(i + 1 - done)
+        counter.visit(i + 1 - done, 1)
         done = i + 1
         t = options[i]
         if not st.right_divides_simple(t, r):
-            # sup(t * m) = k + 1
-            counter.prune(1)
-            continue
+            continue  # sup(t * m) = k + 1
+        counter.kept += 1
         if depth + 1 == k:
             return [t]
         got = _dfs(st, _lmul_simple(st, t, m), x, t, depth + 1, k, counter)
         if got is not None:
             got.append(t)
             return got
-    counter.prune(len(options) - done)
-    counter.visit(len(options) - done)
+    counter.visit(len(options) - done, 0)
     return None
 
 

@@ -116,7 +116,7 @@ class BraidStructure(GarsideStructure):
                     row |= 1 << j | after[j]
             after[i] = row
             order.insert(n - 1 - i - row.bit_count(), i + 1)
-        return self._interned[perm_inverse(order)]
+        return perm_inverse(order)
 
     def _left_quotient_raw(self, u: Perm, t: Perm) -> Perm:
         ui = self.inverse(u)

@@ -31,8 +31,9 @@ element.py reads right normal forms and right gcds through it.
 Each cached primitive is a _Table, a dict that fills a missing entry once
 from the matching _<name>_raw method and that hot loops read by subscript,
 with no Python call on a hit: _tau, both complements, the starting and
-finishing sets, _rev, _preceders, the braid inversion masks and the
-two-level _left_meet[s][t].  A public method of the same name, where one
+finishing sets, _rev, _preceders, the braid inversion masks, the
+absorber's _survivors[leftmost][head] and the two-level
+_left_meet[s][t], whose fill interns the meet.  A public method of the same name, where one
 exists, reads each and stays on the class for code that wraps class
 attributes.  As the τ period is at most 2, tau_inv is the τ table.
 
@@ -47,15 +48,16 @@ of Thurston's normal-form automaton (Epstein et al., Word Processing in
 Groups, Ch. 9).
 
 Each table holds at most TABLE_BOUND entries, a two-level one (the slide,
-meet and code book rows) counting its rows too; a miss that finds it full
-empties it first.  An entry costs 100 to 300 bytes on B8, so a full
-table holds 13 to 40 MB.  For N simples, a unary table holds at most N
-entries (40,320 on B8), the code book's rows N^2, the absorber's survivor
-tables (N+1)*N keys, and the move sets one per generator length.
+meet, survivor and code book rows) counting its rows too; a miss that
+finds it full empties it first.  An entry costs 100 to 300 bytes on B8,
+so a full table holds 13 to 40 MB; a survivor entry is an array of up to
+N two-byte indices.  For N simples, a unary table holds at most N
+entries (40,320 on B8), and the move sets one per generator length.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Hashable, Iterable
 
 Simple = Hashable
@@ -110,7 +112,8 @@ class GarsideStructure:
     def __init__(self) -> None:
         if self.tau_period > 2:
             raise ValueError(f"tau period {self.tau_period} > 2, so tau^-1 is not tau")
-        self._left_meet = _rows(self._left_meet_raw)
+        self._interned = _Table(lambda s: s)  # one object per distinct simple produced
+        self._left_meet = _rows(lambda s, t: self._interned[self._left_meet_raw(s, t)])
         self._tau = _Table(self._tau_raw)
         self._right_complement = _Table(self._right_complement_raw)
         self._left_complement = _Table(self._left_complement_raw)
@@ -118,13 +121,12 @@ class GarsideStructure:
         self._finishing_set = _Table(self._finishing_set_raw)
         self._rev = _Table(self._rev_raw)
         self._preceders = _Table(self._preceders_raw)
-        self._interned = _Table(lambda s: s)  # one object per distinct simple produced
         # the right cascade's tables (element._fold); tau^-1 is tau
         self.rows = _rows(self._slide_raw)
         self.tau_inv = self._tau
+        self._survivors = _rows(self._survivors_raw)
         self._nontrivial: tuple | None = None
-        # built on first use: absorb._survivors, alcomplex._vertex_moves, code_book
-        self._survivor_tables: dict = {}
+        # built on first use: alcomplex._vertex_moves, code_book
         self._move_sets: dict = {}
         self._code_book: CodeBook | None = None
 
@@ -283,6 +285,19 @@ class GarsideStructure:
 
     def _preceders_raw(self, t: Simple) -> tuple:
         return tuple(s for s in self.nontrivial_simples() if self.is_left_weighted(s, t))
+
+    def _survivors_raw(self, leftmost: Simple | None, head: Simple) -> array:
+        """For the absorber search: the indices into the preceders of leftmost
+        (every nontrivial simple if None) of the t with t * m of inf 0 and
+        (t, head) not left-weighted, head the first factor of m."""
+        options = self.nontrivial_simples() if leftmost is None else self._preceders[leftmost]
+        # two-byte indices cover every braid group whose simples enumerate
+        code = "H" if len(options) <= 1 << 16 else "L"
+        # is_left_weighted(t, head), with the starting set of head read once
+        starts, finishing, dc = self._starting_set[head], self._finishing_set, self._right_complement
+        return array(code, (i for i, t in enumerate(options)
+                            if not starts <= finishing[t]
+                            and not self.left_divides_simple(dc[t], head)))
 
     # -- identity-based equality (structures are singletons per factory) ------
 

@@ -325,7 +325,7 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
             r = struct.delta if rpow > 0 else rfac[-1] if rfac else struct.identity
             options = (struct.nontrivial_simples() if leftmost is None
                        else struct.preceders(leftmost))
-            for i in absorb._survivors(struct, options, leftmost, m.factors[0]):
+            for i in struct._survivors[leftmost][m.factors[0]]:
                 t = options[i]
                 m2 = _lmul_simple(struct, t, m)
                 keeps = m2.power == 0 and m2.sup == k
@@ -476,10 +476,17 @@ def test_budget_error_says_how_far_the_search_got():
     with pytest.raises(SearchBudgetExceeded) as err:
         is_absorbable(y, budget=5)
     # the survivor tables count candidates in runs, so the run that
-    # crosses the budget is counted whole before the search stops
+    # crosses the budget is counted whole before the search stops; this
+    # run ends at a table survivor not yet tested, which is not pruned
     assert str(err.value) == (
         "absorber search exceeded the 5-node budget with 9 nodes visited "
         "and 6 pruned; the deepest call reached depth 2")
+    # a node's trailing run, after its last survivor, is pruned whole
+    with pytest.raises(SearchBudgetExceeded) as err:
+        is_absorbable(parse_word(B4, "s1 s3 s1 s3"), budget=5)
+    assert str(err.value) == (
+        "absorber search exceeded the 5-node budget with 13 nodes visited "
+        "and 12 pruned; the deepest call reached depth 1")
 
 
 def test_cache_round_trip(tmp_path):
@@ -524,6 +531,32 @@ def test_cache_rejects_tampering(tmp_path):
         with pytest.raises(CacheError) as err:
             enumerate_absorbable(B3, 3, cache_path=str(path))
         assert str(err.value) == message, rows
+
+
+def test_cache_reads_comma_separated_entries(tmp_path):
+    # past 9 coordinates one_line separates entries by commas
+    z10 = abelian_structure(10)
+    # two adjacent coordinates set, so each leaves room for an absorber
+    singles = sorted(tuple(int(i in (j, j + 1)) for i in range(10)) for j in range(5))
+    block = tuple(make_element(z10, 0, [s]) for s in singles)
+    assert all(is_absorbable(el) is not None for el in block)
+    path = tmp_path / "absorb.cache"
+    absorb._cache_append(z10, 1, str(path), block)
+    rows = path.read_text().splitlines()[1:-1]
+    assert rows[0] == "0,0,0,0,1,1,0,0,0,0" and len(rows) == 5
+    assert absorb._cache_load(z10, 1, str(path), DEFAULT_BUDGET) == block
+
+
+def test_cache_path_that_is_a_directory_is_refused(tmp_path):
+    with pytest.raises(CacheError) as err:
+        absorb._cache_load(B3, 1, str(tmp_path), DEFAULT_BUDGET)
+    assert str(err.value) == (
+        f"cache: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'")
+
+
+def test_enumeration_refuses_a_length_bound_below_one():
+    with pytest.raises(ValueError, match="^enumerate_absorbable: max_len must be >= 1$"):
+        enumerate_absorbable(B3, 0)
 
 
 def test_cache_block_cut_short_is_skipped_and_recomputed(tmp_path):

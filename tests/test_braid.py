@@ -313,7 +313,7 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     tables = _tables(struct)
     assert {"_left_meet", "_tau", "_right_complement", "_left_complement",
             "_starting_set", "_finishing_set", "_rev", "_preceders", "_interned",
-            "rows", "tau_inv", "code book rows"} <= tables.keys()
+            "_survivors", "rows", "tau_inv", "code book rows"} <= tables.keys()
     for name, table in tables.items():
         raw = raws.get(name) or getattr(struct, f"{name}_raw")
         public = getattr(struct, name[1:], None) if name.startswith("_") else None
@@ -326,6 +326,9 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
             for a in keys:
                 assert table[a] == raw(a), (name, a)
                 assert public is None or public(a) == raw(a), (name, a)
+    # the survivor table's root row, for the search's first factor
+    for head in simples:
+        assert struct._survivors[None][head] == struct._survivors_raw(None, head), head
 
 
 def test_structures_do_not_share_caches():

@@ -7,6 +7,8 @@ import pytest
 
 from garside_al import (
     RoundCurve,
+    UnsupportedStructureOperation,
+    abelian_structure,
     absorbs,
     are_adjacent,
     braid_structure,
@@ -181,6 +183,21 @@ class TestPowerTracking:
         with pytest.raises(ValueError):
             check_final_segment(x, parse_word(B4, "s2"), 1)
 
+    def test_power_checks_refuse_bad_inputs(self):
+        x, s1 = x4(), parse_word(B4, "s1")
+        shifted = "^expected a positive element with infimum 0$"
+        for z in (multiply(delta_power(B4, 1), s1), invert(s1)):
+            with pytest.raises(ValueError, match=shifted):
+                check_between_powers(x, z)
+            with pytest.raises(ValueError, match=shifted):
+                check_initial_segment(x, z)
+            with pytest.raises(ValueError, match=shifted):
+                check_final_segment(x, z, 1)
+        with pytest.raises(ValueError, match="^power count must be nonnegative$"):
+            check_final_segment(x, power(x, 2), -1)
+        with pytest.raises(ValueError, match=r"^z is not a suffix of x\^\(k\+1\)$"):
+            check_final_segment(s1, parse_word(B4, "s2 s1"), 0)
+
     def test_path_through_powers_on_fixed_instances(self):
         x = x4()
         z2 = multiply(power(x, 4), parse_word(B4, "s2"))
@@ -268,6 +285,19 @@ class TestRoundCurves:
         with pytest.raises(ValueError):
             RoundCurve(4, 2)
         assert RoundCurve(1, 3).lo == 1
+
+    def test_curve_operations_refuse_bad_inputs(self):
+        with pytest.raises(ValueError, match="^needs a positive braid, up to a "
+                                             "leading half-twist power$"):
+            push_round_curve(parse_word(B4, "D^-1 s1"), RoundCurve(1, 2))
+        for curve in (RoundCurve(1, 4), RoundCurve(3, 5)):
+            with pytest.raises(ValueError, match=rf"^curve \[{curve.lo},{curve.hi}\] "
+                                                 "does not fit essentially in a 4-strand disk$"):
+                nine_absorbable_decomposition(parse_word(B4, "s1"), curve)
+        z3 = abelian_structure(3)
+        with pytest.raises(UnsupportedStructureOperation,
+                           match="^braid-only operation called on free-abelian:3$"):
+            push_round_curve(make_element(z3, 0, [(1, 0, 0)]), RoundCurve(1, 2))
 
     def test_disjoint_support_keeps_the_curve(self):
         assert push_round_curve(parse_word(B5, "s1"),
