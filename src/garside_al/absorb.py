@@ -29,10 +29,14 @@ reversed, since rev swaps right and left divisibility: R is rev of the
 head of rev(X), and rev of the X of t * m is rev(t)^-1 rev(X), one left
 division.  A node divides its own leftmost factor off only when its table
 is non-empty, and of the table's survivors it keeps, multiplying out,
-only those that right-divide R.  The candidates up to each survivor are
-counted visited in one run, and pruned is visited minus kept, so the node
-counts, the certificate and the point where the budget runs out are those
-of trying every candidate in turn.
+only those that right-divide R.  It reads their indices from the structure
+table _kept[leftmost, m_1, R], so it walks the kept candidates alone: the
+candidates up to each kept index, and those after the last, are counted
+visited in one run, and pruned is visited minus kept.  A run that passes
+the budget is cut back, by bisection in the survivor table, to the first
+survivor where trying one candidate at a time would have stopped.  So the
+node counts, the certificate and the point where the budget runs out are
+those of trying every candidate in turn.
 
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
@@ -45,6 +49,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -119,11 +124,19 @@ class _NodeCounter:
     def pruned(self) -> int:
         return self.visited - self.kept
 
-    def visit(self, count: int, untested: int) -> None:
-        """Count a run of candidates; its last untested ones (a table
-        survivor before its R test) are not pruned yet."""
-        self.visited += count
+    def visit(self, table, done: int, stop: int) -> None:
+        """Count the candidates done .. stop - 1, stop being one past a table
+        survivor or the end of the options.  The budget is checked where the
+        search trying each candidate in turn checks it, at every survivor in
+        table and at stop; one it stops at is not R-tested, so not pruned."""
+        before = self.visited
+        self.visited += stop - done
         if self.visited > self.budget:
+            # the first survivor i with before + (i + 1 - done) > budget
+            j = bisect_left(table, self.budget - before + done)
+            untested = j < len(table)
+            if untested:
+                self.visited = before + table[j] + 1 - done
             raise SearchBudgetExceeded(
                 f"absorber search exceeded the {self.budget}-node budget with {self.visited} "
                 f"nodes visited and {self.pruned - untested} pruned; "
@@ -141,10 +154,11 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     precede leftmost in a left-weighted chain.  Candidates come in sorted
     permutation order, so the first completion found is the
     lexicographically first absorber and the certificate is deterministic.
-    A table survivor t is kept iff it right-divides r, the largest simple
-    right divisor of delta^k m^-1, and only kept candidates are
-    multiplied out; every candidate is still counted as a visited node,
-    in the order the candidates come, and the ones not kept are pruned.
+    The node reads the kept candidates, the table survivors that
+    right-divide r = rev(head(x)), the largest simple right divisor of
+    delta^k m^-1, from st._kept, and multiplies out only those.  Every
+    candidate is still a visited node, counted in the gaps between kept
+    indices and once after the last, and the ones not kept are pruned.
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
     completes the suffix into a full absorber, or None.
     """
@@ -152,25 +166,23 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     if depth > counter.depth:
         counter.depth = depth
     done = 0  # candidates counted so far
-    table = st._survivors[leftmost][m.factors[0]]
+    head = m.factors[0]
+    table = st._survivors[leftmost][head]
     if table:
         if leftmost is not None:
             x = _left_divide(st, st.rev(leftmost), x)
-        r = st.rev(_head(st, x))
-    for i in table:
-        counter.visit(i + 1 - done, 1)
-        done = i + 1
-        t = options[i]
-        if not st.right_divides_simple(t, r):
-            continue  # sup(t * m) = k + 1
-        counter.kept += 1
-        if depth + 1 == k:
-            return [t]
-        got = _dfs(st, _lmul_simple(st, t, m), x, t, depth + 1, k, counter)
-        if got is not None:
-            got.append(t)
-            return got
-    counter.visit(len(options) - done, 0)
+        for i in st._kept[leftmost, head, st.rev(_head(st, x))]:
+            counter.visit(table, done, i + 1)
+            done = i + 1
+            counter.kept += 1
+            t = options[i]
+            if depth + 1 == k:
+                return [t]
+            got = _dfs(st, _lmul_simple(st, t, m), x, t, depth + 1, k, counter)
+            if got is not None:
+                got.append(t)
+                return got
+    counter.visit(table, done, len(options))
     return None
 
 

@@ -32,8 +32,9 @@ Each cached primitive is a _Table, a dict that fills a missing entry once
 from the matching _<name>_raw method and that hot loops read by subscript,
 with no Python call on a hit: _tau, both complements, the starting and
 finishing sets, _rev, _preceders, the braid inversion masks, the
-absorber's _survivors[leftmost][head] and the two-level
-_left_meet[s][t], whose fill interns the meet.  A public method of the same name, where one
+absorber's _survivors[leftmost][head] and _kept[leftmost, head, r] (one
+level, keyed by the triple), and the two-level _left_meet[s][t], whose
+fill interns the meet.  A public method of the same name, where one
 exists, reads each and stays on the class for code that wraps class
 attributes.  As the τ period is at most 2, tau_inv is the τ table.
 
@@ -41,8 +42,9 @@ The right cascade (element._fold) reads the slide rows, where rows[c][f]
 is the domino step on (c, f), and tau_inv by subscript.  A row entry
 comes from the raw slide, which calls the raw meet and quotient directly,
 so a cascade leaves nothing in the meet table, and it interns both
-outputs in _interned: until that table clears, the slides share one
-object per distinct simple.  code_book() carries the same tables on
+outputs in _interned, so the slides share one object per distinct
+simple.  The slide and meet rows empty whenever _interned does, so every
+simple they hold is the interned one.  code_book() carries the same tables on
 integer codes for the distance search; its rows are the transition table
 of Thurston's normal-form automaton (Epstein et al., Word Processing in
 Groups, Ch. 9).
@@ -51,7 +53,9 @@ Each table holds at most TABLE_BOUND entries, a two-level one (the slide,
 meet, survivor and code book rows) counting its rows too; a miss that
 finds it full empties it first.  An entry costs 100 to 300 bytes on B8,
 so a full table holds 13 to 40 MB; a survivor entry is an array of up to
-N two-byte indices.  For N simples, a unary table holds at most N
+N two-byte indices, and a _kept entry the array of those survivor
+indices whose simple right-divides r, most of them empty, at about 200
+bytes with its key.  For N simples, a unary table holds at most N
 entries (40,320 on B8), and the move sets one per generator length.
 """
 
@@ -86,11 +90,26 @@ class _Table(dict):
     def __missing__(self, key: Any) -> Any:
         owner = self._owner
         if owner._size >= TABLE_BOUND:
-            owner.clear()
-            owner._size = 0
+            owner._empty()
         got = self[key] = self._fill(*self._args, key)
         owner._size += 1
         return got
+
+    def _empty(self) -> None:
+        self.clear()
+        self._size = 0
+
+
+class _Interned(_Table):
+    """The table of interned simples, s -> s.  The tables in holders hand
+    out its objects, so they empty whenever it does."""
+
+    __slots__ = ("holders",)
+
+    def _empty(self) -> None:
+        super()._empty()
+        for table in self.holders:
+            table._empty()
 
 
 def _rows(fill: Callable[[Any, Any], Any]) -> _Table:
@@ -112,7 +131,7 @@ class GarsideStructure:
     def __init__(self) -> None:
         if self.tau_period > 2:
             raise ValueError(f"tau period {self.tau_period} > 2, so tau^-1 is not tau")
-        self._interned = _Table(lambda s: s)  # one object per distinct simple produced
+        self._interned = _Interned(lambda s: s)  # one object per distinct simple produced
         self._left_meet = _rows(lambda s, t: self._interned[self._left_meet_raw(s, t)])
         self._tau = _Table(self._tau_raw)
         self._right_complement = _Table(self._right_complement_raw)
@@ -124,7 +143,9 @@ class GarsideStructure:
         # the right cascade's tables (element._fold); tau^-1 is tau
         self.rows = _rows(self._slide_raw)
         self.tau_inv = self._tau
+        self._interned.holders = (self._left_meet, self.rows)
         self._survivors = _rows(self._survivors_raw)
+        self._kept = _Table(lambda key: self._kept_raw(*key))
         self._nontrivial: tuple | None = None
         # built on first use: alcomplex._vertex_moves, code_book
         self._move_sets: dict = {}
@@ -284,7 +305,9 @@ class GarsideStructure:
         return self._preceders[t]
 
     def _preceders_raw(self, t: Simple) -> tuple:
-        return tuple(s for s in self.nontrivial_simples() if self.is_left_weighted(s, t))
+        # is_left_weighted(s, t), with the starting set of t read once
+        starts, finishing = self._starting_set[t], self._finishing_set
+        return tuple(s for s in self.nontrivial_simples() if starts <= finishing[s])
 
     def _survivors_raw(self, leftmost: Simple | None, head: Simple) -> array:
         """For the absorber search: the indices into the preceders of leftmost
@@ -298,6 +321,15 @@ class GarsideStructure:
         return array(code, (i for i, t in enumerate(options)
                             if not starts <= finishing[t]
                             and not self.left_divides_simple(dc[t], head)))
+
+    def _kept_raw(self, leftmost: Simple | None, head: Simple, r: Simple) -> array:
+        """For the absorber search: the indices in _survivors[leftmost][head]
+        of the t that right-divide r, the largest simple right divisor of
+        delta^k m^-1; such a t * m has sup k too."""
+        options = self.nontrivial_simples() if leftmost is None else self._preceders[leftmost]
+        table = self._survivors[leftmost][head]
+        return array(table.typecode, (i for i in table
+                                      if self.right_divides_simple(options[i], r)))
 
     # -- identity-based equality (structures are singletons per factory) ------
 

@@ -489,6 +489,29 @@ def test_budget_error_says_how_far_the_search_got():
         "and 12 pruned; the deepest call reached depth 1")
 
 
+@pytest.mark.parametrize("word, budgets, outcomes, digest", [
+    ("s1^2 s2^2 s3^2 s2^2 s1", 522, 522,
+     "8666f704e671d058c414418b658fda5501bd3587d650fb0dbb01679694293634"),
+    ("s1 s3 s1 s3", 199, 60,
+     "cb21a9a482df2f164b59c4a0196ffbce7c5eee3ba527afa8090b39889e89f91c"),
+])
+def test_budget_message_at_every_budget_is_pinned(word, budgets, outcomes, digest):
+    # where the search stops, at each budget from 1 up, is the one-candidate-
+    # at-a-time count: the digest of the messages (or of the answer's node
+    # counts) was recorded from the search that tests every table survivor
+    y = parse_word(B4, word)
+    got = []
+    for budget in range(1, budgets + 1):
+        try:
+            cert = is_absorbable(y, budget=budget)
+        except SearchBudgetExceeded as err:
+            got.append(str(err))
+        else:
+            got.append(repr(cert and (cert.nodes_visited, cert.nodes_pruned)))
+    assert len(set(got)) == outcomes
+    assert hashlib.sha256("\n".join(got).encode()).hexdigest() == digest
+
+
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "absorb.cache"
     first = enumerate_absorbable(B3, 3, cache_path=str(path))

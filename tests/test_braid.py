@@ -313,8 +313,10 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     tables = _tables(struct)
     assert {"_left_meet", "_tau", "_right_complement", "_left_complement",
             "_starting_set", "_finishing_set", "_rev", "_preceders", "_interned",
-            "_survivors", "rows", "tau_inv", "code book rows"} <= tables.keys()
+            "_survivors", "_kept", "rows", "tau_inv", "code book rows"} <= tables.keys()
     for name, table in tables.items():
+        if name == "_kept":
+            continue  # keyed by search nodes, checked below
         raw = raws.get(name) or getattr(struct, f"{name}_raw")
         public = getattr(struct, name[1:], None) if name.startswith("_") else None
         keys = range(len(book.simples)) if name == "code book rows" else simples
@@ -329,6 +331,17 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     # the survivor table's root row, for the search's first factor
     for head in simples:
         assert struct._survivors[None][head] == struct._survivors_raw(None, head), head
+    # the kept indices of every (leftmost, head, R) the searches reached
+    rng = random.Random(301)
+    for _ in range(10):
+        chain = [rng.choice(struct.nontrivial_simples())]
+        while len(chain) < 3:
+            chain.append(rng.choice(struct.followers(chain[-1])))
+        y = make_element(struct, 0, chain)
+        is_absorbable(y if rng.random() < 0.5 else invert(y))
+    assert any(struct._kept.values())
+    for key, kept in struct._kept.items():
+        assert kept == struct._kept_raw(*key), key
 
 
 def test_structures_do_not_share_caches():
@@ -343,7 +356,7 @@ def test_structures_do_not_share_caches():
     key = b4.compose(b4.atom(3), b4.atom(1))
     b4.left_meet(b4.delta, b4.atom(3))
     for name, table in t4.items():
-        k = 1 if name == "code book rows" else key
+        k = {"code book rows": 1, "_kept": (None, key, key)}.get(name, key)
         row = table[k]
         if isinstance(row, _Table):
             row[k]
@@ -560,11 +573,15 @@ def test_a_small_bound_changes_no_answer(monkeypatch):
     assert sum(cert is not None for cert in want[5::6]) > 5
     monkeypatch.setattr(structure, "TABLE_BOUND", 64)
     sizes, fills = _watch_tables(monkeypatch)
+    struct = BraidStructure(5)
     # certificates compare their visited and pruned counts too
-    assert _b5_answers(BraidStructure(5)) == want
+    assert _b5_answers(struct) == want
     # tables fill up to the bound, start over, and never pass it
     assert max(sizes) == 64
     assert max(fills.values()) > 20 * 64
+    # the kept-index table too, which the x5 search fills past the bound
+    assert fills[id(struct._kept)] > 64
+    assert 0 < len(struct._kept) <= 64
 
 
 def test_every_b12_table_stays_within_the_bound(monkeypatch):
@@ -580,6 +597,31 @@ def test_every_b12_table_stays_within_the_bound(monkeypatch):
     assert max(fills.values()) > structure.TABLE_BOUND
     for name, table in _tables(struct).items():
         assert _entries(table) <= structure.TABLE_BOUND, name
+
+
+def test_rows_start_over_with_the_interned_simples(monkeypatch):
+    # a bound below B5's 120 simples empties _interned now and then; the
+    # slide and meet rows empty with it, so every simple they hold stays
+    # the one interned object
+    monkeypatch.setattr(structure, "TABLE_BOUND", 100)
+    struct, rng = BraidStructure(5), random.Random(3)
+    simples = struct.nontrivial_simples()
+
+    def chain():
+        c = [rng.choice(simples)]
+        for _ in range(5):
+            c.append(rng.choice(struct.followers(c[-1])))
+        return make_element(struct, 0, c)
+
+    cleared = 0
+    for _ in range(400):
+        before = len(struct._interned)
+        multiply(chain(), chain())
+        cleared += len(struct._interned) < before
+        held = [s for row in struct.rows.values() for step in row.values() if step for s in step]
+        held += [s for row in struct._left_meet.values() for s in row.values()]
+        assert all(struct._interned.get(s) is s for s in held)
+    assert cleared > 10
 
 
 def test_a_tau_period_above_two_is_refused():
