@@ -1,11 +1,12 @@
 """Free abelian group Z^n with the coordinatewise Garside structure.
 
 Simples are 0/1 vectors, the top element is (1,...,1), and the lattice is the
-boolean lattice under coordinatewise min.  The structure supplies the left
-meet, the left quotient (coordinatewise difference), the right complement
-(1 - s), the starting set, the reversal rev, and the enumeration and
-validation of vectors; everything else, the right meet and the finishing
-set included, is derived in the base class.  Everything commutes, so rev
+boolean lattice under coordinatewise min.  The structure supplies the six
+primitives: the left meet, the left quotient (coordinatewise difference),
+the inversion mask (the support, one bit per coordinate), the reversal
+rev, and the enumeration and validation of vectors; the base class
+derives everything else, divisibility, the right complement (1 - s) and
+the starting and finishing sets included.  Everything commutes, so rev
 and tau are the identity and left/right notions coincide.  Degenerate on
 purpose: a regression fixture for code paths that braids cannot reach
 (commutativity, trivial tau).
@@ -42,11 +43,8 @@ class AbelianStructure(GarsideStructure):
         assert all(v >= 0 for v in r), "left quotient of a non-divisor"
         return r
 
-    def _right_complement_raw(self, s: Vec) -> Vec:
-        return tuple(1 - v for v in s)
-
-    def _starting_set_raw(self, s: Vec) -> frozenset:
-        return frozenset(i + 1 for i, v in enumerate(s) if v == 1)
+    def _inversion_mask_raw(self, s: Vec) -> int:
+        return sum(v << i for i, v in enumerate(s))
 
     def _rev_raw(self, s: Vec) -> Vec:
         return s

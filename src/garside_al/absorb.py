@@ -60,7 +60,6 @@ from .element import (
     _lmul_simple,
     _rev,
     invert,
-    make_element,
     multiply,
     simple_element,
     fraction_form,
@@ -147,12 +146,12 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     """Extend the suffix whose running product is m; leftmost is its first factor.
 
     x is rev(delta^k m'^-1), for m' the running product before leftmost
-    was prepended (m' = m at the root): a node divides rev(leftmost) off
-    only when its survivor table is non-empty.  The root call
-    (m = y, leftmost None, depth 0) tries every nontrivial proper simple
-    as the absorber's last factor; deeper calls try the simples that can
-    precede leftmost in a left-weighted chain.  Candidates come in sorted
-    permutation order, so the first completion found is the
+    was prepended (m' = m at the root): a node below the root divides
+    rev(leftmost) off only when its survivor table is non-empty.  A call
+    tries the simples that can precede leftmost in a left-weighted chain,
+    so the root call (m = y, leftmost the identity, depth 0) tries every
+    nontrivial proper simple as the absorber's last factor.  Candidates
+    come in sorted permutation order, so the first completion found is the
     lexicographically first absorber and the certificate is deterministic.
     The node reads the kept candidates, the table survivors that
     right-divide r = rev(head(x)), the largest simple right divisor of
@@ -162,14 +161,14 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
     completes the suffix into a full absorber, or None.
     """
-    options = st.nontrivial_simples() if leftmost is None else st.preceders(leftmost)
+    options = st.preceders(leftmost)
     if depth > counter.depth:
         counter.depth = depth
     done = 0  # candidates counted so far
     head = m.factors[0]
     table = st._survivors[leftmost][head]
     if table:
-        if leftmost is not None:
+        if depth:
             x = _left_divide(st, st.rev(leftmost), x)
         for i in st._kept[leftmost, head, st.rev(_head(st, x))]:
             counter.visit(table, done, i + 1)
@@ -210,7 +209,7 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     counter = _NodeCounter(budget)
     # delta^k target^-1 is invert(target) without its delta^-k
     room = _rev(GarsideElement(st, 0, invert(target).factors))
-    got = _dfs(st, target, room, None, 0, target.canonical_length, counter)
+    got = _dfs(st, target, room, st.identity, 0, target.canonical_length, counter)
     if got is None:
         return None
     x = GarsideElement(st, 0, tuple(got))
@@ -333,7 +332,7 @@ def _cache_load(st, max_len, path, budget):
 
     Blocks are located by their exact header line; the first complete one
     (see _complete_block) is used.  Entries are parsed, checked to be
-    left-weighted chains in sorted order, and one entry in a hundred
+    normal forms of inf 0 in sorted order, and one entry in a hundred
     (always at least one) is re-validated with a fresh search.
     """
     try:
@@ -355,6 +354,8 @@ def _cache_load(st, max_len, path, budget):
     chains = []
     for line in rows:
         chain = tuple(_parse_simple(st, tok) for tok in line.split("|"))
+        if st.identity in chain or st.delta in chain:
+            raise CacheError(f"cache: entry {line!r} has a factor equal to delta or the identity")
         for a, b in zip(chain, chain[1:]):
             if not st.is_left_weighted(a, b):
                 raise CacheError(f"cache: entry {line!r} is not left-weighted")
@@ -367,10 +368,9 @@ def _cache_load(st, max_len, path, budget):
     if len(set(chains)) != len(chains):
         raise CacheError("cache: duplicate block entries")
     for idx in range(0, len(chains), _SPOT_CHECK_STRIDE):
-        el = make_element(st, 0, chains[idx])
-        if is_absorbable(el, budget=budget) is None:
+        if is_absorbable(GarsideElement(st, 0, chains[idx]), budget=budget) is None:
             raise CacheError(f"cache: spot check failed for entry {idx}")
-    return tuple(make_element(st, 0, c) for c in chains)
+    return tuple(GarsideElement(st, 0, c) for c in chains)
 
 
 def _cache_append(st, max_len, path, elements) -> None:

@@ -5,27 +5,24 @@ position of the strand entering at position i, and composition reads left to
 right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
-The structure supplies the primitives GarsideStructure asks for: the left
-meet, the left quotient u^-1 t, the right complement s^-1 Δ, the starting
-set (the descents of s), the reversal rev, and the enumeration and
-validation of permutations.  Reading a positive word backwards inverts its
-permutation, so rev(s) is s^-1; the base class derives the right meet and
-the finishing set (the descents of s^-1) from it, and τ, the left
-complement, the simple product and the right quotient from the right
-complement.  simple_length, the atom length of a simple (its inversion
-count), is not an interface primitive; it stays for callers outside the
-package, such as the benchmark tracer, which wraps it by name.
+The structure supplies the six primitives GarsideStructure asks for: the
+left meet, the left quotient u^-1 t, the inversion mask (bit k set when
+the k-th position pair is inverted), the reversal rev, and the
+enumeration and validation of permutations.  Left divisibility is
+containment of inversion sets (the weak order), so the base class tests
+it, and whether a product is simple, on masks without a meet; the
+starting set, the atoms whose one pair s inverts, is the descents of s.
+Reading a positive word backwards inverts its permutation, so rev(s) is
+s^-1, and the right side follows from it: right divisibility, the right
+meet and the finishing set (the descents of s^-1).  The meet keeps a
+pair of strands uncrossed when s or t does, closed under transitivity
+(Epstein et al., Word Processing in Groups, Ch. 9).
 
-Left divisibility of simples is inversion-set containment (the weak order),
-which left_divides_simple tests on the masks in _inversion_mask without a
-meet, so the derived product tests simplicity without one either; right
-divisibility is containment of the inverses' inversion sets, which
-right_divides_simple tests on the masks in _inverse_mask.  The meet keeps
-a pair of strands uncrossed when s or t does, closed under transitivity
-(Epstein et al., Word Processing in Groups, Ch. 9).  Both mask tables are
-_Tables like the base class's, so repeated normal form work amortizes to
-table hits.  inverse is recomputed on every call: on long B8 forms a
-cache of it missed about as often as it hit.
+inverse, inversion_mask and simple_length (the atom length of a simple,
+its inversion count) are not interface primitives; they stay for callers
+outside the package, such as the benchmark tracer, which wraps them by
+name.  inverse is recomputed on every call: on long B8 forms a cache of
+it missed about as often as it hit.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .structure import GarsideStructure, UnsupportedStructureOperation, _Table
+from .structure import GarsideStructure, UnsupportedStructureOperation
 
 # Enumerating all n! simples is only sane for small n; arithmetic has no such limit.
 MAX_ENUMERABLE_STRANDS = 8
@@ -65,8 +62,6 @@ class BraidStructure(GarsideStructure):
             atoms.append(tuple(a))
         self.atoms = tuple(atoms)
         super().__init__()
-        self._inversion_mask = _Table(self._inversion_mask_raw)
-        self._inverse_mask = _Table(self._inverse_mask_raw)
 
     # -- permutation utilities ------------------------------------------------
 
@@ -76,30 +71,8 @@ class BraidStructure(GarsideStructure):
     def inversion_mask(self, s: Perm) -> int:
         return self._inversion_mask[s]
 
-    def _inversion_mask_raw(self, s: Perm) -> int:
-        # bit k stands for the k-th position pair (i, j), i < j, in
-        # combinations order; it is set when the pair is inverted
-        mask = 0
-        for bit, (a, b) in enumerate(itertools.combinations(s, 2)):
-            if a > b:
-                mask |= 1 << bit
-        return mask
-
-    def _inverse_mask_raw(self, s: Perm) -> int:
-        """The inversion mask of s^-1."""
-        return self._inversion_mask_raw(self.inverse(s))
-
     def simple_length(self, s: Perm) -> int:
         return self.inversion_mask(s).bit_count()
-
-    def left_divides_simple(self, s: Perm, t: Perm) -> bool:
-        ms = self._inversion_mask[s]
-        return ms & self._inversion_mask[t] == ms
-
-    def right_divides_simple(self, s: Perm, t: Perm) -> bool:
-        # s right-divides t iff s^-1 left-divides t^-1
-        ms = self._inverse_mask[s]
-        return ms & self._inverse_mask[t] == ms
 
     # -- primitives -----------------------------------------------------------
 
@@ -122,13 +95,14 @@ class BraidStructure(GarsideStructure):
         ui = self.inverse(u)
         return tuple(t[v - 1] for v in ui)
 
-    def _right_complement_raw(self, s: Perm) -> Perm:
-        n1 = self.n + 1
-        si = self.inverse(s)
-        return tuple(n1 - v for v in si)
-
-    def _starting_set_raw(self, s: Perm) -> frozenset:
-        return frozenset(i for i in range(1, self.n) if s[i - 1] > s[i])
+    def _inversion_mask_raw(self, s: Perm) -> int:
+        # bit k stands for the k-th position pair (i, j), i < j, in
+        # combinations order; it is set when the pair is inverted
+        mask = 0
+        for bit, (a, b) in enumerate(itertools.combinations(s, 2)):
+            if a > b:
+                mask |= 1 << bit
+        return mask
 
     def _rev_raw(self, s: Perm) -> Perm:
         return perm_inverse(s)

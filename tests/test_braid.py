@@ -330,7 +330,8 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
                 assert public is None or public(a) == raw(a), (name, a)
     # the survivor table's root row, for the search's first factor
     for head in simples:
-        assert struct._survivors[None][head] == struct._survivors_raw(None, head), head
+        assert (struct._survivors[struct.identity][head]
+                == struct._survivors_raw(struct.identity, head)), head
     # the kept indices of every (leftmost, head, R) the searches reached
     rng = random.Random(301)
     for _ in range(10):
@@ -356,7 +357,7 @@ def test_structures_do_not_share_caches():
     key = b4.compose(b4.atom(3), b4.atom(1))
     b4.left_meet(b4.delta, b4.atom(3))
     for name, table in t4.items():
-        k = {"code book rows": 1, "_kept": (None, key, key)}.get(name, key)
+        k = {"code book rows": 1, "_kept": (b4.identity, key, key)}.get(name, key)
         row = table[k]
         if isinstance(row, _Table):
             row[k]
@@ -424,6 +425,13 @@ def _check_right_divisibility(struct, pairs):
 def test_right_divisibility_is_the_right_meet_on_every_pair_of_simples(struct):
     simples = list(struct.all_simples())
     _check_right_divisibility(struct, itertools.product(simples, repeat=2))
+    # left divisibility and the starting set, both read off the masks
+    for s, t in itertools.product(simples, repeat=2):
+        assert struct.left_divides_simple(s, t) == (struct.left_meet(s, t) == s), (s, t)
+    for s in simples:
+        assert struct.starting_set(s) == {
+            i for i in range(1, struct.rank + 1)
+            if struct.left_divides_simple(struct.atom(i), s)}, s
 
 
 def test_right_divisibility_is_the_right_meet_on_random_simples_of_b12():
