@@ -340,7 +340,7 @@ def _cache_load(st, max_len, path, budget):
             lines = fh.read().splitlines()
     except FileNotFoundError:
         return None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CacheError(f"cache: cannot read {path}: {exc}")
     wanted = _cache_header(st, max_len)
     rows = None

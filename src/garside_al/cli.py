@@ -119,12 +119,14 @@ def _file_settings() -> dict:
             return {}
     parser = configparser.ConfigParser()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror}")
-    except configparser.Error as exc:
-        raise UsageError(f"bad config file {path}: {exc}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a parser message can span lines; the error is one line
+        raise UsageError(f"bad config file {path}: "
+                         + " ".join(part.strip() for part in str(exc).splitlines()))
     if not parser.has_section("garside-al"):
         return {}
     settings = dict(parser.items("garside-al"))

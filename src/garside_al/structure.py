@@ -32,23 +32,25 @@ written:
   is rev(rev s ∧ rev t), the finishing set of s is the starting set of
   rev s, and element.py reads right normal forms and gcds through it.
 
-Each cached primitive is a _Table, a dict that fills a missing entry once
-from the matching _<name>_raw method and that hot loops read by subscript,
-with no Python call on a hit: _inversion_mask, _tau, both complements,
-the starting and finishing sets, _rev, _preceders, the absorber's
-_survivors[leftmost][head] and _kept[leftmost, head, r] (one level, keyed
-by the triple), and the two-level _left_meet[s][t], whose fill interns
-the meet.  A public method of the same name, where one exists, reads
-each and stays on the class for code that wraps class attributes.  As
-the τ period is at most 2, tau_inv is the τ table.
+A structure keeps ten cached primitives, each a _Table: a dict that
+fills a missing entry once from the matching _<name>_raw method and that
+hot loops read by subscript, with no Python call on a hit.  They are
+_inversion_mask, _tau, _right_complement, _starting_set, _rev,
+_preceders, the absorber's _survivors[leftmost][head] and
+_kept[leftmost, head, r] (one level, keyed by the triple), and the
+two-level _left_meet[s][t] and slide rows[c][f].  The left complement
+is read as _tau[_right_complement[s]] and the finishing set as
+_starting_set[_rev[s]], with no table of their own.  A public method of
+the same name, where one exists, reads each and stays on the class for
+code that wraps class attributes.  As the τ period is at most 2, tau_inv
+is the τ table.
 
 The right cascade (element._fold) reads the slide rows, where rows[c][f]
 is the domino step on (c, f), and tau_inv by subscript.  A row entry
 comes from the raw slide, which calls the raw meet and quotient directly,
-so a cascade leaves nothing in the meet table, and it interns both
-outputs in _interned, so the slides share one object per distinct
-simple.  The slide and meet rows empty whenever _interned does, so every
-simple they hold is the interned one.  code_book() carries the same tables on
+so a cascade leaves nothing in the meet table.  Both slide outputs and
+every meet in the meet rows are values of the τ table, so the rows share
+one object per distinct simple.  code_book() carries the same tables on
 integer codes for the distance search; its rows are the transition table
 of Thurston's normal-form automaton (Epstein et al., Word Processing in
 Groups, Ch. 9).
@@ -60,7 +62,9 @@ so a full table holds 13 to 40 MB; a survivor entry is an array of up to
 N two-byte indices, and a _kept entry the array of those survivor
 indices whose simple right-divides r, most of them empty, at about 200
 bytes with its key.  For N simples, a unary table holds at most N
-entries (40,320 on B8), and the move sets one per generator length.
+entries (40,320 on B8), and the move sets one per generator length; so
+below 9 strands the τ table never empties, and no row holds a second
+copy of a simple.
 """
 
 from __future__ import annotations
@@ -94,26 +98,11 @@ class _Table(dict):
     def __missing__(self, key: Any) -> Any:
         owner = self._owner
         if owner._size >= TABLE_BOUND:
-            owner._empty()
+            owner.clear()
+            owner._size = 0
         got = self[key] = self._fill(*self._args, key)
         owner._size += 1
         return got
-
-    def _empty(self) -> None:
-        self.clear()
-        self._size = 0
-
-
-class _Interned(_Table):
-    """The table of interned simples, s -> s.  The tables in holders hand
-    out its objects, so they empty whenever it does."""
-
-    __slots__ = ("holders",)
-
-    def _empty(self) -> None:
-        super()._empty()
-        for table in self.holders:
-            table._empty()
 
 
 def _rows(fill: Callable[[Any, Any], Any]) -> _Table:
@@ -135,20 +124,18 @@ class GarsideStructure:
     def __init__(self) -> None:
         if self.tau_period > 2:
             raise ValueError(f"tau period {self.tau_period} > 2, so tau^-1 is not tau")
-        self._interned = _Interned(lambda s: s)  # one object per distinct simple produced
-        self._left_meet = _rows(lambda s, t: self._interned[self._left_meet_raw(s, t)])
+        # tau is an involution, so tau[tau[s]] is s as the tau table's own
+        # object: the meet and slide rows hold one object per simple
+        self._left_meet = _rows(lambda s, t: self._tau[self._tau[self._left_meet_raw(s, t)]])
         self._inversion_mask = _Table(self._inversion_mask_raw)
         self._tau = _Table(self._tau_raw)
         self._right_complement = _Table(self._right_complement_raw)
-        self._left_complement = _Table(self._left_complement_raw)
         self._starting_set = _Table(self._starting_set_raw)
-        self._finishing_set = _Table(self._finishing_set_raw)
         self._rev = _Table(self._rev_raw)
         self._preceders = _Table(self._preceders_raw)
         # the right cascade's tables (element._fold); tau^-1 is tau
         self.rows = _rows(self._slide_raw)
         self.tau_inv = self._tau
-        self._interned.holders = (self._left_meet, self.rows)
         self._survivors = _rows(self._survivors_raw)
         self._kept = _Table(lambda key: self._kept_raw(*key))
         self._nontrivial: tuple | None = None
@@ -198,18 +185,6 @@ class GarsideStructure:
         """Conjugation delta^-1 * s * delta, the right complement twice."""
         return self.right_complement(self.right_complement(s))
 
-    def _left_complement_raw(self, s: Simple) -> Simple:
-        """delta * s^-1, the tau^-1 image of the right complement."""
-        return self.tau_inv[self.right_complement(s)]
-
-    def _right_meet_raw(self, s: Simple, t: Simple) -> Simple:
-        # rev maps the right-divisibility order onto the left one
-        return self.rev(self._left_meet_raw(self.rev(s), self.rev(t)))
-
-    def _finishing_set_raw(self, s: Simple) -> frozenset:
-        """Indices of atoms right-dividing s."""
-        return self.starting_set(self.rev(s))
-
     def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
         """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
         of the right complement of c and f, or None when u is 1, that is
@@ -218,9 +193,11 @@ class GarsideStructure:
         u = self._left_meet_raw(d, f)
         if u == self.identity:
             return None
-        # c*u is the left complement of u^-1 * d, since u divides d = ∂c
-        return (self._interned[self.left_complement(self._left_quotient_raw(u, d))],
-                self._interned[self._left_quotient_raw(u, f)])
+        # c*u is the left complement of u^-1 * d, since u divides d = ∂c, so
+        # a value of the tau table; u^-1*f is read back as a meet is
+        tau = self._tau
+        return (self.left_complement(self._left_quotient_raw(u, d)),
+                tau[tau[self._left_quotient_raw(u, f)]])
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         """A canonical reduced atom word for s (greedy smallest starting atom)."""
@@ -246,7 +223,9 @@ class GarsideStructure:
         return self._left_meet[s][t]
 
     def right_meet(self, s: Simple, t: Simple) -> Simple:
-        return self._right_meet_raw(s, t)
+        # rev maps the right-divisibility order onto the left one
+        rev = self._rev
+        return rev[self._left_meet_raw(rev[s], rev[t])]
 
     def left_quotient(self, u: Simple, t: Simple) -> Simple:
         return self._left_quotient_raw(u, t)
@@ -273,13 +252,15 @@ class GarsideStructure:
         return self._right_complement[s]
 
     def left_complement(self, s: Simple) -> Simple:
-        return self._left_complement[s]
+        """delta * s^-1, the tau^-1 = tau image of the right complement."""
+        return self._tau[self._right_complement[s]]
 
     def starting_set(self, s: Simple) -> frozenset:
         return self._starting_set[s]
 
     def finishing_set(self, s: Simple) -> frozenset:
-        return self._finishing_set[s]
+        """Indices of atoms right-dividing s: the starting set of rev s."""
+        return self._starting_set[self._rev[s]]
 
     def rev(self, s: Simple) -> Simple:
         return self._rev[s]
@@ -323,8 +304,8 @@ class GarsideStructure:
 
     def _preceders_raw(self, t: Simple) -> tuple:
         # is_left_weighted(s, t), with the starting set of t read once
-        starts, finishing = self._starting_set[t], self._finishing_set
-        return tuple(s for s in self.nontrivial_simples() if starts <= finishing[s])
+        starts, starting, rev = self._starting_set[t], self._starting_set, self._rev
+        return tuple(s for s in self.nontrivial_simples() if starts <= starting[rev[s]])
 
     def _survivors_raw(self, leftmost: Simple, head: Simple) -> array:
         """For the absorber search: the indices into the preceders of leftmost
@@ -335,10 +316,11 @@ class GarsideStructure:
         code = "H" if len(options) <= 1 << 16 else "L"
         # is_left_weighted(t, head) and left_divides_simple(dc[t], head),
         # with the starting set and the mask of head read once
-        finishing, dc, mask = self._finishing_set, self._right_complement, self._inversion_mask
-        starts, mh = self._starting_set[head], mask[head]
+        starting, rev = self._starting_set, self._rev
+        dc, mask = self._right_complement, self._inversion_mask
+        starts, mh = starting[head], mask[head]
         return array(code, (i for i, t in enumerate(options)
-                            if not starts <= finishing[t]
+                            if not starts <= starting[rev[t]]
                             and (md := mask[dc[t]]) & mh != md))
 
     def _kept_raw(self, leftmost: Simple, head: Simple, r: Simple) -> array:

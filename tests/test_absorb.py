@@ -35,7 +35,7 @@ from garside_al import (
     power,
     tau_element,
 )
-from garside_al import absorb
+from garside_al import absorb, cli
 from garside_al.absorb import DEFAULT_BUDGET
 from garside_al.braid import BraidStructure
 from garside_al.element import (
@@ -363,8 +363,7 @@ def _entries(table):
 
 def _count_products_and_right_meets(monkeypatch):
     """Count the calls of the product and of the right meet, which the
-    search must not make; the raw right meet is counted, so a call of
-    the public method counts too."""
+    search must not make."""
     calls = {"compose": 0, "right_meet": 0}
 
     def counting(name, f):
@@ -375,8 +374,8 @@ def _count_products_and_right_meets(monkeypatch):
 
     monkeypatch.setattr(GarsideStructure, "compose",
                         counting("compose", GarsideStructure.compose))
-    monkeypatch.setattr(GarsideStructure, "_right_meet_raw",
-                        counting("right_meet", GarsideStructure._right_meet_raw))
+    monkeypatch.setattr(GarsideStructure, "right_meet",
+                        counting("right_meet", GarsideStructure.right_meet))
     return calls
 
 
@@ -406,12 +405,13 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
 
     before = entries()
     outputs = set()
+    tau = struct._tau
     pairs = list(itertools.product(struct.nontrivial_simples(), repeat=2))
     for c, f in pairs:
         step = struct.rows[c][f]
         if step is not None:
             for s in step:
-                assert struct._interned.get(s) is s
+                assert tau[tau[s]] is s
                 outputs.add(id(s))
     # some answers came from the search's row entries, and every simple
     # the slides hand out is one shared object
@@ -591,6 +591,18 @@ def test_cache_path_that_is_a_directory_is_refused(tmp_path):
         absorb._cache_load(B3, 1, str(tmp_path), DEFAULT_BUDGET)
     assert str(err.value) == (
         f"cache: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'")
+
+
+def test_cache_that_is_not_ascii_is_refused(tmp_path, capsys):
+    path = tmp_path / "absorb.cache"
+    path.write_bytes(absorb._cache_header(B3, 1).encode() + b"\n\xff\n")
+    with pytest.raises(CacheError) as err:
+        enumerate_absorbable(B3, 1, cache_path=str(path))
+    assert str(err.value).startswith(f"cache: cannot read {path}: 'ascii' codec ")
+    code = cli.main(["enum-absorbable", "--n", "3", "--max-len", "1", "--cache", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cache: cannot read {path}: ") and err.count("\n") == 1
 
 
 def test_enumeration_refuses_a_length_bound_below_one():

@@ -292,6 +292,12 @@ def _entries(table):
     return len(table) + sum(len(v) for v in table.values() if isinstance(v, _Table))
 
 
+def _held_simples(struct):
+    """Every simple the slide rows and the meet rows hold."""
+    held = [s for row in struct.rows.values() for step in row.values() if step for s in step]
+    return held + [s for row in struct._left_meet.values() for s in row.values()]
+
+
 def _contents(table):
     return {k: dict(v) if isinstance(v, _Table) else v for k, v in table.items()}
 
@@ -309,11 +315,11 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     assert struct.tau_inv is struct._tau
     untau = {struct._tau_raw(s): s for s in simples}
     raws = {"rows": struct._slide_raw, "tau_inv": lambda s: untau[s],
-            "_interned": lambda s: s, "code book rows": coded_slide}
+            "code book rows": coded_slide}
     tables = _tables(struct)
-    assert {"_left_meet", "_tau", "_right_complement", "_left_complement",
-            "_starting_set", "_finishing_set", "_rev", "_preceders", "_interned",
-            "_survivors", "_kept", "rows", "tau_inv", "code book rows"} <= tables.keys()
+    assert tables.keys() == {"_left_meet", "_inversion_mask", "_tau", "_right_complement",
+                             "_starting_set", "_rev", "_preceders", "_survivors", "_kept",
+                             "rows", "tau_inv", "code book rows"}
     for name, table in tables.items():
         if name == "_kept":
             continue  # keyed by search nodes, checked below
@@ -328,6 +334,9 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
             for a in keys:
                 assert table[a] == raw(a), (name, a)
                 assert public is None or public(a) == raw(a), (name, a)
+    # the rows hold the tau table's own object for every simple
+    tau = struct._tau
+    assert all(tau[tau[s]] is s for s in _held_simples(struct))
     # the survivor table's root row, for the search's first factor
     for head in simples:
         assert (struct._survivors[struct.identity][head]
@@ -607,11 +616,9 @@ def test_every_b12_table_stays_within_the_bound(monkeypatch):
         assert _entries(table) <= structure.TABLE_BOUND, name
 
 
-def test_rows_start_over_with_the_interned_simples(monkeypatch):
-    # a bound below B5's 120 simples empties _interned now and then; the
-    # slide and meet rows empty with it, so every simple they hold stays
-    # the one interned object
-    monkeypatch.setattr(structure, "TABLE_BOUND", 100)
+def test_rows_hold_the_tau_tables_simples():
+    # tau is an involution, so tau[tau[s]] is s exactly when s is the tau
+    # table's object; for B5 that table never reaches the bound
     struct, rng = BraidStructure(5), random.Random(3)
     simples = struct.nontrivial_simples()
 
@@ -621,15 +628,16 @@ def test_rows_start_over_with_the_interned_simples(monkeypatch):
             c.append(rng.choice(struct.followers(c[-1])))
         return make_element(struct, 0, c)
 
-    cleared = 0
     for _ in range(400):
-        before = len(struct._interned)
-        multiply(chain(), chain())
-        cleared += len(struct._interned) < before
-        held = [s for row in struct.rows.values() for step in row.values() if step for s in step]
-        held += [s for row in struct._left_meet.values() for s in row.values()]
-        assert all(struct._interned.get(s) is s for s in held)
-    assert cleared > 10
+        a, b = chain(), chain()
+        multiply(a, b)
+        left_gcd(a, b)
+    held = _held_simples(struct)
+    assert struct.rows and struct._left_meet
+    tau = struct._tau
+    assert all(tau[tau[s]] is s for s in held)
+    # one object per distinct simple
+    assert len({id(s) for s in held}) == len(set(held))
 
 
 def test_a_tau_period_above_two_is_refused():

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_al import (
+    SUITE_NAMES,
     GarsideStructure,
     SizeLimitExceeded,
     abelian_structure,
+    absorbs,
+    are_adjacent,
     braid_structure,
     complement,
     delta_power,
     fraction_form,
+    gcd_vertex,
     identity_element,
     invert,
     is_rigid,
@@ -26,10 +30,14 @@ from garside_al import (
     right_divides,
     right_gcd,
     right_normal_form,
+    run_suite,
     simple_element,
     stats,
     tau_element,
+    vertex_of,
 )
+from garside_al.alcomplex import ALVertex
+from garside_al.braid import embed_simple
 from garside_al.element import GarsideElement, _lmul_simple
 from oracles import (
     elements_equal_mixed,
@@ -301,6 +309,26 @@ def test_normalize_twists_once_however_many_inverse_letters(monkeypatch):
 def test_size_guard():
     with pytest.raises(SizeLimitExceeded):
         make_element(B3, 10 ** 7, [])
+
+
+_X4, _X3 = delta_power(B4, 1), delta_power(B3, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: multiply(_X4, _X3), "structure mismatch: braid-classical:4 vs braid-classical:3"),
+    (lambda: absorbs(_X4, _X3), "absorbs: elements from different structures"),
+    (lambda: are_adjacent(vertex_of(_X4), vertex_of(_X3)), "vertices from different structures"),
+    (lambda: gcd_vertex(vertex_of(_X4), vertex_of(_X3)), "vertices from different structures"),
+    (lambda: ALVertex(_X4), "vertex representative must have inf 0"),
+    (lambda: braid_structure(1), "need at least 2 strands, got 1"),
+    (lambda: embed_simple(B4.atom(1), 3, 4), "cannot place 4 strands at offset 3 inside B_4"),
+    (lambda: run_suite("nope"), f"unknown suite 'nope'; choose from {SUITE_NAMES}"),
+], ids=["multiply", "absorbs", "are_adjacent", "gcd_vertex", "vertex", "strands",
+        "embed_simple", "run_suite"])
+def test_library_refusals_are_pinned(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_factor_values_must_be_simples():

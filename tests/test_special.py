@@ -6,6 +6,7 @@ import random
 import pytest
 
 from garside_al import (
+    ProbeEntry,
     RoundCurve,
     UnsupportedStructureOperation,
     abelian_structure,
@@ -427,6 +428,11 @@ class TestOrbitProbe:
         probe = orbit_diameter_probe(delta_power(B4, 0), 2, 1, 2, curve=RoundCurve(1, 3))
         assert [(e.power, e.upper_bound, e.search_bound, e.decomposition_bound)
                 for e in probe] == [(1, 0, 0, 0), (2, 0, 0, 0)]
+
+    def test_power_that_moves_the_curve_has_no_decomposition_bound(self):
+        # s2 does not keep the curve around strands 1 and 2 round
+        probe = orbit_diameter_probe(parse_word(B4, "s2"), 2, 1, 3, curve=RoundCurve(1, 2))
+        assert probe == (ProbeEntry(1, 1, 1, None), ProbeEntry(2, 2, 2, None))
 
     def test_periodic_braid_orbit_stays_bounded(self):
         probe = orbit_diameter_probe(parse_word(B4, "s1 s2 s3"), 4, 1, 3)

@@ -417,6 +417,34 @@ class TestCliConfig:
         assert err.startswith("error:") and "budgte" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[garside-al\nn = 3\n", "File contains no section headers. "),
+        (b"[garside-al]\nn = 3\n# \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["unclosed-header", "not-utf-8"])
+    def test_bad_config_file_is_one_usage_error_line(self, capsys, monkeypatch, tmp_path,
+                                                     content, message):
+        (tmp_path / "garside-al.cfg").write_bytes(content)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "nf", "s1", "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad config file garside-al.cfg: {message}")
+        assert err.count("\n") == 1
+
+    def test_config_file_without_the_section_is_ignored(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "garside-al.cfg").write_text("[other]\nn = 4\nbudgte = 3\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "nf", "s1 s2 s1", "--n", "3")
+        assert code == 0 and out == "D\n"
+        # nor is its n read
+        code, _, err = run_cli(capsys, "nf", "s1")
+        assert code == 2 and err.startswith("error: no strand count: ")
+
+    def test_seed_from_environment_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("GARSIDE_AL_SEED", "abc")
+        code, out, err = run_cli(capsys, "nf", "s1", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be an integer, got 'abc'\n"
+
     def test_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("GARSIDE_AL_BUDGET", "3")
         code, _, err = run_cli(capsys, "absorbable", EX2_WORD, "--n", "4")
