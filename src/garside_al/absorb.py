@@ -295,9 +295,9 @@ def _parse_simple(st: GarsideStructure, token: str):
         else:
             s = tuple(int(d) for d in token)
     except ValueError:
-        raise CacheError(f"cache: unparsable permutation {token!r}")
+        raise CacheError(f"unparsable permutation {token!r}")
     if not st.is_simple_value(s):
-        raise CacheError(f"cache: {token!r} is not a simple element")
+        raise CacheError(f"{token!r} is not a simple element")
     return s
 
 
@@ -351,25 +351,28 @@ def _cache_load(st, max_len, path, budget):
                 break
     if rows is None:
         return None
-    chains = []
-    for line in rows:
-        chain = tuple(_parse_simple(st, tok) for tok in line.split("|"))
-        if st.identity in chain or st.delta in chain:
-            raise CacheError(f"cache: entry {line!r} has a factor equal to delta or the identity")
-        for a, b in zip(chain, chain[1:]):
-            if not st.is_left_weighted(a, b):
-                raise CacheError(f"cache: entry {line!r} is not left-weighted")
-        if len(chain) > max_len:
-            raise CacheError(f"cache: entry {line!r} exceeds the block's length bound")
-        chains.append(chain)
-    keys = [(len(c), c) for c in chains]
-    if keys != sorted(keys):
-        raise CacheError("cache: block entries out of order")
-    if len(set(chains)) != len(chains):
-        raise CacheError("cache: duplicate block entries")
-    for idx in range(0, len(chains), _SPOT_CHECK_STRIDE):
-        if is_absorbable(GarsideElement(st, 0, chains[idx]), budget=budget) is None:
-            raise CacheError(f"cache: spot check failed for entry {idx}")
+    try:  # every refusal below is raised again naming the file
+        chains = []
+        for line in rows:
+            chain = tuple(_parse_simple(st, tok) for tok in line.split("|"))
+            if st.identity in chain or st.delta in chain:
+                raise CacheError(f"entry {line!r} has a factor equal to delta or the identity")
+            for a, b in zip(chain, chain[1:]):
+                if not st.is_left_weighted(a, b):
+                    raise CacheError(f"entry {line!r} is not left-weighted")
+            if len(chain) > max_len:
+                raise CacheError(f"entry {line!r} exceeds the block's length bound")
+            chains.append(chain)
+        keys = [(len(c), c) for c in chains]
+        if keys != sorted(keys):
+            raise CacheError("block entries out of order")
+        if len(set(chains)) != len(chains):
+            raise CacheError("duplicate block entries")
+        for idx in range(0, len(chains), _SPOT_CHECK_STRIDE):
+            if is_absorbable(GarsideElement(st, 0, chains[idx]), budget=budget) is None:
+                raise CacheError(f"spot check failed for entry {idx}")
+    except CacheError as exc:
+        raise CacheError(f"cache: {path}: {exc}") from None
     return tuple(GarsideElement(st, 0, c) for c in chains)
 
 

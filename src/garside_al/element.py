@@ -33,6 +33,14 @@ There is one right cascade.  _fold reads its tables (rows and tau_inv) by
 subscript from whatever it is given: a structure, on simple values, or the
 structure's code book, on integer codes, as the distance search does.
 
+The gcd and the fraction form are one normal-form read, Thurston's
+symmetric normal form (Epstein et al., Word Processing in Groups, Ch. 9;
+Dehornoy et al., Ch. III): a = delta^-m x_1 ... x_r with m > 0 is N^-1 D
+for N^-1 = delta^-m x_1 ... x_min(m,r) and D = x_(m+1) ... x_r, with N
+and D positive and N ^ D = 1.  The left gcd of a and b is a N^-1 for the
+fraction a^-1 b = N^-1 D, whose cofactors are N and D, so a gcd costs
+one inversion and two products, linear in |a| + |b|.
+
 The right side has no algorithm of its own: _rev applies the structure's
 word reversal rev, an anti-automorphism that swaps right and left
 divisibility, so a right normal form is the left one of rev(a) read
@@ -347,24 +355,10 @@ def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
 def _left_gcd_cofactors(a: GarsideElement, b: GarsideElement) -> tuple:
     """(d, d^-1 a, d^-1 b) for d the left gcd of a and b.
 
-    Greedy: with both sides shifted to inf >= 0, the gcd's next normal
-    form factor is the meet of the two heads (delta when inf > 0, else the
-    first factor); divide it off both sides and repeat until it is 1.  One
-    side keeps inf 0 throughout, so no picked factor is delta.  What the
-    loop leaves of the two sides are the cofactors."""
-    st = _check_same_structure(a, b)
-    m = min(a.inf, b.inf)
-    ra = GarsideElement(st, a.power - m, a.factors)  # delta^-m * a
-    rb = GarsideElement(st, b.power - m, b.factors)
-    picked: list = []
-    while True:
-        d = st.left_meet(_head(st, ra), _head(st, rb))
-        if d == st.identity:
-            break
-        picked.append(d)
-        ra = _left_divide(st, d, ra)
-        rb = _left_divide(st, d, rb)
-    return GarsideElement(st, m, tuple(picked)), ra, rb
+    The reduced fraction a^-1 b = N^-1 D has N ^ D = 1, so d = a N^-1
+    has a = d N and b = d D with coprime cofactors: d is the gcd."""
+    f = fraction_form(multiply(invert(a), b))
+    return multiply(a, invert(f.negative)), f.negative, f.positive
 
 
 def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
@@ -418,12 +412,11 @@ class FractionForm:
 
 
 def fraction_form(a: GarsideElement) -> FractionForm:
+    """a = N^-1 D with N ^ D = 1, read off the normal form (see the module
+    docstring)."""
     st = a.structure
-    if a.inf >= 0:
+    m = -a.power
+    if m <= 0:
         return FractionForm(identity_element(st), a)
-    nn = -a.inf
-    u0 = delta_power(st, nn)
-    v0 = GarsideElement(st, a.power + nn, a.factors)  # u0 * a
-    g = left_gcd(u0, v0)
-    gi = invert(g)
-    return FractionForm(multiply(gi, u0), multiply(gi, v0))
+    return FractionForm(invert(GarsideElement(st, a.power, a.factors[:m])),
+                        GarsideElement(st, 0, a.factors[m:]))

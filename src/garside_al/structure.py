@@ -32,32 +32,31 @@ written:
   is rev(rev s ∧ rev t), the finishing set of s is the starting set of
   rev s, and element.py reads right normal forms and gcds through it.
 
-A structure keeps ten cached primitives, each a _Table: a dict that
+A structure keeps nine cached primitives, each a _Table: a dict that
 fills a missing entry once from the matching _<name>_raw method and that
 hot loops read by subscript, with no Python call on a hit.  They are
 _inversion_mask, _tau, _right_complement, _starting_set, _rev,
 _preceders, the absorber's _survivors[leftmost][head] and
 _kept[leftmost, head, r] (one level, keyed by the triple), and the
-two-level _left_meet[s][t] and slide rows[c][f].  The left complement
-is read as _tau[_right_complement[s]] and the finishing set as
-_starting_set[_rev[s]], with no table of their own.  A public method of
-the same name, where one exists, reads each and stays on the class for
-code that wraps class attributes.  As the τ period is at most 2, tau_inv
-is the τ table.
+two-level slide rows[c][f].  The left complement is read as
+_tau[_right_complement[s]] and the finishing set as
+_starting_set[_rev[s]], with no table of their own; both meets are
+computed on every call.  A public method of the same name, where one
+exists, reads each and stays on the class for code that wraps class
+attributes.  As the τ period is at most 2, tau_inv is the τ table.
 
 The right cascade (element._fold) reads the slide rows, where rows[c][f]
 is the domino step on (c, f), and tau_inv by subscript.  A row entry
-comes from the raw slide, which calls the raw meet and quotient directly,
-so a cascade leaves nothing in the meet table.  Both slide outputs and
-every meet in the meet rows are values of the τ table, so the rows share
-one object per distinct simple.  code_book() carries the same tables on
-integer codes for the distance search; its rows are the transition table
-of Thurston's normal-form automaton (Epstein et al., Word Processing in
-Groups, Ch. 9).
+comes from the raw slide, which calls the raw meet and quotient directly.
+Both slide outputs and every left_meet are values of the τ table, so the
+rows share one object per distinct simple.  code_book() carries the same
+tables on integer codes for the distance search; its rows are the
+transition table of Thurston's normal-form automaton (Epstein et al.,
+Word Processing in Groups, Ch. 9).
 
 Each table holds at most TABLE_BOUND entries, a two-level one (the slide,
-meet, survivor and code book rows) counting its rows too; a miss that
-finds it full empties it first.  An entry costs 100 to 300 bytes on B8,
+survivor and code book rows) counting its rows too; a miss that finds it
+full empties it first.  An entry costs 100 to 300 bytes on B8,
 so a full table holds 13 to 40 MB; a survivor entry is an array of up to
 N two-byte indices, and a _kept entry the array of those survivor
 indices whose simple right-divides r, most of them empty, at about 200
@@ -124,9 +123,6 @@ class GarsideStructure:
     def __init__(self) -> None:
         if self.tau_period > 2:
             raise ValueError(f"tau period {self.tau_period} > 2, so tau^-1 is not tau")
-        # tau is an involution, so tau[tau[s]] is s as the tau table's own
-        # object: the meet and slide rows hold one object per simple
-        self._left_meet = _rows(lambda s, t: self._tau[self._tau[self._left_meet_raw(s, t)]])
         self._inversion_mask = _Table(self._inversion_mask_raw)
         self._tau = _Table(self._tau_raw)
         self._right_complement = _Table(self._right_complement_raw)
@@ -194,7 +190,8 @@ class GarsideStructure:
         if u == self.identity:
             return None
         # c*u is the left complement of u^-1 * d, since u divides d = ∂c, so
-        # a value of the tau table; u^-1*f is read back as a meet is
+        # a value of the tau table; tau is an involution, so tau[tau[x]] is
+        # x as the tau table's own object, and u^-1*f is read back through it
         tau = self._tau
         return (self.left_complement(self._left_quotient_raw(u, d)),
                 tau[tau[self._left_quotient_raw(u, f)]])
@@ -220,7 +217,9 @@ class GarsideStructure:
         return self.left_complement(self._left_quotient_raw(t, c))
 
     def left_meet(self, s: Simple, t: Simple) -> Simple:
-        return self._left_meet[s][t]
+        # the tau table's own object, read back as the slide's u^-1*f is
+        tau = self._tau
+        return tau[tau[self._left_meet_raw(s, t)]]
 
     def right_meet(self, s: Simple, t: Simple) -> Simple:
         # rev maps the right-divisibility order onto the left one

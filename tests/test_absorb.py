@@ -356,15 +356,10 @@ def test_search_over_more_candidates_than_two_byte_indices_hold():
     assert cert is not None and cert.x.factors == (struct.atom(17),)
 
 
-def _entries(table):
-    """The entries of a two-level table, its rows counted too."""
-    return len(table) + sum(len(row) for row in table.values())
-
-
-def _count_products_and_right_meets(monkeypatch):
-    """Count the calls of the product and of the right meet, which the
+def _count_products_and_meets(monkeypatch):
+    """Count the calls of the product and of the two meets, which the
     search must not make."""
-    calls = {"compose": 0, "right_meet": 0}
+    calls = {"compose": 0, "left_meet": 0, "right_meet": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -374,31 +369,29 @@ def _count_products_and_right_meets(monkeypatch):
 
     monkeypatch.setattr(GarsideStructure, "compose",
                         counting("compose", GarsideStructure.compose))
-    monkeypatch.setattr(GarsideStructure, "right_meet",
-                        counting("right_meet", GarsideStructure.right_meet))
+    for name in ("left_meet", "right_meet"):
+        monkeypatch.setattr(GarsideStructure, name,
+                            counting(name, getattr(GarsideStructure, name)))
     return calls
 
 
 def test_b6_witness_budget_boundary(monkeypatch):
     y = distance_witness(6)
     struct = y.structure
-    calls = _count_products_and_right_meets(monkeypatch)
-    size = _entries(struct._left_meet)
+    calls = _count_products_and_meets(monkeypatch)
     assert is_absorbable(y, budget=850_735) is None
     with pytest.raises(SearchBudgetExceeded):
         is_absorbable(y, budget=850_734)
     # the search steps with the slide alone
-    assert _entries(struct._left_meet) == size
-    assert calls == {"compose": 0, "right_meet": 0}
+    assert calls == {"compose": 0, "left_meet": 0, "right_meet": 0}
 
 
 def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     struct = BraidStructure(5)
     y = make_element(struct, 0, _witness_factor_perms(5))
-    calls = _count_products_and_right_meets(monkeypatch)
+    calls = _count_products_and_meets(monkeypatch)
     assert is_absorbable(y) is None
-    assert not struct._left_meet
-    assert calls == {"compose": 0, "right_meet": 0}
+    assert calls == {"compose": 0, "left_meet": 0, "right_meet": 0}
 
     def entries():
         return sum(len(row) for row in struct.rows.values())
@@ -532,16 +525,16 @@ def test_cache_rejects_tampering(tmp_path):
     # the sound B3 block at L = 3 holds the rows 132 and 213 (the atoms);
     # each case replaces them, and every rejection has its own message
     cases = {
-        ("999", "213"): "cache: '999' is not a simple element",
-        ("1x2", "213"): "cache: unparsable permutation '1x2'",
+        ("999", "213"): "'999' is not a simple element",
+        ("1x2", "213"): "unparsable permutation '1x2'",
         # s1 followed by s2 is not left-weighted
-        ("132", "213|132"): "cache: entry '213|132' is not left-weighted",
+        ("132", "213|132"): "entry '213|132' is not left-weighted",
         ("132", "213|213|213|213"):
-            "cache: entry '213|213|213|213' exceeds the block's length bound",
-        ("213", "132"): "cache: block entries out of order",
-        ("132", "132"): "cache: duplicate block entries",
+            "entry '213|213|213|213' exceeds the block's length bound",
+        ("213", "132"): "block entries out of order",
+        ("132", "132"): "duplicate block entries",
         # s1 s2 is not absorbable, and entry 0 is re-searched
-        ("231",): "cache: spot check failed for entry 0",
+        ("231",): "spot check failed for entry 0",
     }
     for k, (rows, message) in enumerate(cases.items()):
         path = tmp_path / f"absorb-{k}.cache"
@@ -553,7 +546,7 @@ def test_cache_rejects_tampering(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CacheError) as err:
             enumerate_absorbable(B3, 3, cache_path=str(path))
-        assert str(err.value) == message, rows
+        assert str(err.value) == f"cache: {path}: {message}", rows
 
 
 def test_cache_refuses_delta_and_identity_factors(tmp_path):
@@ -566,8 +559,8 @@ def test_cache_refuses_delta_and_identity_factors(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CacheError) as err:
             enumerate_absorbable(B3, max_len, cache_path=str(path))
-        assert str(err.value) == (
-            f"cache: entry {rows[-1]!r} has a factor equal to delta or the identity")
+        assert str(err.value) == (f"cache: {path}: entry {rows[-1]!r} "
+                                  "has a factor equal to delta or the identity")
         searched = enumerate_absorbable(B3, max_len)
         assert [one_line(B3, el.factors[0]) for el in searched] == ["132", "213"]
 

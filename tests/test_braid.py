@@ -127,12 +127,16 @@ def test_derived_primitives_on_every_pair_of_simples(struct):
     _check_derived_primitives_on_perms(struct, itertools.product(simples, repeat=2))
 
 
-def test_derived_primitives_on_random_simples_of_b12():
+def test_derived_primitives_on_random_simples_of_b12(monkeypatch):
     # B12 has 12! simples, so none of this can come from an enumeration.
     # A random p is cut into s * t with lengths adding: (s, t) has a simple
     # product, p right-divides by t, and a random s' with the same t
     # mostly has none
     struct, rng = BraidStructure(12), random.Random(12)
+    meets = []
+    left_meet = GarsideStructure.left_meet
+    monkeypatch.setattr(GarsideStructure, "left_meet",
+                        lambda self, s, t: meets.append((s, t)) or left_meet(self, s, t))
     pairs = []
     for _ in range(300):
         p = tuple(rng.sample(range(1, 13), 12))
@@ -141,7 +145,7 @@ def test_derived_primitives_on_random_simples_of_b12():
         s, t = perm_of_word(word[:k], 12), perm_of_word(word[k:], 12)
         pairs += [(s, t), (p, t), (tuple(rng.sample(range(1, 13), 12)), t)]
     _check_derived_primitives_on_perms(struct, pairs)
-    assert not struct._left_meet
+    assert meets == []
 
 
 def test_derived_primitives_on_every_pair_of_simples_of_z3():
@@ -293,9 +297,8 @@ def _entries(table):
 
 
 def _held_simples(struct):
-    """Every simple the slide rows and the meet rows hold."""
-    held = [s for row in struct.rows.values() for step in row.values() if step for s in step]
-    return held + [s for row in struct._left_meet.values() for s in row.values()]
+    """Every simple the slide rows hold."""
+    return [s for row in struct.rows.values() for step in row.values() if step for s in step]
 
 
 def _contents(table):
@@ -317,9 +320,9 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     raws = {"rows": struct._slide_raw, "tau_inv": lambda s: untau[s],
             "code book rows": coded_slide}
     tables = _tables(struct)
-    assert tables.keys() == {"_left_meet", "_inversion_mask", "_tau", "_right_complement",
-                             "_starting_set", "_rev", "_preceders", "_survivors", "_kept",
-                             "rows", "tau_inv", "code book rows"}
+    assert tables.keys() == {"_inversion_mask", "_tau", "_right_complement", "_starting_set",
+                             "_rev", "_preceders", "_survivors", "_kept", "rows", "tau_inv",
+                             "code book rows"}
     for name, table in tables.items():
         if name == "_kept":
             continue  # keyed by search nodes, checked below
@@ -364,7 +367,6 @@ def test_structures_do_not_share_caches():
     before = {name: _contents(t) for name, t in t5.items()}
     # one fresh entry in every table of b4 leaves every table of b5 as it was
     key = b4.compose(b4.atom(3), b4.atom(1))
-    b4.left_meet(b4.delta, b4.atom(3))
     for name, table in t4.items():
         k = {"code book rows": 1, "_kept": (b4.identity, key, key)}.get(name, key)
         row = table[k]
@@ -372,7 +374,7 @@ def test_structures_do_not_share_caches():
             row[k]
         assert table, name
     assert {name: _contents(t) for name, t in t5.items()} == before
-    assert b4._left_meet[b4.delta][b4.atom(3)] == b4.atom(3)
+    assert b4.left_meet(b4.delta, b4.atom(3)) == b4.atom(3)
     assert b4.rows[b4.atom(1)]
 
 
@@ -633,7 +635,7 @@ def test_rows_hold_the_tau_tables_simples():
         multiply(a, b)
         left_gcd(a, b)
     held = _held_simples(struct)
-    assert struct.rows and struct._left_meet
+    assert struct.rows
     tau = struct._tau
     assert all(tau[tau[s]] is s for s in held)
     # one object per distinct simple

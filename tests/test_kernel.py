@@ -38,7 +38,7 @@ from garside_al import (
 )
 from garside_al.alcomplex import ALVertex
 from garside_al.braid import embed_simple
-from garside_al.element import GarsideElement, _lmul_simple
+from garside_al.element import GarsideElement, _left_gcd_cofactors, _lmul_simple
 from oracles import (
     elements_equal_mixed,
     greedy_normal_form,
@@ -106,6 +106,27 @@ def test_multiplication_agrees_with_word_concatenation():
         assert elements_equal_mixed(to_mixed(prod), (0, u + v), n)
 
 
+def _head(x):
+    """delta ^ x for a positive x, read off its normal form."""
+    st_ = x.structure
+    if x.power > 0:
+        return st_.delta
+    return x.factors[0] if x.factors else st_.identity
+
+
+def _check_fraction_form(a):
+    frac = fraction_form(a)
+    u, v = frac.negative, frac.positive
+    assert multiply(invert(u), v) == a
+    # u and v are positive and coprime: delta does not divide both, and
+    # the heads, where the gcd's first factor lies, meet in the identity
+    assert min(u.inf, v.inf) == 0, a
+    st_ = a.structure
+    assert st_.left_meet(_head(u), _head(v)) == st_.identity, a
+    # a is a negative element exactly when sup(a) <= 0
+    assert v.is_identity == (a.sup <= 0), a
+
+
 def test_inverse_and_fraction_form():
     rng = random.Random(31)
     for _ in range(30):
@@ -116,9 +137,14 @@ def test_inverse_and_fraction_form():
         assert multiply(a, invert(a)).is_identity
         assert multiply(invert(a), a).is_identity
         assert invert(a).power == -a.sup
-        frac = fraction_form(a)
-        assert multiply(invert(frac.negative), frac.positive) == a
-        assert left_gcd(frac.negative, frac.positive).is_identity
+        _check_fraction_form(a)
+    # inf < -r, where the positive part is the identity, and Z^3
+    for struct in (B3, B4, abelian_structure(3)):
+        for _ in range(20):
+            word = random_word(rng, struct.rank + 1, 5)
+            a = multiply(delta_power(struct, rng.randint(-len(word) - 3, 2)),
+                         from_word(struct, word))
+            _check_fraction_form(a)
 
 
 def test_inverse_of_atom_value():
@@ -533,6 +559,31 @@ def test_right_side_on_b12_matches_the_references():
         v = make_element(struct, 0, random_simples(rng, 12, rng.randint(0, 3)))
         a, b = multiply(u, shared), multiply(v, shared)
         assert right_gcd(a, b) == atom_extension_gcd(a, b, "right")
+
+
+@pytest.mark.parametrize("struct", (abelian_structure(3), abelian_structure(4), B3, B4, B5,
+                                    braid_structure(6)), ids=lambda st_: st_.structure_id)
+def test_left_gcd_cofactors_match_atom_extension(struct):
+    rng = random.Random(8500 + 10 * struct.n + struct.rank)
+    simples = list(struct.all_simples())
+
+    def element(power, length):
+        return make_element(struct, power, [rng.choice(simples) for _ in range(length)])
+
+    for case in range(24):
+        shared = element(rng.randint(-3, 3), rng.randint(0, 4))
+        a = multiply(shared, element(rng.randint(-2, 2), rng.randint(0, 4)))
+        if case % 3 == 0:
+            b = a
+        elif case % 3 == 1:  # a left-divides b
+            b = multiply(a, element(0, rng.randint(0, 4)))
+        else:
+            b = multiply(shared, element(rng.randint(-2, 2), rng.randint(0, 4)))
+        if rng.random() < 0.5:
+            a, b = b, a
+        d, u, v = _left_gcd_cofactors(a, b)
+        assert d == atom_extension_gcd(a, b, "left"), (a, b)
+        assert u == multiply(invert(d), a) and v == multiply(invert(d), b), (a, b)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
