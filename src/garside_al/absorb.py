@@ -10,8 +10,8 @@ running product x_i ... x_k * y, so a partial suffix whose product already
 has inf > 0 or sup > k can be discarded with everything above it.
 
 Every running product m the search extends has inf 0 and sup k: y has,
-and a candidate t for the next factor is multiplied out only when t * m
-keeps both.  Both halves are decided on simples, before any cascade
+and a candidate t for the next factor is kept only when t * m keeps both.
+Both halves are decided on simples, before any cascade
 (El-Rifai and Morton, Quart. J. Math. 45, 1994; Dehornoy et al.,
 Foundations of Garside Theory, Ch. I and V):
 
@@ -22,21 +22,22 @@ Foundations of Garside Theory, Ch. I and V):
   R, the largest simple right divisor of X.
 
 Survivor tables, the structure table _survivors[leftmost factor of the
-suffix][m_1] (bounded like every structure table), list the candidates
-that pass the inf test and are not left-weighted with m_1 (such a t stays
-a factor of its own, so the sup grows to k + 1).  The search holds X
-reversed, since rev swaps right and left divisibility: R is rev of the
-head of rev(X), and rev of the X of t * m is rev(t)^-1 rev(X), one left
-division.  A node divides its own leftmost factor off only when its table
-is non-empty, and of the table's survivors it keeps, multiplying out,
-only those that right-divide R.  It reads their indices from the structure
-table _kept[leftmost, m_1, R], so it walks the kept candidates alone: the
-candidates up to each kept index, and those after the last, are counted
-visited in one run, and pruned is visited minus kept.  A run that passes
-the budget is cut back, by bisection in the survivor table, to the first
-survivor where trying one candidate at a time would have stopped.  So the
-node counts, the certificate and the point where the budget runs out are
-those of trying every candidate in turn.
+suffix][m_1] (bounded like every structure table), list the candidates that
+pass the inf test and are not left-weighted with m_1 (such a t stays a
+factor of its own, so the sup grows to k + 1).  The search holds X
+reversed, since rev swaps right and left divisibility: R is rev of the head
+of rev(X), and rev of the X of t * m is rev(t)^-1 rev(X), one left
+division.  Of m it holds only the head m_1: for a survivor t, the head of
+t * m is the first output of the slide rows[t][m_1], which the later slides
+keep (the domino rule).  A node's state is that head, rev(X) and its
+leftmost factor, which it divides off only when its table is non-empty.  It
+walks only the survivors that right-divide R, whose indices it reads from
+the structure table _kept[leftmost, m_1, R]: the candidates up to each kept
+index, and those after the last, count as visited in one run, and pruned is
+visited minus kept.  A budget overrun is cut back, by bisection in the
+survivor table, to the first survivor where trying one at a time would have
+stopped, so the node counts, the certificate and the point where the budget
+runs out are those of trying every candidate in turn.
 
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
@@ -57,7 +58,6 @@ from .element import (
     GarsideElement,
     _head,
     _left_divide,
-    _lmul_simple,
     _rev,
     invert,
     multiply,
@@ -110,7 +110,7 @@ def absorbs(x: GarsideElement, y: GarsideElement) -> bool:
 
 
 class _NodeCounter:
-    # every candidate tried is visited, and pruned unless it is kept (multiplied out)
+    # every candidate tried is visited, and pruned unless it is kept (right-divides R)
     __slots__ = ("visited", "kept", "budget", "depth")
 
     def __init__(self, budget: int) -> None:
@@ -142,22 +142,21 @@ class _NodeCounter:
                 f"the deepest call reached depth {self.depth}")
 
 
-def _dfs(st, m, x, leftmost, depth, k, counter):
-    """Extend the suffix whose running product is m; leftmost is its first factor.
+def _dfs(st, head, x, leftmost, depth, k, counter):
+    """Extend a suffix; the node state is head, the first factor of the
+    suffix's running product m (never built), the room x = rev(delta^k
+    m'^-1) for m' the product before leftmost was prepended (m' = m at the
+    root), and leftmost, the suffix's first factor.
 
-    x is rev(delta^k m'^-1), for m' the running product before leftmost
-    was prepended (m' = m at the root): a node below the root divides
-    rev(leftmost) off only when its survivor table is non-empty.  A call
-    tries the simples that can precede leftmost in a left-weighted chain,
-    so the root call (m = y, leftmost the identity, depth 0) tries every
-    nontrivial proper simple as the absorber's last factor.  Candidates
-    come in sorted permutation order, so the first completion found is the
-    lexicographically first absorber and the certificate is deterministic.
-    The node reads the kept candidates, the table survivors that
-    right-divide r = rev(head(x)), the largest simple right divisor of
-    delta^k m^-1, from st._kept, and multiplies out only those.  Every
-    candidate is still a visited node, counted in the gaps between kept
-    indices and once after the last, and the ones not kept are pruned.
+    A node below the root divides rev(leftmost) off x only when its
+    survivor table is non-empty.  A call tries the simples that can precede
+    leftmost in a left-weighted chain, so the root call (head = y_1,
+    leftmost the identity, depth 0) tries every nontrivial proper simple as
+    the absorber's last factor, in sorted permutation order: the first
+    completion found is the lexicographically first absorber.  The node
+    reads the kept candidates, the survivors that right-divide r =
+    rev(head(x)), the largest simple right divisor of delta^k m^-1, from
+    st._kept, and hands each kept t the head rows[t][head][0] of t * m.
     Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
     completes the suffix into a full absorber, or None.
     """
@@ -165,7 +164,6 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
     if depth > counter.depth:
         counter.depth = depth
     done = 0  # candidates counted so far
-    head = m.factors[0]
     table = st._survivors[leftmost][head]
     if table:
         if depth:
@@ -177,7 +175,7 @@ def _dfs(st, m, x, leftmost, depth, k, counter):
             t = options[i]
             if depth + 1 == k:
                 return [t]
-            got = _dfs(st, _lmul_simple(st, t, m), x, t, depth + 1, k, counter)
+            got = _dfs(st, st.rows[t][head][0], x, t, depth + 1, k, counter)
             if got is not None:
                 got.append(t)
                 return got
@@ -209,7 +207,7 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     counter = _NodeCounter(budget)
     # delta^k target^-1 is invert(target) without its delta^-k
     room = _rev(GarsideElement(st, 0, invert(target).factors))
-    got = _dfs(st, target, room, st.identity, 0, target.canonical_length, counter)
+    got = _dfs(st, target.factors[0], room, st.identity, 0, target.canonical_length, counter)
     if got is None:
         return None
     x = GarsideElement(st, 0, tuple(got))

@@ -15,9 +15,10 @@ slide rows, rows[s][t], which hold None when the pair is already
 left-weighted.  The rows are bounded tables (structure.TABLE_BOUND), so no
 answer depends on what they hold.
 
-* _lmul_simple (s * x) slides s into x_1, the remainder into x_2, and so on,
-  left to right, and stops as soon as the carry is the identity or meets a
-  pair that is already left-weighted.  Leading deltas join the power.
+* _lmul_simple (s * x; its one caller is _left_divide) slides s into x_1,
+  the remainder into x_2, and so on, left to right, and stops as soon as
+  the carry is the identity or meets a left-weighted pair.  Leading deltas
+  join the power.
 * _fold (x * s_1 ... s_k, on a factor list) appends each s and slides right
   to left with the same stopping rule; a carry that fills up to delta
   leaves through the back, twisting by tau^-1 only the suffix the cascade

@@ -35,12 +35,11 @@ from garside_al import (
     power,
     tau_element,
 )
-from garside_al import absorb, cli
+from garside_al import absorb, cli, element
 from garside_al.absorb import DEFAULT_BUDGET
 from garside_al.braid import BraidStructure
 from garside_al.element import (
     GarsideElement,
-    _lmul_simple,
     _rev,
     fraction_form,
     right_normal_form,
@@ -237,7 +236,7 @@ def _reference_dfs(struct, m, leftmost, depth, k, counter):
                else struct.preceders(leftmost))
     for t in options:
         counter.visit()
-        m2 = _lmul_simple(struct, t, m)
+        m2 = multiply(simple_element(struct, t), m)
         if m2.power > 0 or m2.sup > k:
             counter.pruned += 1
             continue
@@ -309,29 +308,36 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
     # at seeded search nodes, a table survivor t right-divides R, the
     # largest simple right divisor of X = delta^k m^-1, exactly when t * m
     # keeps inf 0 and sup k; the X a node receives is its parent's, held
-    # as its reversal rev(X)
+    # as its reversal rev(X).  The search carries only the head of m, so
+    # the wrapper rebuilds m from the chain of leftmost factors it has
+    # seen (m at depth d + 1 is leftmost * m at depth d) and checks at
+    # every node that the head the search passed is m's first factor.
     seen = {True: 0, False: 0}
     nodes = []
+    products = []  # products[d] is the running product at depth d
     dfs = absorb._dfs
 
-    def checking(struct, m, x, leftmost, depth, k, counter):
+    def checking(struct, head, x, leftmost, depth, k, counter):
+        del products[depth:]
+        products.append(multiply(simple_element(struct, leftmost), products[-1])
+                        if depth else target)
+        m = products[-1]
+        assert m.factors[0] == head, (m, head)
         if len(nodes) < 30:
             nodes.append(m)
             room = multiply(delta_power(struct, k), invert(m))
-            parent_room = (room if leftmost is None
-                           else multiply(room, simple_element(struct, leftmost)))
+            parent_room = multiply(room, simple_element(struct, leftmost))
             assert x == _rev(parent_room), (m, leftmost)
             rfac, rpow = right_normal_form(room)
             r = struct.delta if rpow > 0 else rfac[-1] if rfac else struct.identity
-            options = (struct.nontrivial_simples() if leftmost is None
-                       else struct.preceders(leftmost))
-            for i in struct._survivors[leftmost][m.factors[0]]:
+            options = struct.preceders(leftmost)
+            for i in struct._survivors[leftmost][head]:
                 t = options[i]
-                m2 = _lmul_simple(struct, t, m)
+                m2 = multiply(simple_element(struct, t), m)
                 keeps = m2.power == 0 and m2.sup == k
                 assert struct.right_divides_simple(t, r) == keeps, (m, t)
                 seen[keeps] += 1
-        return dfs(struct, m, x, leftmost, depth, k, counter)
+        return dfs(struct, head, x, leftmost, depth, k, counter)
 
     monkeypatch.setattr(absorb, "_dfs", checking)
     rng = random.Random(1517)
@@ -344,7 +350,9 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
                 chain.append(rng.choice(struct.followers(chain[-1])))
             y = GarsideElement(struct, 0, tuple(chain))
             nodes.clear()
-            is_absorbable(y if rng.random() < 0.75 else invert(y))
+            query = y if rng.random() < 0.75 else invert(y)
+            target = query if query.inf == 0 else invert(query)
+            is_absorbable(query)
             assert nodes
     assert seen[True] > 1000 and seen[False] > 10000, seen
 
@@ -358,8 +366,11 @@ def test_search_over_more_candidates_than_two_byte_indices_hold():
 
 def _count_products_and_meets(monkeypatch):
     """Count the calls of the product and of the two meets, which the
-    search must not make."""
-    calls = {"compose": 0, "left_meet": 0, "right_meet": 0}
+    search must not make, and those of the left cascade _lmul_simple and of
+    the room division _left_divide, under every name the package binds
+    them to."""
+    calls = {"compose": 0, "left_meet": 0, "right_meet": 0,
+             "_lmul_simple": 0, "_left_divide": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -372,7 +383,20 @@ def _count_products_and_meets(monkeypatch):
     for name in ("left_meet", "right_meet"):
         monkeypatch.setattr(GarsideStructure, name,
                             counting(name, getattr(GarsideStructure, name)))
+    for f in (element._lmul_simple, element._left_divide):
+        counted = counting(f.__name__, f)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "garside_al"
+                    and getattr(module, f.__name__, None) is f):
+                monkeypatch.setattr(module, f.__name__, counted)
     return calls
+
+
+def _assert_slides_alone(calls):
+    # no product and no meet, and every left cascade divides the room
+    cascades, divisions = calls.pop("_lmul_simple"), calls.pop("_left_divide")
+    assert calls == {"compose": 0, "left_meet": 0, "right_meet": 0}
+    assert cascades == divisions > 0
 
 
 def test_b6_witness_budget_boundary(monkeypatch):
@@ -382,8 +406,7 @@ def test_b6_witness_budget_boundary(monkeypatch):
     assert is_absorbable(y, budget=850_735) is None
     with pytest.raises(SearchBudgetExceeded):
         is_absorbable(y, budget=850_734)
-    # the search steps with the slide alone
-    assert calls == {"compose": 0, "left_meet": 0, "right_meet": 0}
+    _assert_slides_alone(calls)
 
 
 def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
@@ -391,7 +414,7 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     y = make_element(struct, 0, _witness_factor_perms(5))
     calls = _count_products_and_meets(monkeypatch)
     assert is_absorbable(y) is None
-    assert calls == {"compose": 0, "left_meet": 0, "right_meet": 0}
+    _assert_slides_alone(calls)
 
     def entries():
         return sum(len(row) for row in struct.rows.values())
