@@ -29,8 +29,10 @@ reversed, since rev swaps right and left divisibility: R is rev of the head
 of rev(X), and rev of the X of t * m is rev(t)^-1 rev(X), one left
 division.  Of m it holds only the head m_1: for a survivor t, the head of
 t * m is the first output of the slide rows[t][m_1], which the later slides
-keep (the domino rule).  A node's state is that head, rev(X) and its
-leftmost factor, which it divides off only when its table is non-empty.  It
+keep (the domino rule).  A node's state is that head, rev(X) as a bare
+(delta power, factor tuple) pair, and its leftmost factor, which it
+divides off the pair by one left cascade, building no element, only when
+its table is non-empty.  It
 walks only the survivors that right-divide R, whose indices it reads from
 the structure table _kept[leftmost, m_1, R]: the candidates up to each kept
 index, and those after the last, count as visited in one run, and pruned is
@@ -56,7 +58,6 @@ from itertools import accumulate
 
 from .element import (
     GarsideElement,
-    _head,
     _left_divide,
     _rev,
     invert,
@@ -142,23 +143,27 @@ class _NodeCounter:
                 f"the deepest call reached depth {self.depth}")
 
 
-def _dfs(st, head, x, leftmost, depth, k, counter):
+def _dfs(st, head, p, x, leftmost, depth, k, counter):
     """Extend a suffix; the node state is head, the first factor of the
-    suffix's running product m (never built), the room x = rev(delta^k
-    m'^-1) for m' the product before leftmost was prepended (m' = m at the
-    root), and leftmost, the suffix's first factor.
+    suffix's running product m (never built), the room delta^p x =
+    rev(delta^k m'^-1) as its bare power p and factor tuple x, for m' the
+    product before leftmost was prepended (m' = m at the root), and
+    leftmost, the suffix's first factor.
 
-    A node below the root divides rev(leftmost) off x only when its
-    survivor table is non-empty.  A call tries the simples that can precede
+    A node below the root divides rev(leftmost) off the room, by one left
+    cascade on the pair that builds no element, only when its survivor
+    table is non-empty.  A call tries the simples that can precede
     leftmost in a left-weighted chain, so the root call (head = y_1,
     leftmost the identity, depth 0) tries every nontrivial proper simple as
     the absorber's last factor, in sorted permutation order: the first
     completion found is the lexicographically first absorber.  The node
-    reads the kept candidates, the survivors that right-divide r =
-    rev(head(x)), the largest simple right divisor of delta^k m^-1, from
-    st._kept, and hands each kept t the head rows[t][head][0] of t * m.
-    Returns the factor list x_1 ... x_j (left to right, j = k - depth) that
-    completes the suffix into a full absorber, or None.
+    reads the kept candidates, the survivors that right-divide r, the
+    largest simple right divisor of delta^k m^-1, from st._kept: r is rev
+    of the room's head, which is delta when p > 0, else x_1 or the
+    identity, and rev(delta) = delta.  It hands each kept t the head
+    rows[t][head][0] of t * m.  Returns the factor list x_1 ... x_j (left
+    to right, j = k - depth) that completes the suffix into a full
+    absorber, or None.
     """
     options = st.preceders(leftmost)
     if depth > counter.depth:
@@ -167,15 +172,16 @@ def _dfs(st, head, x, leftmost, depth, k, counter):
     table = st._survivors[leftmost][head]
     if table:
         if depth:
-            x = _left_divide(st, st.rev(leftmost), x)
-        for i in st._kept[leftmost, head, st.rev(_head(st, x))]:
+            p, x = _left_divide(st, st.rev(leftmost), p, x)
+        r = st.delta if p > 0 else st.rev(x[0]) if x else st.identity
+        for i in st._kept[leftmost, head, r]:
             counter.visit(table, done, i + 1)
             done = i + 1
             counter.kept += 1
             t = options[i]
             if depth + 1 == k:
                 return [t]
-            got = _dfs(st, st.rows[t][head][0], x, t, depth + 1, k, counter)
+            got = _dfs(st, st.rows[t][head][0], p, x, t, depth + 1, k, counter)
             if got is not None:
                 got.append(t)
                 return got
@@ -207,7 +213,8 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     counter = _NodeCounter(budget)
     # delta^k target^-1 is invert(target) without its delta^-k
     room = _rev(GarsideElement(st, 0, invert(target).factors))
-    got = _dfs(st, target.factors[0], room, st.identity, 0, target.canonical_length, counter)
+    got = _dfs(st, target.factors[0], room.power, room.factors, st.identity, 0,
+               target.canonical_length, counter)
     if got is None:
         return None
     x = GarsideElement(st, 0, tuple(got))

@@ -15,10 +15,11 @@ slide rows, rows[s][t], which hold None when the pair is already
 left-weighted.  The rows are bounded tables (structure.TABLE_BOUND), so no
 answer depends on what they hold.
 
-* _lmul_simple (s * x; its one caller is _left_divide) slides s into x_1,
-  the remainder into x_2, and so on, left to right, and stops as soon as
-  the carry is the identity or meets a left-weighted pair.  Leading deltas
-  join the power.
+* _left_divide (d^-1 * x for a simple d, taking and returning x as a bare
+  (power, factors) pair, so it builds no element) slides the left
+  complement of d into x_1, the remainder into x_2, and so on, left to
+  right, and stops as soon as the carry is the identity or meets a
+  left-weighted pair.  Leading deltas join the power.
 * _fold (x * s_1 ... s_k, on a factor list) appends each s and slides right
   to left with the same stopping rule; a carry that fills up to delta
   leaves through the back, twisting by tau^-1 only the suffix the cascade
@@ -119,34 +120,6 @@ class GarsideElement:
 
     def __repr__(self) -> str:
         return f"GarsideElement({self.structure.structure_id}, D^{self.power}, {list(self.factors)})"
-
-
-def _lmul_simple(st: GarsideStructure, s: Simple, x: GarsideElement) -> GarsideElement:
-    """Normal form of s * x for a simple s, by the left-to-right cascade."""
-    ident, delta = st.identity, st.delta
-    p = x.power
-    # s delta^p = delta^p tau^p(s)
-    c = st.tau_pow(s, p)
-    # c = 1 gives back x (its first slide returns (x_1, 1)), and c = delta
-    # is left-weighted with any x_1, so it joins the power below
-    fac = x.factors
-    rows = st.rows
-    head = []
-    for f in fac:
-        step = rows[c][f]
-        if step is None:
-            break
-        cu, c = step
-        head.append(cu)
-        if c == ident:
-            break
-    i = len(head)  # one factor of x consumed per slide
-    if c != ident:
-        head.append(c)
-    k = 0
-    while k < len(head) and head[k] == delta:
-        k += 1
-    return GarsideElement(st, p + k, (*head[k:], *fac[i:]))
 
 
 def _fold(t, fac: list, e: int, simples: Iterable) -> int:
@@ -335,17 +308,30 @@ def right_divides(a: GarsideElement, b: GarsideElement) -> bool:
     return multiply(b, invert(a)).inf >= 0
 
 
-def _head(st: GarsideStructure, x: GarsideElement) -> Simple:
-    """delta ^ x, the largest simple left divisor of a positive x."""
-    if x.power > 0:
-        return st.delta
-    return x.factors[0] if x.factors else st.identity
-
-
-def _left_divide(st: GarsideStructure, d: Simple, x: GarsideElement) -> GarsideElement:
-    """d^-1 * x = delta^-1 * (left complement of d) * x."""
-    y = _lmul_simple(st, st.left_complement(d), x)
-    return GarsideElement(st, y.power - 1, y.factors)
+def _left_divide(st: GarsideStructure, d: Simple, p: int, fac: tuple) -> tuple:
+    """(power, factors) of d^-1 * delta^p * fac for a simple d and a normal
+    form delta^p fac: d^-1 = delta^-1 c for c the left complement of d, and
+    c delta^p = delta^p tau^p(c), which the left cascade slides into fac."""
+    ident, delta, rows = st.identity, st.delta, st.rows
+    c = st.tau_pow(st.left_complement(d), p)
+    # c = 1 gives back fac (its first slide returns (x_1, 1)), and c = delta
+    # is left-weighted with any x_1, so it joins the power below
+    head = []
+    for f in fac:
+        step = rows[c][f]
+        if step is None:
+            break
+        cu, c = step
+        head.append(cu)
+        if c == ident:
+            break
+    i = len(head)  # one factor of fac consumed per slide
+    if c != ident:
+        head.append(c)
+    k = 0
+    while k < len(head) and head[k] == delta:
+        k += 1
+    return p + k - 1, (*head[k:], *fac[i:])
 
 
 def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:

@@ -317,7 +317,7 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
     products = []  # products[d] is the running product at depth d
     dfs = absorb._dfs
 
-    def checking(struct, head, x, leftmost, depth, k, counter):
+    def checking(struct, head, p, x, leftmost, depth, k, counter):
         del products[depth:]
         products.append(multiply(simple_element(struct, leftmost), products[-1])
                         if depth else target)
@@ -327,7 +327,8 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
             nodes.append(m)
             room = multiply(delta_power(struct, k), invert(m))
             parent_room = multiply(room, simple_element(struct, leftmost))
-            assert x == _rev(parent_room), (m, leftmost)
+            want = _rev(parent_room)
+            assert (p, x) == (want.power, want.factors), (m, leftmost)
             rfac, rpow = right_normal_form(room)
             r = struct.delta if rpow > 0 else rfac[-1] if rfac else struct.identity
             options = struct.preceders(leftmost)
@@ -337,7 +338,7 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
                 keeps = m2.power == 0 and m2.sup == k
                 assert struct.right_divides_simple(t, r) == keeps, (m, t)
                 seen[keeps] += 1
-        return dfs(struct, head, x, leftmost, depth, k, counter)
+        return dfs(struct, head, p, x, leftmost, depth, k, counter)
 
     monkeypatch.setattr(absorb, "_dfs", checking)
     rng = random.Random(1517)
@@ -366,11 +367,9 @@ def test_search_over_more_candidates_than_two_byte_indices_hold():
 
 def _count_products_and_meets(monkeypatch):
     """Count the calls of the product and of the two meets, which the
-    search must not make, and those of the left cascade _lmul_simple and of
-    the room division _left_divide, under every name the package binds
-    them to."""
-    calls = {"compose": 0, "left_meet": 0, "right_meet": 0,
-             "_lmul_simple": 0, "_left_divide": 0}
+    search must not make, and those of the one left cascade, the room
+    division _left_divide, under every name the package binds it to."""
+    calls = {"compose": 0, "left_meet": 0, "right_meet": 0, "_left_divide": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -383,20 +382,19 @@ def _count_products_and_meets(monkeypatch):
     for name in ("left_meet", "right_meet"):
         monkeypatch.setattr(GarsideStructure, name,
                             counting(name, getattr(GarsideStructure, name)))
-    for f in (element._lmul_simple, element._left_divide):
-        counted = counting(f.__name__, f)
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "garside_al"
-                    and getattr(module, f.__name__, None) is f):
-                monkeypatch.setattr(module, f.__name__, counted)
+    f = element._left_divide
+    counted = counting(f.__name__, f)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "garside_al"
+                and getattr(module, f.__name__, None) is f):
+            monkeypatch.setattr(module, f.__name__, counted)
     return calls
 
 
 def _assert_slides_alone(calls):
-    # no product and no meet, and every left cascade divides the room
-    cascades, divisions = calls.pop("_lmul_simple"), calls.pop("_left_divide")
+    # no product and no meet; the one left cascade divides the room
+    assert calls.pop("_left_divide") > 0
     assert calls == {"compose": 0, "left_meet": 0, "right_meet": 0}
-    assert cascades == divisions > 0
 
 
 def test_b6_witness_budget_boundary(monkeypatch):
@@ -404,9 +402,29 @@ def test_b6_witness_budget_boundary(monkeypatch):
     struct = y.structure
     calls = _count_products_and_meets(monkeypatch)
     assert is_absorbable(y, budget=850_735) is None
+    assert calls["_left_divide"] == 4_060
     with pytest.raises(SearchBudgetExceeded):
         is_absorbable(y, budget=850_734)
     _assert_slides_alone(calls)
+
+
+def test_warm_search_builds_no_element_below_the_root(monkeypatch):
+    # the room is divided as a bare (power, factors) pair, so a warm search
+    # of the six-strand witness builds only the root's few elements, where
+    # building one per division made 8,123
+    y = distance_witness(6)
+    assert is_absorbable(y) is None
+    built = 0
+    post_init = GarsideElement.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(GarsideElement, "__post_init__", counted)
+    assert is_absorbable(y) is None
+    assert built <= 5, built
 
 
 def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):

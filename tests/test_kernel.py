@@ -38,7 +38,7 @@ from garside_al import (
 )
 from garside_al.alcomplex import ALVertex
 from garside_al.braid import embed_simple
-from garside_al.element import GarsideElement, _left_gcd_cofactors, _lmul_simple
+from garside_al.element import GarsideElement, _left_divide, _left_gcd_cofactors
 from oracles import (
     elements_equal_mixed,
     greedy_normal_form,
@@ -455,7 +455,9 @@ def test_cascades_let_a_full_delta_leave_through_the_front(n):
         # s * x with tau^p(s) the left complement of x_1 = delta^(p+1) x_2 ... x_r
         first = struct.tau_pow(struct.left_complement(x.factors[0]), -x.power)
         want = GarsideElement(struct, x.power + 1, x.factors[1:])
-        assert _lmul_simple(struct, first, x) == want
+        # s * x = delta * (ds)^-1 * x, one left division
+        assert _left_divide(struct, struct.right_complement(first), x.power, x.factors) \
+            == (want.power - 1, want.factors)
         assert multiply(simple_element(struct, first), x) == want
         if p >= 0:
             spelled = [first] + [delta] * x.power + list(x.factors)
@@ -502,8 +504,9 @@ def test_left_cascade_takes_the_identity_and_delta_like_any_simple(struct):
         x = make_element(struct, rng.randint(-3, 3),
                          [rng.choice(simples) for _ in range(rng.randint(0, 6))])
         for s in (struct.identity, struct.delta):
-            assert _lmul_simple(struct, s, x) == \
-                multiply(simple_element(struct, s), x)
+            want = multiply(simple_element(struct, s), x)
+            assert _left_divide(struct, struct.right_complement(s), x.power, x.factors) \
+                == (want.power - 1, want.factors)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
