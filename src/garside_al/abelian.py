@@ -2,13 +2,14 @@
 
 Simples are 0/1 vectors, the top element is (1,...,1), and the lattice is the
 boolean lattice under coordinatewise min.  The structure supplies the six
-primitives: the left meet, the left quotient (coordinatewise difference),
-the inversion mask (the support, one bit per coordinate), the reversal
-rev, and the enumeration and validation of vectors; the base class
-derives everything else, divisibility, the right complement (1 - s) and
-the starting and finishing sets included.  Everything commutes, so rev
-and tau are the identity and left/right notions coincide.  Degenerate on
-purpose: a regression fixture for code paths that braids cannot reach
+primitives: the slide (u = min(1 - c, f) moves from f into c), the left
+quotient (coordinatewise difference), the inversion mask (the support,
+one bit per coordinate), the reversal rev, and the enumeration and
+validation of vectors; the base class derives everything else, the
+meets, divisibility, the right complement (1 - s) and the starting and
+finishing sets included.  Everything commutes, so rev and tau are the
+identity and left/right notions coincide.  Degenerate on purpose: a
+regression fixture for code paths that braids cannot reach
 (commutativity, trivial tau).
 """
 
@@ -35,8 +36,15 @@ class AbelianStructure(GarsideStructure):
         self.atoms = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
         super().__init__()
 
-    def _left_meet_raw(self, s: Vec, t: Vec) -> Vec:
-        return tuple(min(a, b) for a, b in zip(s, t))
+    def _slide_raw(self, c: Vec, f: Vec) -> tuple | None:
+        # u = (1 - c) ∧ f moves from f into c
+        u = tuple(min(1 - a, b) for a, b in zip(c, f))
+        if not any(u):
+            return None
+        # tau is the identity, so tau[x] is x as the tau table's own object
+        tau = self._tau
+        return (tau[tuple(a + b for a, b in zip(c, u))],
+                tau[tuple(b - a for a, b in zip(u, f))])
 
     def _left_quotient_raw(self, u: Vec, t: Vec) -> Vec:
         r = tuple(b - a for a, b in zip(u, t))
@@ -50,8 +58,9 @@ class AbelianStructure(GarsideStructure):
         return s
 
     def is_simple_value(self, s) -> bool:
+        # exactly int: 1.0 and True equal 1 but are not coordinates
         return (isinstance(s, tuple) and len(s) == self.n
-                and all(v in (0, 1) for v in s))
+                and all(type(v) is int and v in (0, 1) for v in s))
 
     def all_simples(self):
         return itertools.product((0, 1), repeat=self.n)

@@ -6,17 +6,25 @@ right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
 The structure supplies the six primitives GarsideStructure asks for: the
-left meet, the left quotient u^-1 t, the inversion mask (bit k set when
-the k-th position pair is inverted), the reversal rev, and the
-enumeration and validation of permutations.  Left divisibility is
-containment of inversion sets (the weak order), so the base class tests
-it, and whether a product is simple, on masks without a meet; the
-starting set, the atoms whose one pair s inverts, is the descents of s.
-Reading a positive word backwards inverts its permutation, so rev(s) is
-s^-1, and the right side follows from it: right divisibility, the right
-meet and the finishing set (the descents of s^-1).  The meet keeps a
-pair of strands uncrossed when s or t does, closed under transitivity
-(Epstein et al., Word Processing in Groups, Ch. 9).
+slide, the left quotient u^-1 t, the inversion mask (bit k set when the
+k-th position pair is inverted), the reversal rev, and the enumeration
+and validation of permutations.  Left divisibility is containment of
+inversion sets (the weak order), so the base class tests it, and whether
+a product is simple, on masks without a meet; the starting set, the
+atoms whose one pair s inverts, is the descents of s.  Reading a positive
+word backwards inverts its permutation, so rev(s) is s^-1, and the right
+side follows from it: right divisibility, the right meet and the
+finishing set (the descents of s^-1).
+
+The slide of (c, f) works on strands.  A pair is left-weighted exactly
+when d = ∂c and f share no descent (El-Rifai and Morton, 1994), which one
+scan tells; the slide rows of long B8 forms miss mostly on such pairs.
+Otherwise every common atom divides the meet u = d ^ f (Epstein et al.,
+Word Processing in Groups, Ch. 9), so the slide divides common descents
+out of d and f, one position swap each, until none is left: one pass
+that steps back after each swap, linear in n plus the length of u.
+What remains of f is u^-1 f, and c u is delta times the inverse of what
+remains of d.
 
 inverse, inversion_mask and simple_length (the atom length of a simple,
 its inversion count) are not interface primitives; they stay for callers
@@ -61,6 +69,8 @@ class BraidStructure(GarsideStructure):
             a[i - 1], a[i] = a[i], a[i - 1]
             atoms.append(tuple(a))
         self.atoms = tuple(atoms)
+        # what is_simple_value compares against, built once
+        self._strands, self._int_types = list(self.identity), [int] * n
         super().__init__()
 
     # -- permutation utilities ------------------------------------------------
@@ -76,20 +86,35 @@ class BraidStructure(GarsideStructure):
 
     # -- primitives -----------------------------------------------------------
 
-    def _left_meet_raw(self, s: Perm, t: Perm) -> Perm:
-        # after[i] has bit j when strand i ends left of strand j > i in the
-        # meet; rows fill from the right, so each after[j] OR-ed in is closed
-        n = self.n
-        after = [0] * n
-        order = [n]  # strands i+2 .. n (1-based) in their final order
-        for i in range(n - 2, -1, -1):
-            si, ti, row = s[i], t[i], 0
-            for j in range(i + 1, n):
-                if (s[j] > si or t[j] > ti) and not row >> j & 1:
-                    row |= 1 << j | after[j]
-            after[i] = row
-            order.insert(n - 1 - i - row.bit_count(), i + 1)
-        return perm_inverse(order)
+    def _slide_raw(self, c: Perm, f: Perm) -> tuple | None:
+        # a common descent i of d = ∂c and f is an atom s_(i+1) left-dividing
+        # both, so without one the meet u = d ^ f is 1 and (c, f) is
+        # left-weighted
+        d, n = self._right_complement[c], self.n
+        for i in range(n - 1):
+            if f[i] > f[i + 1] and d[i] > d[i + 1]:
+                break
+        else:
+            return None
+        # an atom dividing both divides u, so u is found by dividing common
+        # atoms out of d and f until none is left: dividing by s_(i+1) swaps
+        # positions i and i+1, and only the descents at i - 1 and i + 1 can
+        # change, so one pass that steps back after each swap ends with
+        # d = u^-1 ∂c and f = u^-1 f
+        d, f = list(d), list(f)
+        while i < n - 1:
+            if f[i] > f[i + 1] and d[i] > d[i + 1]:
+                d[i], d[i + 1] = d[i + 1], d[i]
+                f[i], f[i + 1] = f[i + 1], f[i]
+                if i:
+                    i -= 1
+            else:
+                i += 1
+        # c u = delta (u^-1 ∂c)^-1, and delta y is y read backwards; both
+        # outputs are read back through the tau table, an involution, as
+        # its own objects
+        tau = self._tau
+        return tau[tau[perm_inverse(d)[::-1]]], tau[tau[tuple(f)]]
 
     def _left_quotient_raw(self, u: Perm, t: Perm) -> Perm:
         ui = self.inverse(u)
@@ -108,7 +133,10 @@ class BraidStructure(GarsideStructure):
         return perm_inverse(s)
 
     def is_simple_value(self, s) -> bool:
-        return isinstance(s, tuple) and sorted(s) == list(range(1, self.n + 1))
+        # every entry exactly an int first: 2.0 and True sort and compare
+        # as ints do, and "a" would not sort among them
+        return (isinstance(s, tuple) and [*map(type, s)] == self._int_types
+                and sorted(s) == self._strands)
 
     def all_simples(self):
         if self.n > MAX_ENUMERABLE_STRANDS:

@@ -211,13 +211,9 @@ def invert(a: GarsideElement) -> GarsideElement:
     r = len(a.factors)
     if r == 0:
         return GarsideElement(st, -a.power, ())
-    # (delta^p y)^-1 = delta^-(p+r) * tau^-(p+r)(dy) where dy's normal form
-    # lists tau^(r-i) of the right complement of y_i, for i = r down to 1;
-    # that list is already normal
+    # (delta^p y)^-1 = delta^-(p+r) * tau^-(p+r)(dy) for dy = complement(y)
     q = -(a.power + r)
-    out = tuple(st.tau_pow(st.right_complement(a.factors[i - 1]), (r - i) + q)
-                for i in range(r, 0, -1))
-    return GarsideElement(st, q, out)
+    return GarsideElement(st, q, _complement_factors(st, a.factors, q))
 
 
 def power(a: GarsideElement, k: int) -> GarsideElement:
@@ -250,11 +246,19 @@ def complement(a: GarsideElement) -> GarsideElement:
     """The right complement a^-1 delta^sup(a) of a positive element with inf 0."""
     if a.power != 0:
         raise ValueError(f"complement needs inf = 0, got inf = {a.power}")
-    st = a.structure
-    r = len(a.factors)
-    out = tuple(st.tau_pow(st.right_complement(a.factors[i - 1]), r - i)
-                for i in range(r, 0, -1))
-    return GarsideElement(st, 0, out)
+    return GarsideElement(a.structure, 0, _complement_factors(a.structure, a.factors, 0))
+
+
+def _complement_factors(st: GarsideStructure, factors: tuple, k: int) -> tuple:
+    """tau^k of the normal form of the right complement of x_1 ... x_r, which
+    lists tau^(r-i) of the right complement of x_i, for i = r down to 1, and
+    is already normal.  Entry j, counted from 0, is tau^(k+j) of its
+    complement, that is tau of it for odd k + j, as tau has period at most
+    2; where the period is 1, tau changes no value."""
+    dc, tau = st._right_complement, st._tau
+    out = [dc[x] for x in reversed(factors)]
+    out[1 - k % 2::2] = [tau[y] for y in out[1 - k % 2::2]]
+    return tuple(out)
 
 
 def normalize(st: GarsideStructure, word: Sequence[tuple]) -> GarsideElement:

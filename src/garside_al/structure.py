@@ -8,16 +8,19 @@ automorphism induced by the top element.  Simples are opaque hashable values
 live in element.py.
 
 A concrete structure supplies six primitives and overrides nothing: the
-left meet, the left quotient u^-1 t, the inversion mask, the word
-reversal rev, and the enumeration and validation of simples (all_simples,
-is_simple_value).  The mask is a bit set per simple such that s
-left-divides t iff the mask of s lies in that of t: on braids the
-inverted position pairs, for the weak order is containment of inversion
-sets (Björner and Brenti, Combinatorics of Coxeter Groups, Ch. 3), and
-on Z^n the support.  The rest is derived here, as in any Garside
-structure (Dehornoy et al., Foundations of Garside Theory, Ch. I and V),
-so a τ that disagrees with the structure's own complement cannot be
-written:
+slide, the left quotient u^-1 t, the inversion mask, the word reversal
+rev, and the enumeration and validation of simples (all_simples,
+is_simple_value).  The slide is the domino step on a pair (c, f): (c u,
+u^-1 f) for u = ∂c ^ f, or None when u is 1, that is when the pair is
+left-weighted; it is the one step of every normal-form cascade, so a
+structure computes it in one pass, without a meet of its own.  The mask
+is a bit set per simple such that s left-divides t iff the mask of s
+lies in that of t: on braids the inverted position pairs, for the weak
+order is containment of inversion sets (Björner and Brenti,
+Combinatorics of Coxeter Groups, Ch. 3), and on Z^n the support.  The
+rest is derived here, as in any Garside structure (Dehornoy et al.,
+Foundations of Garside Theory, Ch. I and V), so a τ that disagrees with
+the structure's own complement cannot be written:
 
 - left divisibility is mask containment, and the starting set of s is
   the atoms whose mask lies in that of s;
@@ -25,6 +28,8 @@ written:
 - τ = ∂², since ∂(∂s) = Δ^-1 s Δ, and the left complement Δ s^-1 is
   ∂^-1 = τ^-1 ∘ ∂;
 - s*t is simple iff t left-divides ∂s, and then s*t = ∂^-1(t^-1 ∂s);
+- the left meet s ^ t is the u of the slide of (c, t) for c the left
+  complement of s, as ∂c = s, and u = c^-1 (c u);
 - the right quotient s g^-1 is (∂^-1 s)^-1 (∂^-1 g);
 - rev (s^-1 on braids, the identity on Z^n) is an anti-automorphism that
   fixes the atoms and Δ, so it swaps left and right divisibility: s
@@ -41,18 +46,18 @@ _kept[leftmost, head, r] (one level, keyed by the triple), and the
 two-level slide rows[c][f].  The left complement is read as
 _tau[_right_complement[s]] and the finishing set as
 _starting_set[_rev[s]], with no table of their own; both meets are
-computed on every call.  A public method of the same name, where one
-exists, reads each and stays on the class for code that wraps class
-attributes.  As the τ period is at most 2, tau_inv is the τ table.
+computed on every call, from one slide each.  A public method of the
+same name, where one exists, reads each and stays on the class for code
+that wraps class attributes.  As the τ period is at most 2, tau_inv is
+the τ table.
 
 The right cascade (element._fold) reads the slide rows, where rows[c][f]
-is the domino step on (c, f), and tau_inv by subscript.  A row entry
-comes from the raw slide, which calls the raw meet and quotient directly.
-Both slide outputs and every left_meet are values of the τ table, so the
-rows share one object per distinct simple.  code_book() carries the same
-tables on integer codes for the distance search; its rows are the
-transition table of Thurston's normal-form automaton (Epstein et al.,
-Word Processing in Groups, Ch. 9).
+is the slide of (c, f), and tau_inv by subscript.  A row entry comes
+from the raw slide.  Both slide outputs and every left_meet are values
+of the τ table, so the rows share one object per distinct simple.
+code_book() carries the same tables on integer codes for the distance
+search; its rows are the transition table of Thurston's normal-form
+automaton (Epstein et al., Word Processing in Groups, Ch. 9).
 
 Each table holds at most TABLE_BOUND entries, a two-level one (the slide,
 survivor and code book rows) counting its rows too; a miss that finds it
@@ -141,7 +146,11 @@ class GarsideStructure:
 
     # -- primitives a concrete structure supplies ----------------------------
 
-    def _left_meet_raw(self, s: Simple, t: Simple) -> Simple:
+    def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
+        """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
+        of the right complement of c and f, or None when u is 1, that is
+        when (c, f) is already left-weighted.  The product c*f is kept, and
+        both outputs are values of the tau table."""
         raise NotImplementedError
 
     def _left_quotient_raw(self, u: Simple, t: Simple) -> Simple:
@@ -181,21 +190,6 @@ class GarsideStructure:
         """Conjugation delta^-1 * s * delta, the right complement twice."""
         return self.right_complement(self.right_complement(s))
 
-    def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
-        """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
-        of the right complement of c and f, or None when u is 1, that is
-        when (c, f) is already left-weighted.  The product c*f is kept."""
-        d = self.right_complement(c)
-        u = self._left_meet_raw(d, f)
-        if u == self.identity:
-            return None
-        # c*u is the left complement of u^-1 * d, since u divides d = ∂c, so
-        # a value of the tau table; tau is an involution, so tau[tau[x]] is
-        # x as the tau table's own object, and u^-1*f is read back through it
-        tau = self._tau
-        return (self.left_complement(self._left_quotient_raw(u, d)),
-                tau[tau[self._left_quotient_raw(u, f)]])
-
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         """A canonical reduced atom word for s (greedy smallest starting atom)."""
         word = []
@@ -217,14 +211,21 @@ class GarsideStructure:
         return self.left_complement(self._left_quotient_raw(t, c))
 
     def left_meet(self, s: Simple, t: Simple) -> Simple:
-        # the tau table's own object, read back as the slide's u^-1*f is
+        # the tau table's own object, read back as the slide's outputs are
         tau = self._tau
-        return tau[tau[self._left_meet_raw(s, t)]]
+        return tau[tau[self._left_meet(s, t)]]
 
     def right_meet(self, s: Simple, t: Simple) -> Simple:
         # rev maps the right-divisibility order onto the left one
         rev = self._rev
-        return rev[self._left_meet_raw(rev[s], rev[t])]
+        return rev[self._left_meet(rev[s], rev[t])]
+
+    def _left_meet(self, s: Simple, t: Simple) -> Simple:
+        """s ^ t from the slide: the left complement c of s has ∂c = s, so
+        the slide of (c, t) moves u = s ^ t into c, and u = c^-1 (c u)."""
+        c = self._tau[self._right_complement[s]]
+        step = self._slide_raw(c, t)
+        return self.identity if step is None else self._left_quotient_raw(c, step[0])
 
     def left_quotient(self, u: Simple, t: Simple) -> Simple:
         return self._left_quotient_raw(u, t)

@@ -471,6 +471,56 @@ def test_slide_stops_exactly_at_left_weighted_pairs_and_keeps_the_product(struct
                     == make_element(struct, 0, (c, f))), (c, f)
 
 
+def _oracle_slide(c, f):
+    """The domino step on (c, f) from the oracles alone: u = ∂c ^ f with
+    ∂c = c^-1 delta, and (c u, u^-1 f), or None when u is 1."""
+    n = len(c)
+    u = oracle_left_meet(oracle_compose(perm_inverse(c), half_twist(n)), f)
+    if u == tuple(range(1, n + 1)):
+        return None
+    return oracle_compose(c, u), oracle_compose(perm_inverse(u), f)
+
+
+def _coordinate_slide(c, f):
+    """The domino step on 0/1 vectors: u = min(1 - c, f) coordinatewise."""
+    u = tuple(min(1 - a, b) for a, b in zip(c, f))
+    if not any(u):
+        return None
+    return tuple(a + b for a, b in zip(c, u)), tuple(b - a for a, b in zip(u, f))
+
+
+def _check_slides(struct, pairs):
+    oracle = _coordinate_slide if isinstance(struct, AbelianStructure) else _oracle_slide
+    tau = struct._tau
+    for c, f in pairs:
+        step = struct._slide_raw(c, f)
+        assert step == oracle(c, f), (c, f)
+        # both outputs are the tau table's own objects
+        assert step is None or all(tau[tau[x]] is x for x in step), (c, f)
+
+
+@pytest.mark.parametrize("struct", (B3, B4, braid_structure(5), abelian_structure(3)),
+                         ids=lambda s: s.structure_id)
+def test_slide_equals_the_oracle_step_on_every_pair_of_simples(struct):
+    simples = list(struct.all_simples())
+    _check_slides(struct, itertools.product(simples, repeat=2))
+
+
+@pytest.mark.parametrize("n", (8, 12))
+def test_slide_equals_the_oracle_step_on_random_simples(n):
+    # every other pair is the oracle's own slide of a random pair, which
+    # is left-weighted, so that both branches of the slide run
+    struct, rng = BraidStructure(n), random.Random(f"slide/{n}")
+    pairs = []
+    for k in range(2000):
+        c, f = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, n + 1), n))
+        if k % 2:
+            c, f = _oracle_slide(c, f) or (c, f)
+        pairs.append((c, f))
+    assert sum(_oracle_slide(c, f) is None for c, f in pairs) >= 1000
+    _check_slides(struct, pairs)
+
+
 # ---------------------------------------------------------------------------
 # the code book: integer codes for simples and the coded right cascade
 

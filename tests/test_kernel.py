@@ -36,10 +36,12 @@ from garside_al import (
     tau_element,
     vertex_of,
 )
+from garside_al.abelian import AbelianStructure
 from garside_al.alcomplex import ALVertex
-from garside_al.braid import embed_simple
+from garside_al.braid import BraidStructure, embed_simple
 from garside_al.element import GarsideElement, _left_divide, _left_gcd_cofactors
 from oracles import (
+    _tau as oracle_tau,
     elements_equal_mixed,
     greedy_normal_form,
     left_weighted_pair,
@@ -127,6 +129,31 @@ def _check_fraction_form(a):
     assert v.is_identity == (a.sup <= 0), a
 
 
+def _random_element(rng, struct, power):
+    simples = struct.nontrivial_simples()
+    return make_element(struct, power, [rng.choice(simples) for _ in range(rng.randint(1, 6))])
+
+
+def _assert_product_is_delta_power(a, b, k):
+    """Check with the oracles alone that b is a normal form and a b is
+    delta^k.  On braids by reference_normal_form, with delta^p x delta^q y
+    = delta^(p+q) tau^q(x) y; on Z^n by coordinate vectors, delta^p x_1 ...
+    x_r being p + x_1 + ... + x_r, where a normal form lists vectors other
+    than 0 and 1, each below the one before."""
+    st_ = a.structure
+    if isinstance(st_, AbelianStructure):
+        def vector(e):
+            return [e.power + sum(x[i] for x in e.factors) for i in range(st_.n)]
+        assert [u + v for u, v in zip(vector(a), vector(b))] == [k] * st_.n, (a, b)
+        assert all(0 < sum(x) < st_.n for x in b.factors), b
+        assert all(v <= u for x, y in zip(b.factors, b.factors[1:])
+                   for u, v in zip(x, y)), b
+        return
+    xs = [oracle_tau(x) for x in a.factors] if b.power % 2 else list(a.factors)
+    assert reference_normal_form(st_.n, a.power + b.power, xs + list(b.factors)) == (k, ()), (a, b)
+    assert reference_normal_form(st_.n, b.power, b.factors) == (b.power, b.factors), b
+
+
 def test_inverse_and_fraction_form():
     rng = random.Random(31)
     for _ in range(30):
@@ -145,6 +172,15 @@ def test_inverse_and_fraction_form():
             a = multiply(delta_power(struct, rng.randint(-len(word) - 3, 2)),
                          from_word(struct, word))
             _check_fraction_form(a)
+    # odd and even inf and canonical length on B4, B5 and Z^3, so that
+    # both parities of the twist are pinned by the oracles
+    seen = set()
+    for struct in (B4, B5, abelian_structure(3)):
+        for _ in range(40):
+            a = _random_element(rng, struct, rng.randint(-3, 3))
+            _assert_product_is_delta_power(a, invert(a), 0)
+            seen.add((struct.structure_id, a.power % 2, a.canonical_length % 2))
+    assert len(seen) == 12
 
 
 def test_inverse_of_atom_value():
@@ -188,6 +224,17 @@ def test_complement_formula_and_identity():
                                    r - i)
                     for i in range(r, 0, -1)]
         assert make_element(struct, 0, expected) == c
+    # odd and even canonical length on B4, B5 and Z^3, so that both
+    # parities of the twist are pinned by the oracles
+    seen = set()
+    for struct in (B4, B5, abelian_structure(3)):
+        for _ in range(30):
+            a = _random_element(rng, struct, 0)
+            if a.power:
+                a = GarsideElement(struct, 0, a.factors)
+            _assert_product_is_delta_power(a, complement(a), a.sup)
+            seen.add((struct.structure_id, a.canonical_length % 2))
+    assert len(seen) == 6
     with pytest.raises(ValueError):
         complement(delta_power(B3, -1))
 
@@ -362,6 +409,20 @@ def test_factor_values_must_be_simples():
         make_element(B3, 0, [(1, 1, 2)])  # not a permutation
     with pytest.raises(ValueError, match="not a simple"):
         make_element(B3, 0, [(2, 1)])  # wrong rank
+    # entries that only compare equal to ints are refused, whether or not
+    # the tables hold the simple they equal: a fresh B3 holds none, B3
+    # holds these two
+    make_element(B3, 0, [(2, 1, 3), (1, 3, 2)])
+    z3 = abelian_structure(3)
+    for struct, factors in ((BraidStructure(3), [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0)]),
+                            (B3, [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0)]),
+                            (B3, [(2, True, 3)]),
+                            (B3, [(2, "a", 3)]),
+                            (z3, [(1.0, 0, 0), (1.0, 1.0, 0)]),
+                            (z3, [(True, 0, 0)])):
+        with pytest.raises(ValueError, match="not a simple"):
+            make_element(struct, 0, factors)
+        assert not struct.is_simple_value(factors[0])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
