@@ -21,25 +21,22 @@ Foundations of Garside Theory, Ch. I and V):
   right-divides the positive X = delta^k m^-1, that is iff t right-divides
   R, the largest simple right divisor of X.
 
-Survivor tables, the structure table _survivors[leftmost factor of the
-suffix][m_1] (bounded like every structure table), list the candidates that
-pass the inf test and are not left-weighted with m_1 (such a t stays a
-factor of its own, so the sup grows to k + 1).  The search holds X
-reversed, since rev swaps right and left divisibility: R is rev of the head
-of rev(X), and rev of the X of t * m is rev(t)^-1 rev(X), one left
-division.  Of m it holds only the head m_1: for a survivor t, the head of
-t * m is the first output of the slide rows[t][m_1], which the later slides
-keep (the domino rule).  A node's state is that head, rev(X) as a bare
-(delta power, factor tuple) pair, and its leftmost factor, which it
-divides off the pair by one left cascade, building no element, only when
-its table is non-empty.  It
-walks only the survivors that right-divide R, whose indices it reads from
-the structure table _kept[leftmost, m_1, R]: the candidates up to each kept
-index, and those after the last, count as visited in one run, and pruned is
-visited minus kept.  A budget overrun is cut back, by bisection in the
-survivor table, to the first survivor where trying one at a time would have
-stopped, so the node counts, the certificate and the point where the budget
-runs out are those of trying every candidate in turn.
+The candidate sets are N-bit ints over the nontrivial simples in sorted
+order, the order the search tries them in (_Candidates): pre[s] holds the
+t that may precede s in a left-weighted chain, inf[m_1] those that pass
+the inf test and are not left-weighted with m_1 (such a t stays a factor
+of its own, so the sup grows to k + 1), and rdiv[R] those that
+right-divide R.  The search holds X reversed, since rev swaps right and
+left divisibility: R is rev of the head of rev(X), and rev of the X of
+t * m is rev(t)^-1 rev(X), one left division.  Of m it holds only the
+head m_1: for a survivor t, the head of t * m is the first output of the
+slide rows[t][m_1], which the later slides keep (the domino rule).  A node
+walks the set bits of pre[leftmost] & inf[m_1] & rdiv[R]; those before
+each, and after the last, count as visited (a popcount of pre[leftmost]),
+and pruned is visited minus kept.  A budget overrun is cut back, by
+bisection over the survivors' positions, to where trying one candidate at
+a time would have stopped, so the node counts, the certificate and the
+point where the budget runs out are those of trying every candidate.
 
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
@@ -54,7 +51,9 @@ import hashlib
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import and_, or_
 
 from .element import (
     GarsideElement,
@@ -65,7 +64,7 @@ from .element import (
     simple_element,
     fraction_form,
 )
-from .structure import GarsideStructure
+from .structure import GarsideStructure, _Table
 from .words import one_line
 
 # the one default budget; the largest search the suites run (the six-strand
@@ -110,6 +109,46 @@ def absorbs(x: GarsideElement, y: GarsideElement) -> bool:
     return xy.inf == x.inf and xy.sup == x.sup
 
 
+def _pick(columns, m: int):
+    """The columns at the set bits of m."""
+    return (c for b, c in enumerate(columns) if m >> b & 1)
+
+
+class _Candidates:
+    """The candidate sets of one structure, bit i for simples[i]: pre[s]
+    (t, s) left-weighted; inf[h] (t, h) not, and mask(∂t) not inside
+    mask(h); rdiv[r] mask(rev t) inside mask(rev r).  Each entry is an AND
+    or an OR of columns: per mask bit b the t whose rev has b and the t
+    whose ∂ has b, and per atom a the t that a right-divides."""
+
+    __slots__ = ("simples", "pre", "inf", "rdiv")
+
+    def __init__(self, st: GarsideStructure) -> None:
+        self.simples = simples = st.nontrivial_simples()
+        mask, rev, starting = st._inversion_mask, st._rev, st._starting_set
+        everyone = (1 << len(simples)) - 1
+        bits = mask[st.delta]  # every simple left-divides delta
+        width = bits.bit_length()
+        pad = f"{{:0{width}b}}".format
+
+        def columns(of: _Table) -> list:
+            # column b holds bit b of every mask[of[t]], every width-th digit of
+            # their binary rows, last simple first; 4,096 rows at a time bound memory
+            cols = [0] * width
+            for at in range(0, len(simples), 4096):
+                rows = "".join([pad(mask[of[t]]) for t in reversed(simples[at:at + 4096])])
+                for b in range(width):
+                    cols[b] |= int(rows[width - 1 - b::width], 2) << at
+            return cols
+
+        rev_cols, dc_cols = columns(rev), columns(st._right_complement)
+        right_by = [reduce(and_, _pick(rev_cols, mask[a]), everyone) for a in st.atoms]
+        self.pre = _Table(lambda s: reduce(and_, (right_by[i - 1] for i in starting[s]), everyone))
+        self.inf = _Table(lambda h: ~self.pre[h] & reduce(or_, _pick(dc_cols, bits & ~mask[h]), 0))
+        self.rdiv = _Table(lambda r: everyone
+                           & ~reduce(or_, _pick(rev_cols, bits & ~mask[rev[r]]), 0))
+
+
 class _NodeCounter:
     # every candidate tried is visited, and pruned unless it is kept (right-divides R)
     __slots__ = ("visited", "kept", "budget", "depth")
@@ -124,19 +163,22 @@ class _NodeCounter:
     def pruned(self) -> int:
         return self.visited - self.kept
 
-    def visit(self, table, done: int, stop: int) -> None:
-        """Count the candidates done .. stop - 1, stop being one past a table
-        survivor or the end of the options.  The budget is checked where the
-        search trying each candidate in turn checks it, at every survivor in
-        table and at stop; one it stops at is not R-tested, so not pruned."""
+    def visit(self, pre: int, table: int, done: int, stop: int) -> None:
+        """Count the candidates done .. stop - 1 by position in pre, stop
+        being one past a survivor of table or the end of pre.  The budget
+        is checked where trying each candidate in turn checks it, at every
+        survivor and at stop; one it stops at is not R-tested, so not pruned."""
         before = self.visited
         self.visited += stop - done
         if self.visited > self.budget:
-            # the first survivor i with before + (i + 1 - done) > budget
-            j = bisect_left(table, self.budget - before + done)
-            untested = j < len(table)
+            # the survivors' positions, needed only here; the first
+            # survivor i with before + (i + 1 - done) > budget
+            at = [(pre & ((1 << b) - 1)).bit_count()
+                  for b, d in enumerate(reversed(f"{table:b}")) if d == "1"]
+            j = bisect_left(at, self.budget - before + done)
+            untested = j < len(at)
             if untested:
-                self.visited = before + table[j] + 1 - done
+                self.visited = before + at[j] + 1 - done
             raise SearchBudgetExceeded(
                 f"absorber search exceeded the {self.budget}-node budget with {self.visited} "
                 f"nodes visited and {self.pruned - untested} pruned; "
@@ -144,48 +186,43 @@ class _NodeCounter:
 
 
 def _dfs(st, head, p, x, leftmost, depth, k, counter):
-    """Extend a suffix; the node state is head, the first factor of the
-    suffix's running product m (never built), the room delta^p x =
-    rev(delta^k m'^-1) as its bare power p and factor tuple x, for m' the
-    product before leftmost was prepended (m' = m at the root), and
-    leftmost, the suffix's first factor.
-
-    A node below the root divides rev(leftmost) off the room, by one left
-    cascade on the pair that builds no element, only when its survivor
-    table is non-empty.  A call tries the simples that can precede
-    leftmost in a left-weighted chain, so the root call (head = y_1,
-    leftmost the identity, depth 0) tries every nontrivial proper simple as
-    the absorber's last factor, in sorted permutation order: the first
-    completion found is the lexicographically first absorber.  The node
-    reads the kept candidates, the survivors that right-divide r, the
-    largest simple right divisor of delta^k m^-1, from st._kept: r is rev
-    of the room's head, which is delta when p > 0, else x_1 or the
-    identity, and rev(delta) = delta.  It hands each kept t the head
-    rows[t][head][0] of t * m.  Returns the factor list x_1 ... x_j (left
-    to right, j = k - depth) that completes the suffix into a full
-    absorber, or None.
+    """Extend a suffix whose first factor is leftmost; head is the first
+    factor of its running product m (never built), and delta^p x (a bare
+    power and factor tuple) is rev(delta^k m'^-1), m' the product before
+    leftmost was prepended (m' = m at the root).  Below the root, a node
+    with a survivor divides rev(leftmost) off that room by one left
+    cascade.  The root (head = y_1, leftmost the identity) tries every
+    nontrivial proper simple in sorted order, so the first completion is
+    the lexicographically first absorber.  r is rev of the room's head:
+    delta when p > 0, else rev(x_1) or the identity.  Returns the factors
+    x_1 ... x_j (j = k - depth) that complete the suffix, or None.
     """
-    options = st.preceders(leftmost)
+    cands = st._candidates
+    pre = cands.pre[leftmost]
     if depth > counter.depth:
         counter.depth = depth
     done = 0  # candidates counted so far
-    table = st._survivors[leftmost][head]
+    table = pre & cands.inf[head]
     if table:
         if depth:
             p, x = _left_divide(st, st.rev(leftmost), p, x)
         r = st.delta if p > 0 else st.rev(x[0]) if x else st.identity
-        for i in st._kept[leftmost, head, r]:
-            counter.visit(table, done, i + 1)
+        kept = table & cands.rdiv[r]
+        while kept:
+            low = kept & -kept  # the lowest kept bit
+            kept ^= low
+            i = (pre & (low - 1)).bit_count()  # its position among the preceders
+            counter.visit(pre, table, done, i + 1)
             done = i + 1
             counter.kept += 1
-            t = options[i]
+            t = cands.simples[low.bit_length() - 1]
             if depth + 1 == k:
                 return [t]
             got = _dfs(st, st.rows[t][head][0], p, x, t, depth + 1, k, counter)
             if got is not None:
                 got.append(t)
                 return got
-    counter.visit(table, done, len(options))
+    counter.visit(pre, table, done, pre.bit_count())
     return None
 
 
@@ -210,6 +247,8 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
         target = invert(y)
     else:
         return None
+    if st._candidates is None:
+        st._candidates = _Candidates(st)
     counter = _NodeCounter(budget)
     # delta^k target^-1 is invert(target) without its delta^-k
     room = _rev(GarsideElement(st, 0, invert(target).factors))

@@ -76,11 +76,11 @@ class ALVertex:
 
 
 def vertex_of(g: GarsideElement) -> ALVertex:
-    """The vertex of the coset g<Delta>: delta^p F delta^-p = tau^-p(F)."""
+    """The vertex of the coset g<Delta>: delta^p F delta^-p = tau^-p(F), tau(F) at odd p."""
     st, p = g.structure, g.power
     if p % st.tau_period == 0:
         return ALVertex(g if p == 0 else GarsideElement(st, 0, g.factors))
-    return ALVertex(GarsideElement(st, 0, tuple([st.tau_pow(f, -p) for f in g.factors])))
+    return ALVertex(GarsideElement(st, 0, tuple([st._tau[f] for f in g.factors])))
 
 
 def identity_vertex(st: GarsideStructure) -> ALVertex:

@@ -165,8 +165,8 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
 
 def _finish(st: GarsideStructure, p: int, fac: list, e: int) -> GarsideElement:
     """The element delta^p * fac * delta^e = delta^(p+e) tau^e(fac)."""
-    if e % st.tau_period:
-        fac = [st.tau_pow(f, e) for f in fac]
+    if e % st.tau_period:  # tau^e is tau, its own inverse
+        fac = [st._tau[f] for f in fac]
     return GarsideElement(st, p + e, tuple(fac))
 
 

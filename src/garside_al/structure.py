@@ -37,19 +37,17 @@ the structure's own complement cannot be written:
   is rev(rev s ∧ rev t), the finishing set of s is the starting set of
   rev s, and element.py reads right normal forms and gcds through it.
 
-A structure keeps nine cached primitives, each a _Table: a dict that
+A structure keeps six cached primitives, each a _Table: a dict that
 fills a missing entry once from the matching _<name>_raw method and that
 hot loops read by subscript, with no Python call on a hit.  They are
-_inversion_mask, _tau, _right_complement, _starting_set, _rev,
-_preceders, the absorber's _survivors[leftmost][head] and
-_kept[leftmost, head, r] (one level, keyed by the triple), and the
+_inversion_mask, _tau, _right_complement, _starting_set, _rev and the
 two-level slide rows[c][f].  The left complement is read as
 _tau[_right_complement[s]] and the finishing set as
 _starting_set[_rev[s]], with no table of their own; both meets are
 computed on every call, from one slide each.  A public method of the
 same name, where one exists, reads each and stays on the class for code
 that wraps class attributes.  As the τ period is at most 2, tau_inv is
-the τ table.
+the τ table.  absorb.py keeps its candidate sets in _candidates.
 
 The right cascade (element._fold) reads the slide rows, where rows[c][f]
 is the slide of (c, f), and tau_inv by subscript.  A row entry comes
@@ -59,13 +57,10 @@ code_book() carries the same tables on integer codes for the distance
 search; its rows are the transition table of Thurston's normal-form
 automaton (Epstein et al., Word Processing in Groups, Ch. 9).
 
-Each table holds at most TABLE_BOUND entries, a two-level one (the slide,
-survivor and code book rows) counting its rows too; a miss that finds it
-full empties it first.  An entry costs 100 to 300 bytes on B8,
-so a full table holds 13 to 40 MB; a survivor entry is an array of up to
-N two-byte indices, and a _kept entry the array of those survivor
-indices whose simple right-divides r, most of them empty, at about 200
-bytes with its key.  For N simples, a unary table holds at most N
+Each table holds at most TABLE_BOUND entries, a two-level one (the slide
+and code book rows) counting its rows too; a miss that finds it full
+empties it first.  An entry costs 100 to 300 bytes on B8, so a full
+table holds 13 to 40 MB.  For N simples, a unary table holds at most N
 entries (40,320 on B8), and the move sets one per generator length; so
 below 9 strands the τ table never empties, and no row holds a second
 copy of a simple.
@@ -73,7 +68,6 @@ copy of a simple.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Callable, Hashable, Iterable
 
 Simple = Hashable
@@ -133,16 +127,14 @@ class GarsideStructure:
         self._right_complement = _Table(self._right_complement_raw)
         self._starting_set = _Table(self._starting_set_raw)
         self._rev = _Table(self._rev_raw)
-        self._preceders = _Table(self._preceders_raw)
         # the right cascade's tables (element._fold); tau^-1 is tau
         self.rows = _rows(self._slide_raw)
         self.tau_inv = self._tau
-        self._survivors = _rows(self._survivors_raw)
-        self._kept = _Table(lambda key: self._kept_raw(*key))
         self._nontrivial: tuple | None = None
-        # built on first use: alcomplex._vertex_moves, code_book
+        # built on first use: alcomplex._vertex_moves, code_book, absorb._Candidates
         self._move_sets: dict = {}
         self._code_book: CodeBook | None = None
+        self._candidates: Any = None
 
     # -- primitives a concrete structure supplies ----------------------------
 
@@ -300,40 +292,7 @@ class GarsideStructure:
 
     def preceders(self, t: Simple) -> tuple:
         """Nontrivial simples s with (s, t) left-weighted."""
-        return self._preceders[t]
-
-    def _preceders_raw(self, t: Simple) -> tuple:
-        # is_left_weighted(s, t), with the starting set of t read once
-        starts, starting, rev = self._starting_set[t], self._starting_set, self._rev
-        return tuple(s for s in self.nontrivial_simples() if starts <= starting[rev[s]])
-
-    def _survivors_raw(self, leftmost: Simple, head: Simple) -> array:
-        """For the absorber search: the indices into the preceders of leftmost
-        (every nontrivial simple for the identity) of the t with t * m of
-        inf 0 and (t, head) not left-weighted, head the first factor of m."""
-        options = self._preceders[leftmost]
-        # two-byte indices cover every braid group whose simples enumerate
-        code = "H" if len(options) <= 1 << 16 else "L"
-        # is_left_weighted(t, head) and left_divides_simple(dc[t], head),
-        # with the starting set and the mask of head read once
-        starting, rev = self._starting_set, self._rev
-        dc, mask = self._right_complement, self._inversion_mask
-        starts, mh = starting[head], mask[head]
-        return array(code, (i for i, t in enumerate(options)
-                            if not starts <= starting[rev[t]]
-                            and (md := mask[dc[t]]) & mh != md))
-
-    def _kept_raw(self, leftmost: Simple, head: Simple, r: Simple) -> array:
-        """For the absorber search: the indices in _survivors[leftmost][head]
-        of the t that right-divide r, the largest simple right divisor of
-        delta^k m^-1; such a t * m has sup k too."""
-        options = self._preceders[leftmost]
-        # right_divides_simple(t, r), with the mask of rev r read once
-        mask, rev = self._inversion_mask, self._rev
-        mr = mask[rev[r]]
-        table = self._survivors[leftmost][head]
-        return array(table.typecode, (i for i in table
-                                      if (mt := mask[rev[options[i]]]) & mr == mt))
+        return tuple(s for s in self.nontrivial_simples() if self.is_left_weighted(s, t))
 
     # -- identity-based equality (structures are singletons per factory) ------
 

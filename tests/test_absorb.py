@@ -331,9 +331,9 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
             assert (p, x) == (want.power, want.factors), (m, leftmost)
             rfac, rpow = right_normal_form(room)
             r = struct.delta if rpow > 0 else rfac[-1] if rfac else struct.identity
-            options = struct.preceders(leftmost)
-            for i in struct._survivors[leftmost][head]:
-                t = options[i]
+            cands = struct._candidates
+            survivors = cands.pre[leftmost] & cands.inf[head]
+            for t in (t for i, t in enumerate(cands.simples) if survivors >> i & 1):
                 m2 = multiply(simple_element(struct, t), m)
                 keeps = m2.power == 0 and m2.sup == k
                 assert struct.right_divides_simple(t, r) == keeps, (m, t)
@@ -356,6 +356,29 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
             is_absorbable(query)
             assert nodes
     assert seen[True] > 1000 and seen[False] > 10000, seen
+
+
+@pytest.mark.parametrize("struct", (B3, B4, abelian_structure(3), braid_structure(6)),
+                         ids=lambda s: s.structure_id)
+def test_candidate_sets_are_their_definitions(struct):
+    # every simple of the small groups, seeded keys of B6; the definitions
+    # go through the structure's predicates, never through the columns
+    cands = absorb._Candidates(struct)
+    simples = struct.nontrivial_simples()
+    assert cands.simples == simples
+    keys = list(struct.all_simples())
+    if len(keys) > 100:
+        keys = [struct.identity, struct.delta, *random.Random(3006).sample(simples, 40)]
+
+    def bits(test):
+        return sum(1 << i for i, t in enumerate(simples) if test(t))
+
+    dc = struct.right_complement
+    for s in keys:
+        assert cands.pre[s] == bits(lambda t: struct.is_left_weighted(t, s)), s
+        assert cands.inf[s] == bits(lambda t: not struct.is_left_weighted(t, s)
+                                    and not struct.left_divides_simple(dc(t), s)), s
+        assert cands.rdiv[s] == bits(lambda t: struct.right_divides_simple(t, s)), s
 
 
 def test_search_over_more_candidates_than_two_byte_indices_hold():
@@ -403,8 +426,11 @@ def test_b6_witness_budget_boundary(monkeypatch):
     calls = _count_products_and_meets(monkeypatch)
     assert is_absorbable(y, budget=850_735) is None
     assert calls["_left_divide"] == 4_060
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as err:
         is_absorbable(y, budget=850_734)
+    assert str(err.value) == (
+        "absorber search exceeded the 850734-node budget with 850735 nodes visited "
+        "and 843432 pruned; the deepest call reached depth 3")
     _assert_slides_alone(calls)
 
 

@@ -17,7 +17,7 @@ from garside_al import (
     multiply,
     preferred_path,
 )
-from garside_al import structure
+from garside_al import absorb, structure
 from garside_al.abelian import AbelianStructure
 from garside_al.alcomplex import vertex_of
 from garside_al.element import _fold, right_gcd
@@ -321,11 +321,8 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
             "code book rows": coded_slide}
     tables = _tables(struct)
     assert tables.keys() == {"_inversion_mask", "_tau", "_right_complement", "_starting_set",
-                             "_rev", "_preceders", "_survivors", "_kept", "rows", "tau_inv",
-                             "code book rows"}
+                             "_rev", "rows", "tau_inv", "code book rows"}
     for name, table in tables.items():
-        if name == "_kept":
-            continue  # keyed by search nodes, checked below
         raw = raws.get(name) or getattr(struct, f"{name}_raw")
         public = getattr(struct, name[1:], None) if name.startswith("_") else None
         keys = range(len(book.simples)) if name == "code book rows" else simples
@@ -340,11 +337,8 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     # the rows hold the tau table's own object for every simple
     tau = struct._tau
     assert all(tau[tau[s]] is s for s in _held_simples(struct))
-    # the survivor table's root row, for the search's first factor
-    for head in simples:
-        assert (struct._survivors[struct.identity][head]
-                == struct._survivors_raw(struct.identity, head)), head
-    # the kept indices of every (leftmost, head, R) the searches reached
+    # searches keep their candidate sets in absorb.py's object, adding no
+    # table to the structure
     rng = random.Random(301)
     for _ in range(10):
         chain = [rng.choice(struct.nontrivial_simples())]
@@ -352,15 +346,19 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
             chain.append(rng.choice(struct.followers(chain[-1])))
         y = make_element(struct, 0, chain)
         is_absorbable(y if rng.random() < 0.5 else invert(y))
-    assert any(struct._kept.values())
-    for key, kept in struct._kept.items():
-        assert kept == struct._kept_raw(*key), key
+    assert isinstance(struct._candidates, absorb._Candidates)
+    assert _tables(struct).keys() == tables.keys()
 
 
 def test_structures_do_not_share_caches():
     b4, b5 = braid_structure(4), braid_structure(5)
-    b4.code_book(), b5.code_book()
-    t4, t5 = _tables(b4), _tables(b5)
+    tables = []
+    for st in (b4, b5):
+        st.code_book()
+        is_absorbable(make_element(st, 0, [st.atom(1)]))
+        tables.append({**_tables(st), **{f"candidates.{name}": getattr(st._candidates, name)
+                                         for name in ("pre", "inf", "rdiv")}})
+    t4, t5 = tables
     assert t4.keys() == t5.keys()
     for name in t4:
         assert t4[name] is not t5[name], name
@@ -368,7 +366,7 @@ def test_structures_do_not_share_caches():
     # one fresh entry in every table of b4 leaves every table of b5 as it was
     key = b4.compose(b4.atom(3), b4.atom(1))
     for name, table in t4.items():
-        k = {"code book rows": 1, "_kept": (b4.identity, key, key)}.get(name, key)
+        k = 1 if name == "code book rows" else key
         row = table[k]
         if isinstance(row, _Table):
             row[k]
@@ -648,9 +646,11 @@ def test_a_small_bound_changes_no_answer(monkeypatch):
     # tables fill up to the bound, start over, and never pass it
     assert max(sizes) == 64
     assert max(fills.values()) > 20 * 64
-    # the kept-index table too, which the x5 search fills past the bound
-    assert fills[id(struct._kept)] > 64
-    assert 0 < len(struct._kept) <= 64
+    # the candidate tables too, which the searches fill past the bound
+    for name in ("pre", "inf", "rdiv"):
+        table = getattr(struct._candidates, name)
+        assert fills[id(table)] > 64, name
+        assert 0 < len(table) <= 64, name
 
 
 def test_every_b12_table_stays_within_the_bound(monkeypatch):
