@@ -205,8 +205,8 @@ def _dfs(st, head, p, x, leftmost, depth, k, counter):
     table = pre & cands.inf[head]
     if table:
         if depth:
-            p, x = _left_divide(st, st.rev(leftmost), p, x)
-        r = st.delta if p > 0 else st.rev(x[0]) if x else st.identity
+            p, x = _left_divide(st, st._rev[leftmost], p, x)
+        r = st.delta if p > 0 else st._rev[x[0]] if x else st.identity
         kept = table & cands.rdiv[r]
         while kept:
             low = kept & -kept  # the lowest kept bit

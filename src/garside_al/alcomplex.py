@@ -12,14 +12,18 @@ z = v_rep^-1 w_rep and L the generator length, it lies in
 [ceil(ell(z) / L), ell(z)], because ell is subadditive (El-Rifai and
 Morton, 1994).  For L = 1 the bracket is one point and nothing is searched.
 Otherwise the open part of the bracket is searched: a bidirectional
-breadth-first search over a fixed set of generators.  It runs on integer
-codes for simples, through one code book per structure
-(GarsideStructure.code_book, built on the first search; its slide rows
-hold at most N^2 entries for N simples), and stops at the first meeting of
-the two frontiers, the standard exit of bidirectional search (Pohl,
-"Bi-directional search", 1971), which is exact here because both sides grow
-one whole layer at a time.  One budget unit is one expansion of a vertex by
-a move, and the budget caps each search run.
+breadth-first search over a fixed set of generators.  The group acts on
+the complex by isometries on the left (edges join u and u x for a label
+x), so the search runs from the identity vertex to the vertex of z
+instead of from v to w: the identity's neighbours are the moves
+themselves, and its layer costs no cascade.  It runs on integer codes for
+simples, through one code book per structure (GarsideStructure.code_book,
+built on the first search; its slide rows hold at most N^2 entries for N
+simples), and stops at the first meeting of the two frontiers, the
+standard exit of bidirectional search (Pohl, "Bi-directional search",
+1971), which is exact here because both sides grow one whole layer at a
+time.  One budget unit is one expansion of a vertex by a move, and the
+budget caps each search run.
 """
 
 from __future__ import annotations
@@ -216,6 +220,24 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     one right cascade, element._fold, run on the code book:
     u * m = F * Delta^q, and F is the neighbour vertex.
 
+    It runs from the identity vertex () to T = vertex_of(z), not from v to
+    w.  Left multiplication by v_rep maps vertices to vertices and edges
+    to edges (an edge joins u and u x for a label x), so it is an isometry
+    taking () to v and T to w, and every distance is that of the
+    translated pair.  The identity's neighbour by m is m itself: the start
+    side's first layer is read off the move set, with no cascade.
+
+    The expansion order is kept that of the search from v, so every budget
+    boundary and budget message is that search's too.  A frontier vertex u
+    stands for the vertex X of v_rep * u = X * Delta^i, and X's neighbour
+    by m is the vertex of v_rep * u * tau^i(m), as Delta^-i m =
+    tau^i(m) Delta^-i.  Expanding u by the moves twisted by tau^i
+    therefore meets X's neighbours in X's order.  i costs one cascade of
+    v_rep by u per expanded vertex, none for the identity; tau has period
+    at most 2, so odd i takes the tau-twisted copy of the moves that
+    _vertex_moves keeps beside them, which is the same set in another
+    order.
+
     The search stops at the first meeting of the two sides.  Before a
     layer is expanded no vertex is in both, so the subgraph distance
     exceeds depth_v + depth_w, and a meeting in that layer is a path of
@@ -228,7 +250,8 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     """
     if gen_len < 1 or radius < 1:
         raise ValueError("generator length and radius must be >= 1")
-    r = _coset_difference(v, w).canonical_length
+    z = _coset_difference(v, w)
+    r = z.canonical_length
     lb = -(-r // gen_len)
     if lb > radius:
         return None
@@ -237,12 +260,13 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     cap = min(radius, r - 1)
     st = v.structure
     moves = _vertex_moves(st, gen_len, budget, cache_path)
+    twisted = st._twisted_moves[gen_len]
     book = st.code_book()
     code = book.code
-    start = tuple([code[f] for f in v.rep.factors])
-    target = tuple([code[f] for f in w.rep.factors])
-    dist_v, dist_w = {start: 0}, {target: 0}
-    front_v, front_w = [start], [target]
+    base = tuple([code[f] for f in v.rep.factors])
+    target = tuple([code[f] for f in vertex_of(z).rep.factors])
+    dist_v, dist_w = {(): 0}, {target: 0}
+    front_v, front_w = [()], [target]
     depth_v = depth_w = 0
     expansions = 0
     while front_v and front_w and depth_v + depth_w < cap:
@@ -253,7 +277,13 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
         last = depth_v + depth_w + 1 == cap
         grown = []
         for u in front:
-            for m in moves:
+            # u stands for X with v_rep * u = X * Delta^i; odd i twists the moves
+            by = moves
+            if u:
+                fac = list(base)
+                if _fold(book, fac, 0, u) % book.tau_period:
+                    by = twisted
+            for m in by:
                 expansions += 1
                 if expansions > budget:
                     raise SearchBudgetExceeded(
@@ -262,9 +292,12 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
                         f"the target, while expanding the "
                         f"{'start' if dist is dist_v else 'target'} side's "
                         f"frontier of size {len(front)}")
-                fac = list(u)
-                _fold(book, fac, 0, m)
-                k = tuple(fac)
+                if u:
+                    fac = list(u)
+                    _fold(book, fac, 0, m)
+                    k = tuple(fac)
+                else:
+                    k = m  # the identity's neighbour by m is m
                 if k in other:
                     return depth + 1 + other[k]
                 if last or k in dist:
@@ -284,7 +317,10 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
     only through its own vertex: each becomes the inf-0 factor tuple of
     vertex_of(g), in generator order, without repeats, with every factor
-    replaced by its code in st.code_book().
+    replaced by its code in st.code_book().  Beside it, in
+    st._twisted_moves, goes the same tuple with every move twisted by tau,
+    which the search takes at vertices whose translate carries an odd
+    power of Delta.
 
     distance_upper_bound asks for a move set only when its canonical-length
     bracket leaves a search to run, which never happens at gen_len 1.  The
@@ -298,9 +334,11 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     moves = st._move_sets.get(gen_len)
     if moves is None:
         gens = _generators(st, gen_len, budget, cache_path)
-        code = st.code_book().code
+        book = st.code_book()
+        code, tau = book.code, book.tau_inv
         moves = tuple(dict.fromkeys(
             tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens))
+        st._twisted_moves[gen_len] = tuple(tuple([tau[f] for f in m]) for m in moves)
         st._move_sets[gen_len] = moves
     return moves
 

@@ -315,9 +315,12 @@ def right_divides(a: GarsideElement, b: GarsideElement) -> bool:
 def _left_divide(st: GarsideStructure, d: Simple, p: int, fac: tuple) -> tuple:
     """(power, factors) of d^-1 * delta^p * fac for a simple d and a normal
     form delta^p fac: d^-1 = delta^-1 c for c the left complement of d, and
-    c delta^p = delta^p tau^p(c), which the left cascade slides into fac."""
+    c delta^p = delta^p tau^p(c), which the left cascade slides into fac.
+    As c is tau of the right complement, tau^p(c) is tau^(p+1) of it."""
     ident, delta, rows = st.identity, st.delta, st.rows
-    c = st.tau_pow(st.left_complement(d), p)
+    c = st._right_complement[d]
+    if (p + 1) % st.tau_period:
+        c = st._tau[c]
     # c = 1 gives back fac (its first slide returns (x_1, 1)), and c = delta
     # is left-weighted with any x_1, so it joins the power below
     head = []

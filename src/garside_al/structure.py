@@ -61,9 +61,9 @@ Each table holds at most TABLE_BOUND entries, a two-level one (the slide
 and code book rows) counting its rows too; a miss that finds it full
 empties it first.  An entry costs 100 to 300 bytes on B8, so a full
 table holds 13 to 40 MB.  For N simples, a unary table holds at most N
-entries (40,320 on B8), and the move sets one per generator length; so
-below 9 strands the τ table never empties, and no row holds a second
-copy of a simple.
+entries (40,320 on B8), and the move sets and their τ-twisted copies
+one per generator length; so below 9 strands the τ table never
+empties, and no row holds a second copy of a simple.
 """
 
 from __future__ import annotations
@@ -133,6 +133,7 @@ class GarsideStructure:
         self._nontrivial: tuple | None = None
         # built on first use: alcomplex._vertex_moves, code_book, absorb._Candidates
         self._move_sets: dict = {}
+        self._twisted_moves: dict = {}
         self._code_book: CodeBook | None = None
         self._candidates: Any = None
 
@@ -318,8 +319,8 @@ class CodeBook:
     vertices through the one right cascade.  It is the one representation
     fork left, kept because an int hashes at once, while a permutation is
     hashed anew at every row and visited-set lookup: on factor tuples of
-    simples through st.rows, the complex-bfs benchmark loses about 17% of
-    its throughput and its p95 latency rises by about 34%."""
+    simples through st.rows, the complex-bfs benchmark loses about 6% of
+    its throughput and its p95 latency rises by about 12%."""
 
     __slots__ = ("simples", "code", "tau_inv", "rows", "identity", "delta", "tau_period")
 

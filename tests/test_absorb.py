@@ -268,7 +268,7 @@ def _reference_outcome(y, budget):
     return x, counter.visited, counter.pruned
 
 
-def test_survivor_tables_keep_the_search_accounting_exact(monkeypatch):
+def test_candidate_bit_sets_keep_the_search_accounting_exact(monkeypatch):
     # skipping the candidates a one-step test prunes must change neither
     # the certificate, nor the node counts, nor where the budget runs out
     counters = []
@@ -381,7 +381,7 @@ def test_candidate_sets_are_their_definitions(struct):
         assert cands.rdiv[s] == bits(lambda t: struct.right_divides_simple(t, s)), s
 
 
-def test_search_over_more_candidates_than_two_byte_indices_hold():
+def test_search_over_more_than_two_to_the_sixteen_candidates():
     # Z^17 has 2^17 - 2 candidates for each factor
     struct = abelian_structure(17)
     cert = is_absorbable(make_element(struct, 0, [struct.atom(1)]))

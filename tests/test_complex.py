@@ -6,6 +6,7 @@ definition to each candidate label.  The decision procedure only probes
 two shifts; the oracle does not know that.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -491,6 +492,92 @@ class TestVertexMoves:
         assert distance_upper_bound(v, w, 2, 4, budget=273) == 2
         with pytest.raises(SearchBudgetExceeded):
             distance_upper_bound(v, w, 2, 4, budget=272)
+
+    def test_the_start_side_first_layer_folds_nothing(self, monkeypatch):
+        moves = alcomplex._vertex_moves(B4, 2, DEFAULT_BUDGET, None)
+        book = B4.code_book()
+        folds = []
+        fold = alcomplex._fold
+
+        def counting(t, *args):
+            if t is book:
+                folds.append(args[0])
+            return fold(t, *args)
+
+        monkeypatch.setattr(alcomplex, "_fold", counting)
+        # the pair of test_the_search_stops_at_the_first_meeting: it meets
+        # 105 expansions into the target's first layer.  The start side's
+        # layer is the move set itself; each of the target's expansions
+        # folds once, and the target vertex once more for its Delta parity.
+        v = vertex_of(parse_word(B4, "s1 s3"))
+        w = vertex_of(parse_word(B4, "s1 s2 s1 s3 s2 s2 s2 s1"))
+        assert distance_upper_bound(v, w, 2, 4) == 2
+        assert 0 < len(folds) <= len(moves) + 1
+
+    # At generator lengths 2 and 3 B3's moves are its four proper simples,
+    # so its searches run deep cheaply, never meet, and pin the layer
+    # counts for both parities of inf(v_rep^-1 w_rep).  B4's searches meet,
+    # so they pin the order of the moves within a layer; past the first
+    # layers one costs about a second of bisection, so B4 gives only three.
+    @pytest.mark.parametrize("n, gen_len, pairs, v_len, w_len, deep, digest", [
+        (3, 2, 150, 4, 8, (18, 30),
+         "add1f852dc3d62eb56e69be3cbe6bd8a7c0e5a8d0465a07f820741235a3b719c"),
+        (3, 3, 150, 4, 10, (21, 45),
+         "40d4b645b01015eb011529e5eef5bf3b7aee5d39f8be7700e30ad4ee28bfcbc2"),
+        (4, 2, 20, 2, 6, (3, 0),
+         "7b087b06acc33f3cd46fa2fe8333e5e7ea77b31f9a7b17af6e378beefa7f1423"),
+    ])
+    def test_answers_and_budget_boundaries_are_pinned(self, n, gen_len, pairs,
+                                                      v_len, w_len, deep, digest):
+        # per pair and radius 1-5: the answer, the smallest budget that
+        # answers, and the message one unit below it.  The digest was
+        # recorded from the search rooted at v itself, so it pins the
+        # expansion order as well as the answers.  deep counts, by the
+        # parity of inf(z), the searches that expand a vertex past the
+        # first layer of each side (more than one layer of moves a side).
+        st = braid_structure(n)
+        moves = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
+
+        def run(v, w, radius, budget):
+            try:
+                return False, repr(distance_upper_bound(v, w, gen_len, radius,
+                                                        budget=budget))
+            except SearchBudgetExceeded as err:
+                return True, str(err)
+
+        def outcome(v, w, radius):
+            failed, answer = run(v, w, radius, 0)
+            if not failed:
+                return answer, 0, "-"
+            lo, hi = 0, 1
+            while True:
+                failed, answer = run(v, w, radius, hi)
+                if not failed:
+                    break
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                failed, got = run(v, w, radius, mid)
+                if failed:
+                    lo = mid
+                else:
+                    hi, answer = mid, got
+            return answer, hi, run(v, w, radius, hi - 1)[1]
+
+        rng = random.Random(f"sweep/{n}/{gen_len}")
+        rows, past = [], [0, 0]
+        for _ in range(pairs):
+            v = random_vertex(rng, st, rng.randint(1, v_len))
+            w = random_vertex(rng, st, rng.randint(1, w_len))
+            if v == identity_vertex(st):
+                continue
+            parity = alcomplex._coset_difference(v, w).inf % 2
+            for radius in range(1, 6):
+                answer, budget, below = outcome(v, w, radius)
+                rows.append(f"{answer}|{budget}|{below}")
+                past[parity] += budget > 2 * len(moves)
+        assert tuple(past) == deep
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
     def test_search_leaves_the_slide_cache_alone(self):
         st = BraidStructure(4)
