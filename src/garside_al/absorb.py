@@ -21,22 +21,31 @@ Foundations of Garside Theory, Ch. I and V):
   right-divides the positive X = delta^k m^-1, that is iff t right-divides
   R, the largest simple right divisor of X.
 
-The candidate sets are N-bit ints over the nontrivial simples in sorted
-order, the order the search tries them in (_Candidates): pre[s] holds the
-t that may precede s in a left-weighted chain, inf[m_1] those that pass
-the inf test and are not left-weighted with m_1 (such a t stays a factor
-of its own, so the sup grows to k + 1), and rdiv[R] those that
-right-divide R.  The search holds X reversed, since rev swaps right and
-left divisibility: R is rev of the head of rev(X), and rev of the X of
-t * m is rev(t)^-1 rev(X), one left division.  Of m it holds only the
-head m_1: for a survivor t, the head of t * m is the first output of the
-slide rows[t][m_1], which the later slides keep (the domino rule).  A node
-walks the set bits of pre[leftmost] & inf[m_1] & rdiv[R]; those before
-each, and after the last, count as visited (a popcount of pre[leftmost]),
-and pruned is visited minus kept.  A budget overrun is cut back, by
-bisection over the survivors' positions, to where trying one candidate at
-a time would have stopped, so the node counts, the certificate and the
-point where the budget runs out are those of trying every candidate.
+The search runs on the integer codes of the structure's code book
+(structure.CodeBook), the one the distance search folds its vertices
+with: the book numbers the identity 0, the nontrivial simples 1 .. N-2
+in sorted order, the order the search tries them in, and delta N-1.  It
+codes the room and decodes the certificate once, at the root.  The
+candidate sets are N-bit ints, bit c for the simple of code c
+(_Candidates): pre[s] holds the t that may precede s in a left-weighted
+chain, inf[m_1] those that pass the inf test and are not left-weighted
+with m_1 (such a t stays a factor of its own, so the sup grows to
+k + 1), and rdiv[R] those that right-divide R.  The search holds X
+reversed, since rev swaps right and left divisibility: R is rev of the
+head of rev(X), and rev of the X of t * m is rev(t)^-1 rev(X), one left
+division.  A node reads that head off the left cascade's first output
+other than delta, and divides the room whole only when a kept candidate
+has children to pass it to; most nodes keep none.  Of m it holds only
+the head m_1: for a survivor t, the head of t * m is the first output of
+the slide rows[t][m_1], which the later slides keep (the domino rule).  A
+node walks the set bits of pre[leftmost] & inf[m_1] & rdiv[R]; those
+before each, and after the last, count as visited (a popcount of
+pre[leftmost]), and pruned is visited minus kept.  A budget overrun is
+cut back, by bisection over the survivors' positions (_NodeCounter.visit,
+called only once the count passes the budget), to where trying one
+candidate at a time would have stopped, so the node counts, the
+certificate and the point where the budget runs out are those of trying
+every candidate.
 
 If x absorbs a normal form y1 y2, then x absorbs y1 and x y1 absorbs y2, so
 enumeration searches a chain only when its sub-chains one factor shorter
@@ -58,6 +67,7 @@ from operator import and_, or_
 from .element import (
     GarsideElement,
     _left_divide,
+    _left_divide_head,
     _rev,
     invert,
     multiply,
@@ -115,38 +125,45 @@ def _pick(columns, m: int):
 
 
 class _Candidates:
-    """The candidate sets of one structure, bit i for simples[i]: pre[s]
-    (t, s) left-weighted; inf[h] (t, h) not, and mask(∂t) not inside
-    mask(h); rdiv[r] mask(rev t) inside mask(rev r).  Each entry is an AND
-    or an OR of columns: per mask bit b the t whose rev has b and the t
-    whose ∂ has b, and per atom a the t that a right-divides."""
+    """The candidate sets of one structure, keyed by code in its code
+    book, bit c for the simple of code c (never the identity, code 0, or
+    delta, code N-1): pre[s] (t, s) left-weighted; inf[h] (t, h) not, and
+    mask(∂t) not inside mask(h); rdiv[r] mask(rev t) inside mask(rev r).
+    Each entry is an AND or an OR of columns: per mask bit b the t whose
+    rev has b and the t whose ∂ has b, and per atom a the t that a
+    right-divides."""
 
-    __slots__ = ("simples", "pre", "inf", "rdiv")
+    __slots__ = ("book", "pre", "inf", "rdiv")
 
     def __init__(self, st: GarsideStructure) -> None:
-        self.simples = simples = st.nontrivial_simples()
-        mask, rev, starting = st._inversion_mask, st._rev, st._starting_set
-        everyone = (1 << len(simples)) - 1
+        self.book = book = st.code_book()
+        simples, rev = book.simples, book._rev
+        mask, starting = st._inversion_mask, st._starting_set
+        everyone = (1 << book.delta) - 2  # codes 1 .. N-2
         bits = mask[st.delta]  # every simple left-divides delta
         width = bits.bit_length()
         pad = f"{{:0{width}b}}".format
 
-        def columns(of: _Table) -> list:
-            # column b holds bit b of every mask[of[t]], every width-th digit of
-            # their binary rows, last simple first; 4,096 rows at a time bound memory
+        def columns(of: list) -> list:
+            # column b holds bit b of every mask[simples[of[c]]], every
+            # width-th digit of their binary rows, last code first; 4,096
+            # rows at a time bound memory
             cols = [0] * width
             for at in range(0, len(simples), 4096):
-                rows = "".join([pad(mask[of[t]]) for t in reversed(simples[at:at + 4096])])
+                rows = "".join([pad(mask[simples[of[c]]])
+                                for c in reversed(range(at, min(at + 4096, len(simples))))])
                 for b in range(width):
                     cols[b] |= int(rows[width - 1 - b::width], 2) << at
-            return cols
+            return [col & everyone for col in cols]
 
-        rev_cols, dc_cols = columns(rev), columns(st._right_complement)
+        rev_cols, dc_cols = columns(rev), columns(book._right_complement)
         right_by = [reduce(and_, _pick(rev_cols, mask[a]), everyone) for a in st.atoms]
-        self.pre = _Table(lambda s: reduce(and_, (right_by[i - 1] for i in starting[s]), everyone))
-        self.inf = _Table(lambda h: ~self.pre[h] & reduce(or_, _pick(dc_cols, bits & ~mask[h]), 0))
+        self.pre = _Table(lambda s: reduce(and_, (right_by[i - 1] for i in starting[simples[s]]),
+                                           everyone))
+        self.inf = _Table(lambda h: ~self.pre[h]
+                          & reduce(or_, _pick(dc_cols, bits & ~mask[simples[h]]), 0))
         self.rdiv = _Table(lambda r: everyone
-                           & ~reduce(or_, _pick(rev_cols, bits & ~mask[rev[r]]), 0))
+                           & ~reduce(or_, _pick(rev_cols, bits & ~mask[simples[rev[r]]]), 0))
 
 
 class _NodeCounter:
@@ -185,44 +202,62 @@ class _NodeCounter:
                 f"the deepest call reached depth {self.depth}")
 
 
-def _dfs(st, head, p, x, leftmost, depth, k, counter):
-    """Extend a suffix whose first factor is leftmost; head is the first
-    factor of its running product m (never built), and delta^p x (a bare
-    power and factor tuple) is rev(delta^k m'^-1), m' the product before
-    leftmost was prepended (m' = m at the root).  Below the root, a node
-    with a survivor divides rev(leftmost) off that room by one left
-    cascade.  The root (head = y_1, leftmost the identity) tries every
+def _dfs(cands, head, p, x, leftmost, depth, k, counter):
+    """Extend a suffix whose first factor is leftmost, every simple being
+    its code in cands.book; head is the first factor of its running
+    product m (never built), and delta^p x (a bare power and factor tuple)
+    is rev(delta^k m'^-1), m' the product before leftmost was prepended
+    (m' = m at the root).  r, rev of the head of the node's room
+    rev(delta^k m^-1) = rev(leftmost)^-1 delta^p x, is delta when the
+    room's power is positive, else rev of its first factor or the
+    identity.  Below the root, a node with a survivor reads that power
+    and factor off the left cascade, run up to the room's first factor,
+    and divides the room whole only for a kept candidate that has
+    children.  The root (head = y_1, leftmost the identity) tries every
     nontrivial proper simple in sorted order, so the first completion is
-    the lexicographically first absorber.  r is rev of the room's head:
-    delta when p > 0, else rev(x_1) or the identity.  Returns the factors
-    x_1 ... x_j (j = k - depth) that complete the suffix, or None.
+    the lexicographically first absorber.  Returns the codes x_1 ... x_j
+    (j = k - depth) that complete the suffix, or None.
     """
-    cands = st._candidates
     pre = cands.pre[leftmost]
     if depth > counter.depth:
         counter.depth = depth
     done = 0  # candidates counted so far
     table = pre & cands.inf[head]
     if table:
+        book = cands.book
         if depth:
-            p, x = _left_divide(st, st._rev[leftmost], p, x)
-        r = st.delta if p > 0 else st._rev[x[0]] if x else st.identity
-        kept = table & cands.rdiv[r]
+            d = book._rev[leftmost]
+            q, first = _left_divide_head(book, d, p, x)
+        else:
+            q, first = p, x[0] if x else book.identity
+        kept = table & cands.rdiv[book.delta if q > 0 else book._rev[first]]
+        if kept and depth + 1 < k:
+            if depth:
+                p, x = _left_divide(book, d, p, x)
+            rows = book.rows
         while kept:
             low = kept & -kept  # the lowest kept bit
             kept ^= low
             i = (pre & (low - 1)).bit_count()  # its position among the preceders
-            counter.visit(pre, table, done, i + 1)
+            # count the candidates done .. i, through visit only past the budget
+            visited = counter.visited + i + 1 - done
+            if visited > counter.budget:
+                counter.visit(pre, table, done, i + 1)
+            counter.visited = visited
             done = i + 1
             counter.kept += 1
-            t = cands.simples[low.bit_length() - 1]
+            t = low.bit_length() - 1
             if depth + 1 == k:
                 return [t]
-            got = _dfs(st, st.rows[t][head][0], p, x, t, depth + 1, k, counter)
+            got = _dfs(cands, rows[t][head][0], p, x, t, depth + 1, k, counter)
             if got is not None:
                 got.append(t)
                 return got
-    counter.visit(pre, table, done, pre.bit_count())
+    stop = pre.bit_count()
+    visited = counter.visited + stop - done
+    if visited > counter.budget:
+        counter.visit(pre, table, done, stop)
+    counter.visited = visited
     return None
 
 
@@ -249,14 +284,17 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
         return None
     if st._candidates is None:
         st._candidates = _Candidates(st)
+    cands = st._candidates
+    code = cands.book.code
     counter = _NodeCounter(budget)
     # delta^k target^-1 is invert(target) without its delta^-k
     room = _rev(GarsideElement(st, 0, invert(target).factors))
-    got = _dfs(st, target.factors[0], room.power, room.factors, st.identity, 0,
-               target.canonical_length, counter)
+    got = _dfs(cands, code[target.factors[0]], room.power,
+               tuple(code[f] for f in room.factors), 0, 0, target.canonical_length, counter)
     if got is None:
         return None
-    x = GarsideElement(st, 0, tuple(got))
+    simples = cands.book.simples
+    x = GarsideElement(st, 0, tuple(simples[c] for c in got))
     if target is not y:
         x = multiply(x, invert(y))
     if not absorbs(x, y):

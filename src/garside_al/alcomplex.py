@@ -42,7 +42,7 @@ from .absorb import (
 from .element import (
     GarsideElement,
     _fold,
-    _left_gcd_cofactors,
+    _reduced_fraction,
     complement,
     delta_power,
     delta_prefix,
@@ -397,7 +397,9 @@ def overlap_length(v: ALVertex, w: ALVertex) -> int:
     """sup of the gcd of the complement of v's representative with the
     complement of a times tau^r(b), where v_rep = da, w_rep = db,
     d = gcd, r = sup(a).  Always at least r."""
-    _, a, b = _left_gcd_cofactors(v.rep, w.rep)
+    # v_rep^-1 w_rep = a^-1 b reduced
+    a_inv, b = _reduced_fraction(multiply(invert(v.rep), w.rep))
+    a = invert(a_inv)
     r = a.sup
     return left_gcd(complement(v.rep), multiply(complement(a), tau_element(b, r))).sup
 

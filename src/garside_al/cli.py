@@ -265,9 +265,11 @@ def _cmd_absorbable(args, cfg: Config) -> tuple:
 def _cmd_enum_absorbable(args, cfg: Config) -> tuple:
     found = enumerate_absorbable(cfg.structure(), cfg.max_len,
                                  budget=cfg.budget, cache_path=cfg.cache)
-    return ({"n": cfg.n, "max_len": cfg.max_len},
-            [_element_json(e) for e in found],
-            [format_element(e) for e in found] or ["none"])
+    inputs = {"n": cfg.n, "max_len": cfg.max_len}
+    # main emits the payload under --json and the text lines otherwise
+    if cfg.as_json:
+        return inputs, [_element_json(e) for e in found], []
+    return inputs, None, [format_element(e) for e in found] or ["none"]
 
 
 def _cmd_vertex(args, cfg: Config) -> tuple:

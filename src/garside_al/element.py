@@ -19,7 +19,8 @@ answer depends on what they hold.
   (power, factors) pair, so it builds no element) slides the left
   complement of d into x_1, the remainder into x_2, and so on, left to
   right, and stops as soon as the carry is the identity or meets a
-  left-weighted pair.  Leading deltas join the power.
+  left-weighted pair.  Leading deltas join the power.  _left_divide_head
+  runs the same cascade only up to the first factor of the quotient.
 * _fold (x * s_1 ... s_k, on a factor list) appends each s and slides right
   to left with the same stopping rule; a carry that fills up to delta
   leaves through the back, twisting by tau^-1 only the suffix the cascade
@@ -31,17 +32,19 @@ _finish twists the finished list once, L Delta^e = Delta^e tau^e(L), only
 when e is not a multiple of the tau period.  L itself is the inf-0
 representative of the product's coset g<Delta>.
 
-There is one right cascade.  _fold reads its tables (rows and tau_inv) by
-subscript from whatever it is given: a structure, on simple values, or the
-structure's code book, on integer codes, as the distance search does.
+There is one cascade each way.  _fold and _left_divide read their tables
+by subscript from whatever they are given: a structure, on simple values,
+or the structure's code book, on integer codes, as the distance search
+and the absorber search do.
 
 The gcd and the fraction form are one normal-form read, Thurston's
 symmetric normal form (Epstein et al., Word Processing in Groups, Ch. 9;
 Dehornoy et al., Ch. III): a = delta^-m x_1 ... x_r with m > 0 is N^-1 D
 for N^-1 = delta^-m x_1 ... x_min(m,r) and D = x_(m+1) ... x_r, with N
 and D positive and N ^ D = 1.  The left gcd of a and b is a N^-1 for the
-fraction a^-1 b = N^-1 D, whose cofactors are N and D, so a gcd costs
-one inversion and two products, linear in |a| + |b|.
+fraction a^-1 b = N^-1 D, whose cofactors are N and D.  N^-1 is a prefix
+of the fraction's normal form, so the gcd costs one inversion and two
+products, linear in |a| + |b|, and its cofactor N one more inversion.
 
 The right side has no algorithm of its own: _rev applies the structure's
 word reversal rev, an anti-automorphism that swaps right and left
@@ -312,15 +315,19 @@ def right_divides(a: GarsideElement, b: GarsideElement) -> bool:
     return multiply(b, invert(a)).inf >= 0
 
 
-def _left_divide(st: GarsideStructure, d: Simple, p: int, fac: tuple) -> tuple:
+def _left_divide(t, d, p: int, fac: tuple) -> tuple:
     """(power, factors) of d^-1 * delta^p * fac for a simple d and a normal
     form delta^p fac: d^-1 = delta^-1 c for c the left complement of d, and
     c delta^p = delta^p tau^p(c), which the left cascade slides into fac.
-    As c is tau of the right complement, tau^p(c) is tau^(p+1) of it."""
-    ident, delta, rows = st.identity, st.delta, st.rows
-    c = st._right_complement[d]
-    if (p + 1) % st.tau_period:
-        c = st._tau[c]
+    As c is tau of the right complement, tau^p(c) is tau^(p+1) of it.
+
+    t is a structure, on simple values, or its code book, on codes, as
+    for _fold: the cascade reads t.rows, t._right_complement, t.tau_inv
+    (tau is its own inverse), t.identity, t.delta and t.tau_period."""
+    ident, delta, rows = t.identity, t.delta, t.rows
+    c = t._right_complement[d]
+    if (p + 1) % t.tau_period:
+        c = t.tau_inv[c]
     # c = 1 gives back fac (its first slide returns (x_1, 1)), and c = delta
     # is left-weighted with any x_1, so it joins the power below
     head = []
@@ -341,6 +348,36 @@ def _left_divide(st: GarsideStructure, d: Simple, p: int, fac: tuple) -> tuple:
     return p + k - 1, (*head[k:], *fac[i:])
 
 
+def _left_divide_head(t, d, p: int, fac: tuple) -> tuple:
+    """The power of _left_divide(t, d, p, fac) and its first factor, or
+    t.identity when it has none: the same left cascade, run only up to
+    its first output that is not delta.  A slide's carry is a right
+    divisor of a factor of fac, so only the first carry (c = delta, for
+    d = 1) can be delta."""
+    ident, delta, rows = t.identity, t.delta, t.rows
+    c = t._right_complement[d]
+    if (p + 1) % t.tau_period:
+        c = t.tau_inv[c]
+    p -= 1
+    i = 0  # factors of fac consumed
+    for f in fac:
+        step = rows[c][f]
+        if step is None:
+            break
+        cu, c = step
+        i += 1
+        if cu != delta:
+            return p, cu
+        p += 1
+        if c == ident:
+            break
+    if c == delta:
+        p += 1
+    elif c != ident:
+        return p, c
+    return p, fac[i] if i < len(fac) else ident
+
+
 def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
     """The greatest common left divisor of a and b."""
     return _left_gcd_cofactors(a, b)[0]
@@ -351,8 +388,19 @@ def _left_gcd_cofactors(a: GarsideElement, b: GarsideElement) -> tuple:
 
     The reduced fraction a^-1 b = N^-1 D has N ^ D = 1, so d = a N^-1
     has a = d N and b = d D with coprime cofactors: d is the gcd."""
-    f = fraction_form(multiply(invert(a), b))
-    return multiply(a, invert(f.negative)), f.negative, f.positive
+    n_inv, d = _reduced_fraction(multiply(invert(a), b))
+    return multiply(a, n_inv), invert(n_inv), d
+
+
+def _reduced_fraction(z: GarsideElement) -> tuple:
+    """(N^-1, D) for z = N^-1 D reduced: N^-1 is the prefix
+    delta^-m x_1 ... x_min(m,r) of z's normal form, m = -inf z, and D the
+    rest (see the module docstring)."""
+    m = -z.power
+    if m <= 0:
+        return identity_element(z.structure), z
+    return (GarsideElement(z.structure, z.power, z.factors[:m]),
+            GarsideElement(z.structure, 0, z.factors[m:]))
 
 
 def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
@@ -408,9 +456,5 @@ class FractionForm:
 def fraction_form(a: GarsideElement) -> FractionForm:
     """a = N^-1 D with N ^ D = 1, read off the normal form (see the module
     docstring)."""
-    st = a.structure
-    m = -a.power
-    if m <= 0:
-        return FractionForm(identity_element(st), a)
-    return FractionForm(invert(GarsideElement(st, a.power, a.factors[:m])),
-                        GarsideElement(st, 0, a.factors[m:]))
+    n_inv, d = _reduced_fraction(a)
+    return FractionForm(invert(n_inv), d)

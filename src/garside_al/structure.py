@@ -37,11 +37,12 @@ the structure's own complement cannot be written:
   is rev(rev s ∧ rev t), the finishing set of s is the starting set of
   rev s, and element.py reads right normal forms and gcds through it.
 
-A structure keeps six cached primitives, each a _Table: a dict that
+A structure keeps seven cached primitives, each a _Table: a dict that
 fills a missing entry once from the matching _<name>_raw method and that
 hot loops read by subscript, with no Python call on a hit.  They are
-_inversion_mask, _tau, _right_complement, _starting_set, _rev and the
-two-level slide rows[c][f].  The left complement is read as
+_inversion_mask, _tau, _right_complement, _starting_set, _rev, the
+two-level slide rows[c][f] and, for output only, _simple_word, the atom
+word of each simple.  The left complement is read as
 _tau[_right_complement[s]] and the finishing set as
 _starting_set[_rev[s]], with no table of their own; both meets are
 computed on every call, from one slide each.  A public method of the
@@ -53,9 +54,10 @@ The right cascade (element._fold) reads the slide rows, where rows[c][f]
 is the slide of (c, f), and tau_inv by subscript.  A row entry comes
 from the raw slide.  Both slide outputs and every left_meet are values
 of the τ table, so the rows share one object per distinct simple.
-code_book() carries the same tables on integer codes for the distance
-search; its rows are the transition table of Thurston's normal-form
-automaton (Epstein et al., Word Processing in Groups, Ch. 9).
+code_book() carries the same tables on integer codes, and the distance
+search and the absorber search share it; its rows are the transition
+table of Thurston's normal-form automaton (Epstein et al., Word
+Processing in Groups, Ch. 9).
 
 Each table holds at most TABLE_BOUND entries, a two-level one (the slide
 and code book rows) counting its rows too; a miss that finds it full
@@ -127,6 +129,7 @@ class GarsideStructure:
         self._right_complement = _Table(self._right_complement_raw)
         self._starting_set = _Table(self._starting_set_raw)
         self._rev = _Table(self._rev_raw)
+        self._simple_word = _Table(self._simple_word_raw)
         # the right cascade's tables (element._fold); tau^-1 is tau
         self.rows = _rows(self._slide_raw)
         self.tau_inv = self._tau
@@ -183,7 +186,7 @@ class GarsideStructure:
         """Conjugation delta^-1 * s * delta, the right complement twice."""
         return self.right_complement(self.right_complement(s))
 
-    def simple_word(self, s: Simple) -> tuple[int, ...]:
+    def _simple_word_raw(self, s: Simple) -> tuple[int, ...]:
         """A canonical reduced atom word for s (greedy smallest starting atom)."""
         word = []
         cur = s
@@ -194,6 +197,9 @@ class GarsideStructure:
         return tuple(word)
 
     # -- public primitives ----------------------------------------------------
+
+    def simple_word(self, s: Simple) -> tuple[int, ...]:
+        return self._simple_word[s]
 
     def compose(self, s: Simple, t: Simple) -> Simple | None:
         """Product s*t if it is simple (t left-divides the right complement
@@ -310,24 +316,31 @@ class GarsideStructure:
 class CodeBook:
     """The simples of one structure numbered 0 .. N-1, as
     (identity, *nontrivial_simples(), delta): the identity is code 0 and
-    delta is code N-1.  code maps a simple to its code, tau_inv is the
-    tau^-1 image of each code, and rows[c][f] is the slide on codes: None
-    when the pair is left-weighted, else the codes of the two outputs.
+    delta is code N-1.  code maps a simple to its code; tau_inv, _rev and
+    _right_complement list the code of each code's image, and rows[c][f]
+    is the slide on codes: None when the pair is left-weighted, else the
+    codes of the two outputs.
 
-    The book carries the five names element._fold reads (rows, tau_inv,
-    identity, delta, tau_period), so the distance search folds coded
-    vertices through the one right cascade.  It is the one representation
-    fork left, kept because an int hashes at once, while a permutation is
-    hashed anew at every row and visited-set lookup: on factor tuples of
-    simples through st.rows, the complex-bfs benchmark loses about 6% of
-    its throughput and its p95 latency rises by about 12%."""
+    The book carries the names element._fold and element._left_divide
+    read (rows, tau_inv, _right_complement, identity, delta, tau_period),
+    so the distance search folds coded vertices through the one right
+    cascade, and the absorber divides coded rooms through the one left
+    cascade and keys its candidate sets by code (absorb._Candidates).
+    Both searches share this one book.  An int hashes at once, while a
+    permutation is hashed anew at every row and visited-set lookup: on
+    factor tuples of simples through st.rows, the complex-bfs benchmark
+    loses about 6% of its throughput and its p95 latency rises by about
+    12%."""
 
-    __slots__ = ("simples", "code", "tau_inv", "rows", "identity", "delta", "tau_period")
+    __slots__ = ("simples", "code", "tau_inv", "_rev", "_right_complement", "rows",
+                 "identity", "delta", "tau_period")
 
     def __init__(self, st: GarsideStructure) -> None:
         self.simples = simples = (st.identity, *st.nontrivial_simples(), st.delta)
         self.code = code = {s: i for i, s in enumerate(simples)}
         self.tau_inv = [code[st.tau_inv[s]] for s in simples]
+        self._rev = [code[st._rev[s]] for s in simples]
+        self._right_complement = [code[st._right_complement[s]] for s in simples]
         self.identity, self.delta, self.tau_period = 0, len(simples) - 1, st.tau_period
 
         def coded_slide(c: int, f: int) -> tuple | None:

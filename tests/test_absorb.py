@@ -317,28 +317,31 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
     products = []  # products[d] is the running product at depth d
     dfs = absorb._dfs
 
-    def checking(struct, head, p, x, leftmost, depth, k, counter):
+    def checking(cands, head, p, x, leftmost, depth, k, counter):
+        # the search runs on codes; the check reads them as simples
+        simples = cands.book.simples
+        survivors = cands.pre[leftmost] & cands.inf[head]
+        struct = target.structure
+        leftmost_s, head_s = simples[leftmost], simples[head]
         del products[depth:]
-        products.append(multiply(simple_element(struct, leftmost), products[-1])
+        products.append(multiply(simple_element(struct, leftmost_s), products[-1])
                         if depth else target)
         m = products[-1]
-        assert m.factors[0] == head, (m, head)
+        assert m.factors[0] == head_s, (m, head_s)
         if len(nodes) < 30:
             nodes.append(m)
             room = multiply(delta_power(struct, k), invert(m))
-            parent_room = multiply(room, simple_element(struct, leftmost))
+            parent_room = multiply(room, simple_element(struct, leftmost_s))
             want = _rev(parent_room)
-            assert (p, x) == (want.power, want.factors), (m, leftmost)
+            assert (p, tuple(simples[f] for f in x)) == (want.power, want.factors), (m, leftmost)
             rfac, rpow = right_normal_form(room)
             r = struct.delta if rpow > 0 else rfac[-1] if rfac else struct.identity
-            cands = struct._candidates
-            survivors = cands.pre[leftmost] & cands.inf[head]
-            for t in (t for i, t in enumerate(cands.simples) if survivors >> i & 1):
+            for t in (t for c, t in enumerate(simples) if survivors >> c & 1):
                 m2 = multiply(simple_element(struct, t), m)
                 keeps = m2.power == 0 and m2.sup == k
                 assert struct.right_divides_simple(t, r) == keeps, (m, t)
                 seen[keeps] += 1
-        return dfs(struct, head, p, x, leftmost, depth, k, counter)
+        return dfs(cands, head, p, x, leftmost, depth, k, counter)
 
     monkeypatch.setattr(absorb, "_dfs", checking)
     rng = random.Random(1517)
@@ -363,22 +366,25 @@ def test_sup_test_on_simples_decides_what_the_cascade_keeps(monkeypatch):
 def test_candidate_sets_are_their_definitions(struct):
     # every simple of the small groups, seeded keys of B6; the definitions
     # go through the structure's predicates, never through the columns
+    # the sets are keyed by code and bit c stands for the simple of code c
     cands = absorb._Candidates(struct)
     simples = struct.nontrivial_simples()
-    assert cands.simples == simples
+    assert cands.book is struct.code_book()
+    code = cands.book.code
+    assert [code[t] for t in simples] == list(range(1, len(simples) + 1))
     keys = list(struct.all_simples())
     if len(keys) > 100:
         keys = [struct.identity, struct.delta, *random.Random(3006).sample(simples, 40)]
 
     def bits(test):
-        return sum(1 << i for i, t in enumerate(simples) if test(t))
+        return sum(1 << code[t] for t in simples if test(t))
 
     dc = struct.right_complement
     for s in keys:
-        assert cands.pre[s] == bits(lambda t: struct.is_left_weighted(t, s)), s
-        assert cands.inf[s] == bits(lambda t: not struct.is_left_weighted(t, s)
-                                    and not struct.left_divides_simple(dc(t), s)), s
-        assert cands.rdiv[s] == bits(lambda t: struct.right_divides_simple(t, s)), s
+        assert cands.pre[code[s]] == bits(lambda t: struct.is_left_weighted(t, s)), s
+        assert cands.inf[code[s]] == bits(lambda t: not struct.is_left_weighted(t, s)
+                                          and not struct.left_divides_simple(dc(t), s)), s
+        assert cands.rdiv[code[s]] == bits(lambda t: struct.right_divides_simple(t, s)), s
 
 
 def test_search_over_more_than_two_to_the_sixteen_candidates():
@@ -425,7 +431,8 @@ def test_b6_witness_budget_boundary(monkeypatch):
     struct = y.structure
     calls = _count_products_and_meets(monkeypatch)
     assert is_absorbable(y, budget=850_735) is None
-    assert calls["_left_divide"] == 4_060
+    # a node divides its room whole only for a kept candidate with children
+    assert calls["_left_divide"] == 128
     with pytest.raises(SearchBudgetExceeded) as err:
         is_absorbable(y, budget=850_734)
     assert str(err.value) == (
@@ -459,24 +466,24 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     calls = _count_products_and_meets(monkeypatch)
     assert is_absorbable(y) is None
     _assert_slides_alone(calls)
+    # the search slides codes through the code book's rows
+    book = struct.code_book()
 
     def entries():
-        return sum(len(row) for row in struct.rows.values())
+        return sum(len(row) for row in book.rows.values())
 
     before = entries()
     outputs = set()
-    tau = struct._tau
-    pairs = list(itertools.product(struct.nontrivial_simples(), repeat=2))
+    pairs = list(itertools.product(range(1, book.delta), repeat=2))
     for c, f in pairs:
-        step = struct.rows[c][f]
-        if step is not None:
-            for s in step:
-                assert tau[tau[s]] is s
-                outputs.add(id(s))
+        step = book.rows[c][f]
+        raw = struct._slide_raw(book.simples[c], book.simples[f])
+        assert step == (raw and tuple(book.code[s] for s in raw)), (c, f)
+        outputs.update(step or ())
     # some answers came from the search's row entries, and every simple
-    # the slides hand out is one shared object
+    # the slides hand out is one of B5's 120 codes
     assert entries() - before < len(pairs)
-    assert len(outputs) <= 120
+    assert outputs <= set(range(120))
 
 
 def test_interleaved_square_not_absorbable():
@@ -861,3 +868,45 @@ def test_property_absorbable_implies_prime_yes(word):
     y = from_word(B4, tuple(word))
     if y.power == 0 and is_absorbable(y) is not None:
         assert is_absorbable_prime(y) == "yes"
+
+
+def _sweep_outcomes():
+    """One line per seeded search: the certificate's factors and node
+    counts, None, or the budget message."""
+    rng = random.Random("absorber-sweep")
+    groups = ((B3, 5, 60), (B4, 4, 60), (B5, 3, 40), (braid_structure(6), 3, 24),
+              (abelian_structure(3), 3, 40), (abelian_structure(4), 3, 40))
+    budgets = (1, 7, 60, 400, 3_000, 20_000, DEFAULT_BUDGET)
+    lines = []
+    for struct, max_len, count in groups:
+        for _ in range(count):
+            chain = [rng.choice(struct.nontrivial_simples())]
+            for _ in range(rng.randint(1, max_len) - 1):
+                chain.append(rng.choice(struct.followers(chain[-1])))
+            y = GarsideElement(struct, 0, tuple(chain))
+            if rng.random() < 0.4:
+                y = invert(y)
+            # six-strand chains of three factors run to the default budget
+            # for minutes, so they get the cut-off budgets only
+            budget = rng.choice(budgets[:-2] if struct.n == 6 and len(chain) == 3
+                                else budgets)
+            try:
+                cert = is_absorbable(y, budget=budget)
+            except SearchBudgetExceeded as err:
+                got = str(err)
+            else:
+                got = cert and ("|".join(one_line(struct, f) for f in cert.x.factors),
+                                cert.x.power, cert.nodes_visited, cert.nodes_pruned)
+            lines.append(f"{struct.structure_id} {chain} {budget}: {got}")
+    return lines
+
+
+def test_seeded_sweep_of_certificates_counts_and_budget_messages_is_pinned():
+    # recorded from the search that divides the whole room at every node
+    # with survivors and keys its candidate sets by simple
+    lines = _sweep_outcomes()
+    assert sum(": absorber search exceeded" in line for line in lines) > 30
+    assert sum(": None" in line for line in lines) > 30
+    assert sum(": (" in line for line in lines) > 30
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fb3eb76e1bc3c68a37df736e3c0a00abaa6474986c58ef56305a181e0155362d"

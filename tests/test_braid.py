@@ -321,7 +321,7 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
             "code book rows": coded_slide}
     tables = _tables(struct)
     assert tables.keys() == {"_inversion_mask", "_tau", "_right_complement", "_starting_set",
-                             "_rev", "rows", "tau_inv", "code book rows"}
+                             "_rev", "_simple_word", "rows", "tau_inv", "code book rows"}
     for name, table in tables.items():
         raw = raws.get(name) or getattr(struct, f"{name}_raw")
         public = getattr(struct, name[1:], None) if name.startswith("_") else None
@@ -366,7 +366,9 @@ def test_structures_do_not_share_caches():
     # one fresh entry in every table of b4 leaves every table of b5 as it was
     key = b4.compose(b4.atom(3), b4.atom(1))
     for name, table in t4.items():
-        k = 1 if name == "code book rows" else key
+        # the candidate sets are keyed by code
+        k = (1 if name == "code book rows" else b4.code_book().code[key]
+             if name.startswith("candidates.") else key)
         row = table[k]
         if isinstance(row, _Table):
             row[k]

@@ -39,7 +39,12 @@ from garside_al import (
 from garside_al.abelian import AbelianStructure
 from garside_al.alcomplex import ALVertex
 from garside_al.braid import BraidStructure, embed_simple
-from garside_al.element import GarsideElement, _left_divide, _left_gcd_cofactors
+from garside_al.element import (
+    GarsideElement,
+    _left_divide,
+    _left_divide_head,
+    _left_gcd_cofactors,
+)
 from oracles import (
     _tau as oracle_tau,
     elements_equal_mixed,
@@ -568,6 +573,49 @@ def test_left_cascade_takes_the_identity_and_delta_like_any_simple(struct):
             want = multiply(simple_element(struct, s), x)
             assert _left_divide(struct, struct.right_complement(s), x.power, x.factors) \
                 == (want.power - 1, want.factors)
+
+
+def _rooms(struct, max_len, rng=None, count=0):
+    """Normal forms delta^p x_1 ... x_r, p in -1 .. 1: every chain of at
+    most max_len factors, or count seeded ones of that length at most."""
+    simples = struct.nontrivial_simples()
+    chains = [()]
+    if rng is None:
+        level = [()]
+        for _ in range(max_len):
+            level = [(*c, t) for c in level
+                     for t in (struct.followers(c[-1]) if c else simples)]
+            chains += level
+    else:
+        for _ in range(count):
+            chain = [rng.choice(simples)]
+            for _ in range(rng.randint(0, max_len - 1)):
+                chain.append(rng.choice(struct.followers(chain[-1])))
+            chains.append(tuple(chain))
+    return [(p, c) for c in chains for p in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("struct, max_len, seeded", [
+    (B3, 4, False), (B4, 3, False), (abelian_structure(3), 3, False),
+    (B5, 6, True), (braid_structure(6), 6, True)], ids=lambda v: getattr(v, "structure_id", v))
+def test_room_head_read_is_the_head_of_the_whole_division(struct, max_len, seeded):
+    # the power and first factor (or the identity) of d^-1 delta^p x, on
+    # simple values and on the code book's codes, for the identity and
+    # delta too
+    rng = random.Random(f"room-head/{struct.structure_id}")
+    simples = list(struct.all_simples())
+    ds = rng.sample(simples, 30) + [struct.identity, struct.delta] if seeded else simples
+    rooms = _rooms(struct, max_len, rng, 60) if seeded else _rooms(struct, max_len)
+    book = struct.code_book()
+    code = book.code
+    for p, x in rooms:
+        coded = tuple(code[f] for f in x)
+        for d in ds:
+            q, fac = _left_divide(struct, d, p, x)
+            want = (q, fac[0] if fac else struct.identity)
+            assert _left_divide_head(struct, d, p, x) == want, (d, p, x)
+            assert _left_divide(book, code[d], p, coded) == (q, tuple(code[f] for f in fac))
+            assert _left_divide_head(book, code[d], p, coded) == (q, code[want[1]])
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
