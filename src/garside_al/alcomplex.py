@@ -146,25 +146,34 @@ class PreferredPath:
         return len(self.labels)
 
 
-def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
-    """The edge path spelled by the normal form of the translated target.
-
-    Step i sits at the vertex of v_rep * (x and Delta^i), where x is the
-    distinguished representative of (v_rep^-1 w_rep) Delta^Z; the i-th edge
-    label is the i-th normal form factor of x.
+def _path_vertices(v: ALVertex, x: GarsideElement, count: int) -> list:
+    """The first count vertices of the path from v spelled by the normal
+    form factors of x: entry i is the vertex of v_rep * x_1 ... x_i.
 
     The running product v_rep * x_1 ... x_i is kept as L * Delta^e, one
     cascade per step (element._fold); L is that step's vertex.
     """
     st = v.structure
-    x = vertex_of(_coset_difference(v, w)).rep
     fac = list(v.rep.factors)
     e = 0
     vertices = [v]
-    for f in x.factors:
+    for f in x.factors[:count - 1]:
         e = _fold(st, fac, e, (f,))
         vertices.append(ALVertex(GarsideElement(st, 0, tuple(fac))))
-    return PreferredPath(tuple(vertices), x.factors)
+    return vertices
+
+
+def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
+    """The edge path spelled by the normal form of the translated target.
+
+    Step i sits at the vertex of v_rep * (x and Delta^i), where x is the
+    distinguished representative of (v_rep^-1 w_rep) Delta^Z; the i-th edge
+    label is the i-th normal form factor of x.  The vertices are those of
+    the running product, _path_vertices, which the thinness report's
+    corner walks read too.
+    """
+    x = vertex_of(_coset_difference(v, w)).rep
+    return PreferredPath(tuple(_path_vertices(v, x, len(x.factors) + 1)), x.factors)
 
 
 def gcd_vertex(v: ALVertex, w: ALVertex) -> ALVertex:
@@ -356,8 +365,11 @@ class SegmentWitness:
 
 def _checked_connector(mid: GarsideElement, target: GarsideElement,
                        context: str) -> GarsideElement:
-    y = multiply(invert(mid), target)
-    if not y.is_identity and not absorbs(mid, y):
+    """mid^-1 target, verified absorbable by mid unless it is the identity."""
+    if mid == target:
+        return identity_element(mid.structure)
+    y = multiply(invert(mid), target)  # not the identity, as mid != target
+    if not absorbs(mid, y):
         raise WitnessError(f"{context}: connector failed absorption check")
     return y
 
@@ -370,11 +382,12 @@ def _gcd_walk(x: GarsideElement, y: GarsideElement, context: str) -> list:
     Delta^i, y_i = y and Delta^i, and m cx = x_i, m cy = y_i.  Each
     connector that is not the identity is verified absorbable by m; a
     failure is a fatal invariant breach.  d left-divides x and y, so the
-    walk never runs past either of them.
+    walk never runs past either of them.  Step 0 is the identity step.
     """
     d = left_gcd(x, y)
-    steps = []
-    for i in range(d.sup + 1):
+    one = identity_element(d.structure)
+    steps = [(one, one, one, one, one)]
+    for i in range(1, d.sup + 1):
         m, xi, yi = delta_prefix(d, i), delta_prefix(x, i), delta_prefix(y, i)
         steps.append((m, xi, yi,
                       _checked_connector(m, xi, f"{context} step {i} toward x"),
@@ -437,18 +450,23 @@ class ThinnessReport:
         return [e.line() for e in self.entries]
 
 
-def _corner_cover(corner: ALVertex, b: ALVertex, c: ALVertex, context: str) -> list:
+def _corner_cover(corner: ALVertex, x: GarsideElement, y: GarsideElement,
+                  context: str) -> list:
     """The gcd-path walk at one triangle corner, serving both edges there.
 
-    Step i is (p, q, yp, yq): p is step i of the preferred edge toward b, q
-    is step i of the edge toward c, and p and q each lie within distance 1
-    of step i of the gcd path, through the verified connectors yp and yq.
-    The edge toward c reads the same steps with the two sides swapped.
+    x and y are the inf-0 representatives of the coset differences from
+    the corner to the two far ends.  Step i is (p, q, yp, yq): p is step i
+    of the preferred edge toward the end of x, q is step i of the edge
+    toward the end of y, and p and q each lie within distance 1 of step i
+    of the gcd path, through the verified connectors yp and yq.  p and q
+    are read off the running products of the two edges, _path_vertices.
+    The edge toward y's end reads the same steps with the two sides
+    swapped.
     """
-    x = vertex_of(_coset_difference(corner, b)).rep
-    y = vertex_of(_coset_difference(corner, c)).rep
-    return [(vertex_of(multiply(corner.rep, xi)), vertex_of(multiply(corner.rep, yi)),
-             cx, cy) for _, xi, yi, cx, cy in _gcd_walk(x, y, context)]
+    walk = _gcd_walk(x, y, context)
+    ps = _path_vertices(corner, x, len(walk))
+    qs = _path_vertices(corner, y, len(walk))
+    return [(p, q, cx, cy) for p, q, (_, _, _, cx, cy) in zip(ps, qs, walk)]
 
 
 def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessReport:
@@ -461,27 +479,40 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
     failed connector raises WitnessError: both would contradict the overlap
     bound that makes the triangle thin.
 
+    Each side takes one coset difference z; the reverse side's difference
+    is invert(z), the same element, with no cascade.  The walks and the
+    three paths take their vertices from the paths' running products
+    (_path_vertices), and every walk vertex is still compared with the
+    path's vertex at its position.
+
     An entry's labels act on corner.rep * (x ^ Delta^i), which is
     start.rep * Delta^j for some j >= 0.  As Delta^j y = tau^-j(y) Delta^j,
     from start.rep each label is first twisted by tau^-j (try each j below
     the tau period).
     """
     corners = {"u": u, "v": v, "w": w}
+    sides = (("u", "v"), ("v", "w"), ("u", "w"))
+    xs = {}      # (from, to) -> inf-0 representative of the coset difference
+    for a, b in sides:
+        z = _coset_difference(corners[a], corners[b])
+        xs[a, b] = vertex_of(z).rep
+        xs[b, a] = vertex_of(invert(z)).rep
     steps = {}   # (corner, far end) -> the corner's walk, oriented toward the far end
     for a, b, c in (("u", "v", "w"), ("v", "w", "u"), ("w", "u", "v")):
-        walk = _corner_cover(corners[a], corners[b], corners[c], f"corner {a}")
+        walk = _corner_cover(corners[a], xs[a, b], xs[a, c], f"corner {a}")
         steps[a, b] = walk
         steps[a, c] = [(q, p, yq, yp) for p, q, yp, yq in walk]
     all_entries = []
-    for a, b in (("u", "v"), ("v", "w"), ("u", "w")):
+    for a, b in sides:
         edge_name = a + b
-        path = preferred_path(corners[a], corners[b])
-        k = len(path)
+        x = xs[a, b]
+        k = len(x.factors)
+        path = _path_vertices(corners[a], x, k + 1)
         merged = {}
         for corner, far in ((a, b), (b, a)):
             for i, (p, q, yp, yq) in enumerate(steps[corner, far]):
                 pos = i if corner == a else k - i
-                if p != path.vertices[pos]:
+                if p != path[pos]:
                     raise WitnessError(f"{edge_name}: step {i} from corner "
                                        f"{corner} disagrees with the path")
                 labels = () if p == q else tuple(

@@ -44,7 +44,7 @@ for N^-1 = delta^-m x_1 ... x_min(m,r) and D = x_(m+1) ... x_r, with N
 and D positive and N ^ D = 1.  The left gcd of a and b is a N^-1 for the
 fraction a^-1 b = N^-1 D, whose cofactors are N and D.  N^-1 is a prefix
 of the fraction's normal form, so the gcd costs one inversion and two
-products, linear in |a| + |b|, and its cofactor N one more inversion.
+products, linear in |a| + |b|, and never inverts N^-1 back to N.
 
 The right side has no algorithm of its own: _rev applies the structure's
 word reversal rev, an anti-automorphism that swaps right and left
@@ -241,8 +241,11 @@ def stats(a: GarsideElement) -> Stats:
 
 
 def tau_element(a: GarsideElement, k: int = 1) -> GarsideElement:
+    """tau^k(a); tau has period at most 2, so only odd k twists the factors."""
     st = a.structure
-    return GarsideElement(st, a.power, tuple(st.tau_pow(f, k) for f in a.factors))
+    if k % st.tau_period == 0:
+        return a
+    return GarsideElement(st, a.power, tuple([st._tau[f] for f in a.factors]))
 
 
 def complement(a: GarsideElement) -> GarsideElement:
@@ -379,17 +382,11 @@ def _left_divide_head(t, d, p: int, fac: tuple) -> tuple:
 
 
 def left_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """The greatest common left divisor of a and b."""
-    return _left_gcd_cofactors(a, b)[0]
-
-
-def _left_gcd_cofactors(a: GarsideElement, b: GarsideElement) -> tuple:
-    """(d, d^-1 a, d^-1 b) for d the left gcd of a and b.
+    """The greatest common left divisor of a and b.
 
     The reduced fraction a^-1 b = N^-1 D has N ^ D = 1, so d = a N^-1
     has a = d N and b = d D with coprime cofactors: d is the gcd."""
-    n_inv, d = _reduced_fraction(multiply(invert(a), b))
-    return multiply(a, n_inv), invert(n_inv), d
+    return multiply(a, _reduced_fraction(multiply(invert(a), b))[0])
 
 
 def _reduced_fraction(z: GarsideElement) -> tuple:

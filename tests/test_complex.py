@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st_
 
 from garside_al import (
     SearchBudgetExceeded,
+    abelian_structure,
     act,
     adjacent_path_diameter_check,
     are_adjacent,
@@ -28,6 +29,7 @@ from garside_al import (
     invert,
     is_absorbable,
     left_gcd,
+    make_element,
     simple_element,
     multiply,
     overlap_length,
@@ -846,6 +848,44 @@ class TestThinTriangles:
         assert calls == {"left_gcd": 3, "_gcd_walk": 3}
         initial_segment_witnesses(v, w)
         assert calls == {"left_gcd": 4, "_gcd_walk": 4}
+
+    def test_one_coset_difference_per_side(self, monkeypatch):
+        # each reverse side is the inverse of its forward difference
+        calls = []
+        inner = alcomplex._coset_difference
+
+        def counting(v, w):
+            calls.append((v, w))
+            return inner(v, w)
+
+        monkeypatch.setattr(alcomplex, "_coset_difference", counting)
+        u = vertex_of(parse_word(B4, "s1 s2 s3 s1"))
+        v = vertex_of(parse_word(B4, "s1 s2 s2 s3 s3 s2"))
+        w = vertex_of(parse_word(B4, "s3 s2 s1 s1 s2"))
+        assert triangle_thinness_report(u, v, w).max_gap <= 2
+        assert calls == [(u, v), (v, w), (u, w)]
+
+    def test_reports_on_seeded_triangles_are_pinned(self):
+        # 60 triangles per structure: every fourth repeats a corner (in
+        # turn u = v, v = w, w = u and all three), every fifth has the
+        # identity vertex as its first corner
+        rows = []
+        for st in (B3, B4, braid_structure(5), abelian_structure(3)):
+            rng = random.Random(f"thin/{st.structure_id}")
+            simples = list(st.nontrivial_simples())
+            for t in range(60):
+                u, v, w = (vertex_of(make_element(
+                    st, 0, [rng.choice(simples) for _ in range(rng.randint(1, 6))]))
+                    for _ in range(3))
+                if t % 5 == 0:
+                    u = identity_vertex(st)
+                if t % 4 == 1:
+                    u, v, w = ((u, u, w), (u, v, v), (u, v, u), (u, u, u))[t // 4 % 4]
+                rep = triangle_thinness_report(u, v, w)
+                rows.append(f"{st.structure_id} {t} max_gap={rep.max_gap}")
+                rows.extend(rep.lines())
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == \
+            "2a4d89964b494fc09d8e3e31913e92828c9e9572b2bd8bf6f3840f7d51f043a5"
 
 
 class TestAdjacentPathDiameter:

@@ -43,7 +43,7 @@ from garside_al.element import (
     GarsideElement,
     _left_divide,
     _left_divide_head,
-    _left_gcd_cofactors,
+    _reduced_fraction,
 )
 from oracles import (
     _tau as oracle_tau,
@@ -693,7 +693,9 @@ def test_left_gcd_cofactors_match_atom_extension(struct):
             b = multiply(shared, element(rng.randint(-2, 2), rng.randint(0, 4)))
         if rng.random() < 0.5:
             a, b = b, a
-        d, u, v = _left_gcd_cofactors(a, b)
+        d = left_gcd(a, b)
+        n_inv, v = _reduced_fraction(multiply(invert(a), b))
+        u = invert(n_inv)
         assert d == atom_extension_gcd(a, b, "left"), (a, b)
         assert u == multiply(invert(d), a) and v == multiply(invert(d), b), (a, b)
 
