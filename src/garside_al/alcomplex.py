@@ -45,7 +45,6 @@ from .element import (
     _reduced_fraction,
     complement,
     delta_power,
-    delta_prefix,
     identity_element,
     invert,
     left_gcd,
@@ -169,8 +168,8 @@ def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
     Step i sits at the vertex of v_rep * (x and Delta^i), where x is the
     distinguished representative of (v_rep^-1 w_rep) Delta^Z; the i-th edge
     label is the i-th normal form factor of x.  The vertices are those of
-    the running product, _path_vertices, which the thinness report's
-    corner walks read too.
+    the running product, _path_vertices, with which the thinness report
+    folds its six directed paths.
     """
     x = vertex_of(_coset_difference(v, w)).rep
     return PreferredPath(tuple(_path_vertices(v, x, len(x.factors) + 1)), x.factors)
@@ -377,33 +376,37 @@ def _checked_connector(mid: GarsideElement, target: GarsideElement,
 def _gcd_walk(x: GarsideElement, y: GarsideElement, context: str) -> list:
     """The gcd path from the identity toward inf-0 representatives x and y.
 
-    With d = gcd(x, y), step i = 0..sup(d) is (m, x_i, y_i, cx, cy), where
-    m = d and Delta^i is the i-th vertex of the gcd path, x_i = x and
-    Delta^i, y_i = y and Delta^i, and m cx = x_i, m cy = y_i.  Each
+    With d = gcd(x, y), step i = 0..sup(d) is (m, cx, cy), where
+    m = d and Delta^i is the i-th vertex of the gcd path and m cx = x and
+    Delta^i, m cy = y and Delta^i.  d, x and y have inf 0, so each of the
+    three prefixes is the first i factors of its normal form.  Each
     connector that is not the identity is verified absorbable by m; a
     failure is a fatal invariant breach.  d left-divides x and y, so the
     walk never runs past either of them.  Step 0 is the identity step.
     """
     d = left_gcd(x, y)
-    one = identity_element(d.structure)
-    steps = [(one, one, one, one, one)]
-    for i in range(1, d.sup + 1):
-        m, xi, yi = delta_prefix(d, i), delta_prefix(x, i), delta_prefix(y, i)
-        steps.append((m, xi, yi,
-                      _checked_connector(m, xi, f"{context} step {i} toward x"),
-                      _checked_connector(m, yi, f"{context} step {i} toward y")))
+    st = d.structure
+    steps = []
+    for i in range(d.sup + 1):
+        m = GarsideElement(st, 0, d.factors[:i])
+        steps.append((m,
+                      _checked_connector(m, GarsideElement(st, 0, x.factors[:i]),
+                                         f"{context} step {i} toward x"),
+                      _checked_connector(m, GarsideElement(st, 0, y.factors[:i]),
+                                         f"{context} step {i} toward y")))
     return steps
 
 
 def initial_segment_witnesses(v: ALVertex, w: ALVertex) -> tuple:
     """For d = gcd of the representatives and each i = 1..sup(d), the
     positive connector from the i-th step of the gcd path to the i-th step
-    of the path toward v, verified absorbable by that step.  A verification
-    failure is a fatal invariant breach, not a report entry.
+    of the path toward v, verified absorbable by that step: the m and cx
+    of _gcd_walk's step i.  A verification failure is a fatal invariant
+    breach, not a report entry.
     """
     steps = _gcd_walk(v.rep, w.rep, "initial segment witness")
     return tuple(SegmentWitness(i, cx, m)
-                 for i, (m, _, _, cx, _) in enumerate(steps) if i)
+                 for i, (m, cx, _) in enumerate(steps) if i)
 
 
 def overlap_length(v: ALVertex, w: ALVertex) -> int:
@@ -411,7 +414,7 @@ def overlap_length(v: ALVertex, w: ALVertex) -> int:
     complement of a times tau^r(b), where v_rep = da, w_rep = db,
     d = gcd, r = sup(a).  Always at least r."""
     # v_rep^-1 w_rep = a^-1 b reduced
-    a_inv, b = _reduced_fraction(multiply(invert(v.rep), w.rep))
+    a_inv, b = _reduced_fraction(_coset_difference(v, w))
     a = invert(a_inv)
     r = a.sup
     return left_gcd(complement(v.rep), multiply(complement(a), tau_element(b, r))).sup
@@ -450,25 +453,6 @@ class ThinnessReport:
         return [e.line() for e in self.entries]
 
 
-def _corner_cover(corner: ALVertex, x: GarsideElement, y: GarsideElement,
-                  context: str) -> list:
-    """The gcd-path walk at one triangle corner, serving both edges there.
-
-    x and y are the inf-0 representatives of the coset differences from
-    the corner to the two far ends.  Step i is (p, q, yp, yq): p is step i
-    of the preferred edge toward the end of x, q is step i of the edge
-    toward the end of y, and p and q each lie within distance 1 of step i
-    of the gcd path, through the verified connectors yp and yq.  p and q
-    are read off the running products of the two edges, _path_vertices.
-    The edge toward y's end reads the same steps with the two sides
-    swapped.
-    """
-    walk = _gcd_walk(x, y, context)
-    ps = _path_vertices(corner, x, len(walk))
-    qs = _path_vertices(corner, y, len(walk))
-    return [(p, q, cx, cy) for p, q, (_, _, _, cx, cy) in zip(ps, qs, walk)]
-
-
 def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessReport:
     """Constructive 2-thinness evidence for the preferred-path triangle.
 
@@ -480,10 +464,13 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
     bound that makes the triangle thin.
 
     Each side takes one coset difference z; the reverse side's difference
-    is invert(z), the same element, with no cascade.  The walks and the
-    three paths take their vertices from the paths' running products
-    (_path_vertices), and every walk vertex is still compared with the
-    path's vertex at its position.
+    is invert(z), the same element, with no cascade.  Each of the six
+    directed paths is folded once (_path_vertices): a side in full from
+    its first corner, and from its second corner only as far as that
+    corner's walk reaches.  A walk's step i stands at vertex i of the two
+    directed paths leaving its corner.  Every vertex of a second-corner
+    path is compared with the full path's vertex at its position: read
+    from the far corner, the path must be the reverse of the near one.
 
     An entry's labels act on corner.rep * (x ^ Delta^i), which is
     start.rep * Delta^j for some j >= 0.  As Delta^j y = tau^-j(y) Delta^j,
@@ -491,35 +478,40 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
     the tau period).
     """
     corners = {"u": u, "v": v, "w": w}
-    sides = (("u", "v"), ("v", "w"), ("u", "w"))
+    sides = (("u", "v", "w"), ("v", "w", "u"), ("u", "w", "v"))  # (a, b, third)
     xs = {}      # (from, to) -> inf-0 representative of the coset difference
-    for a, b in sides:
+    for a, b, _ in sides:
         z = _coset_difference(corners[a], corners[b])
         xs[a, b] = vertex_of(z).rep
         xs[b, a] = vertex_of(invert(z)).rep
-    steps = {}   # (corner, far end) -> the corner's walk, oriented toward the far end
+    conns = {}   # (corner, far end) -> the corner's walk connectors toward that end
     for a, b, c in (("u", "v", "w"), ("v", "w", "u"), ("w", "u", "v")):
-        walk = _corner_cover(corners[a], xs[a, b], xs[a, c], f"corner {a}")
-        steps[a, b] = walk
-        steps[a, c] = [(q, p, yq, yp) for p, q, yp, yq in walk]
+        walk = _gcd_walk(xs[a, b], xs[a, c], f"corner {a}")
+        conns[a, b] = [cx for _, cx, _ in walk]
+        conns[a, c] = [cy for _, _, cy in walk]
+    paths = {}   # (from, to) -> the directed path's vertices, as far as needed
+    for a, b, _ in sides:
+        paths[a, b] = _path_vertices(corners[a], xs[a, b], len(xs[a, b].factors) + 1)
+        paths[b, a] = _path_vertices(corners[b], xs[b, a], len(conns[b, a]))
     all_entries = []
-    for a, b in sides:
+    for a, b, c in sides:
         edge_name = a + b
-        x = xs[a, b]
-        k = len(x.factors)
-        path = _path_vertices(corners[a], x, k + 1)
+        path = paths[a, b]
+        k = len(path) - 1
         merged = {}
         for corner, far in ((a, b), (b, a)):
-            for i, (p, q, yp, yq) in enumerate(steps[corner, far]):
+            for i, (p, q, yp, yq) in enumerate(zip(
+                    paths[corner, far], paths[corner, c],
+                    conns[corner, far], conns[corner, c])):
                 pos = i if corner == a else k - i
-                if p != path[pos]:
+                if corner == b and p != path[pos]:
                     raise WitnessError(f"{edge_name}: step {i} from corner "
                                        f"{corner} disagrees with the path")
                 labels = () if p == q else tuple(
                     (sign, y) for sign, y in ((-1, yp), (1, yq)) if not y.is_identity)
                 # the corner-a entry stands on the overlap
                 merged.setdefault(pos, ThinnessEntry(edge_name, pos, p, q, labels))
-        reach_a, reach_b = len(steps[a, b]) - 1, len(steps[b, a]) - 1
+        reach_a, reach_b = len(conns[a, b]) - 1, len(conns[b, a]) - 1
         if reach_a + reach_b < k:
             raise WitnessError(
                 f"edge {edge_name}: corner segments cover {reach_a}+{reach_b} < {k} steps")

@@ -760,6 +760,12 @@ class TestSegmentWitnesses:
             assert overlap_length(v, w) >= r
 
 
+    def test_overlap_refuses_mixed_structures(self):
+        with pytest.raises(ValueError, match="different structures"):
+            overlap_length(vertex_of(parse_word(B3, "s1 s2")),
+                           vertex_of(parse_word(B4, "s1 s3")))
+
+
 class TestThinTriangles:
     def triangle(self):
         return (identity_vertex(B3),
@@ -848,6 +854,57 @@ class TestThinTriangles:
         assert calls == {"left_gcd": 3, "_gcd_walk": 3}
         initial_segment_witnesses(v, w)
         assert calls == {"left_gcd": 4, "_gcd_walk": 4}
+
+    def test_each_directed_path_is_folded_once(self, monkeypatch):
+        # each side in full from its first corner, and from its second
+        # corner only as far as that corner's gcd walk reaches
+        calls = []
+        inner = alcomplex._path_vertices
+
+        def counting(v, x, count):
+            calls.append((v, x, count))
+            return inner(v, x, count)
+
+        monkeypatch.setattr(alcomplex, "_path_vertices", counting)
+        u = vertex_of(parse_word(B4, "s1 s2 s3 s1"))
+        v = vertex_of(parse_word(B4, "s1 s2 s2 s3 s3 s2"))
+        w = vertex_of(parse_word(B4, "s3 s2 s1 s1 s2"))
+        assert triangle_thinness_report(u, v, w).max_gap <= 2
+
+        def x(a, b):
+            return vertex_of(multiply(invert(a.rep), b.rep)).rep
+
+        def walk_length(a, b, c):
+            return left_gcd(x(a, b), x(a, c)).sup + 1
+
+        expected = [(a, x(a, b), len(x(a, b).factors) + 1)
+                    for a, b in ((u, v), (v, w), (u, w))]
+        expected += [(v, x(v, u), walk_length(v, w, u)),
+                     (w, x(w, v), walk_length(w, u, v)),
+                     (w, x(w, u), walk_length(w, u, v))]
+        assert len(calls) == 6
+        assert sorted(calls, key=repr) == sorted(expected, key=repr)
+        # the reverse directions stop short of the far corner here
+        assert any(count < len(rep.factors) + 1 for _, rep, count in expected[3:])
+
+    def test_failed_connector_is_fatal(self, monkeypatch):
+        monkeypatch.setattr(alcomplex, "absorbs", lambda mid, y: False)
+        u, v, w = self.triangle()
+        with pytest.raises(alcomplex.WitnessError,
+                           match="^corner u step 1 toward y: connector failed "
+                                 "absorption check$"):
+            triangle_thinness_report(u, v, w)
+        with pytest.raises(alcomplex.WitnessError,
+                           match="^initial segment witness step 1 toward y: "
+                                 "connector failed absorption check$"):
+            initial_segment_witnesses(v, w)
+
+    def test_incomplete_coverage_is_fatal(self, monkeypatch):
+        monkeypatch.setattr(alcomplex, "left_gcd",
+                            lambda a, b: alcomplex.identity_element(a.structure))
+        with pytest.raises(alcomplex.WitnessError,
+                           match="^edge uv: corner segments cover 0\\+0 < 2 steps$"):
+            triangle_thinness_report(*self.triangle())
 
     def test_one_coset_difference_per_side(self, monkeypatch):
         # each reverse side is the inverse of its forward difference
