@@ -1,14 +1,15 @@
 """Free abelian group Z^n with the coordinatewise Garside structure.
 
 Simples are 0/1 vectors, the top element is (1,...,1), and the lattice is the
-boolean lattice under coordinatewise min.  The structure supplies the six
-primitives: the slide (u = min(1 - c, f) moves from f into c), the left
-quotient (coordinatewise difference), the inversion mask (the support,
-one bit per coordinate), the reversal rev, and the enumeration and
-validation of vectors; the base class derives everything else, the
-meets, divisibility, the right complement (1 - s) and the starting and
-finishing sets included.  Everything commutes, so rev and tau are the
-identity and left/right notions coincide.  Degenerate on purpose: a
+boolean lattice under coordinatewise min.  The structure supplies its id,
+n, the atoms, the identity, delta and six primitives: the slide (u =
+min(1 - c, f) moves from f into c), the left quotient (coordinatewise
+difference), the inversion mask (the support, one bit per coordinate),
+the reversal rev, and the enumeration and validation of vectors; the base
+class derives everything else, the rank, the meets, divisibility, the
+right complement (1 - s) and the starting and finishing sets included.
+Everything commutes, so rev and tau are the identity, a twist by tau
+changes no simple, and left/right notions coincide.  Degenerate on purpose: a
 regression fixture for code paths that braids cannot reach
 (commutativity, trivial tau).
 """
@@ -28,11 +29,9 @@ class AbelianStructure(GarsideStructure):
         if n < 1:
             raise ValueError(f"need at least 1 coordinate, got {n}")
         self.n = n
-        self.rank = n
         self.structure_id = f"free-abelian:{n}"
         self.identity = (0,) * n
         self.delta = (1,) * n
-        self.tau_period = 1
         self.atoms = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
         super().__init__()
 
@@ -41,10 +40,7 @@ class AbelianStructure(GarsideStructure):
         u = tuple(min(1 - a, b) for a, b in zip(c, f))
         if not any(u):
             return None
-        # tau is the identity, so tau[x] is x as the tau table's own object
-        tau = self._tau
-        return (tau[tuple(a + b for a, b in zip(c, u))],
-                tau[tuple(b - a for a, b in zip(u, f))])
+        return tuple(a + b for a, b in zip(c, u)), tuple(b - a for a, b in zip(u, f))
 
     def _left_quotient_raw(self, u: Vec, t: Vec) -> Vec:
         r = tuple(b - a for a, b in zip(u, t))

@@ -277,9 +277,9 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     if y.is_identity:
         return None
     if y.inf == 0:
-        target = y
+        target, inverse = y, invert(y)
     elif y.sup == 0:
-        target = invert(y)
+        target, inverse = invert(y), y
     else:
         return None
     if st._candidates is None:
@@ -287,8 +287,8 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     cands = st._candidates
     code = cands.book.code
     counter = _NodeCounter(budget)
-    # delta^k target^-1 is invert(target) without its delta^-k
-    room = _rev(GarsideElement(st, 0, invert(target).factors))
+    # delta^k target^-1 is target^-1 without its delta^-k
+    room = _rev(GarsideElement(st, 0, inverse.factors))
     got = _dfs(cands, code[target.factors[0]], room.power,
                tuple(code[f] for f in room.factors), 0, 0, target.canonical_length, counter)
     if got is None:
@@ -296,7 +296,7 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     simples = cands.book.simples
     x = GarsideElement(st, 0, tuple(simples[c] for c in got))
     if target is not y:
-        x = multiply(x, invert(y))
+        x = multiply(x, target)
     if not absorbs(x, y):
         raise AssertionError("internal error: absorber failed verification")
     return AbsorbabilityCertificate(y=y, x=x,

@@ -81,7 +81,7 @@ class ALVertex:
 def vertex_of(g: GarsideElement) -> ALVertex:
     """The vertex of the coset g<Delta>: delta^p F delta^-p = tau^-p(F), tau(F) at odd p."""
     st, p = g.structure, g.power
-    if p % st.tau_period == 0:
+    if not p & 1:
         return ALVertex(g if p == 0 else GarsideElement(st, 0, g.factors))
     return ALVertex(GarsideElement(st, 0, tuple([st._tau[f] for f in g.factors])))
 
@@ -241,8 +241,8 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     by m is the vertex of v_rep * u * tau^i(m), as Delta^-i m =
     tau^i(m) Delta^-i.  Expanding u by the moves twisted by tau^i
     therefore meets X's neighbours in X's order.  i costs one cascade of
-    v_rep by u per expanded vertex, none for the identity; tau has period
-    at most 2, so odd i takes the tau-twisted copy of the moves that
+    v_rep by u per expanded vertex, none for the identity; tau is an
+    involution, so odd i takes the tau-twisted copy of the moves that
     _vertex_moves keeps beside them, which is the same set in another
     order.
 
@@ -289,7 +289,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
             by = moves
             if u:
                 fac = list(base)
-                if _fold(book, fac, 0, u) % book.tau_period:
+                if _fold(book, fac, 0, u) & 1:
                     by = twisted
             for m in by:
                 expansions += 1
@@ -343,7 +343,7 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     if moves is None:
         gens = _generators(st, gen_len, budget, cache_path)
         book = st.code_book()
-        code, tau = book.code, book.tau_inv
+        code, tau = book.code, book._tau
         moves = tuple(dict.fromkeys(
             tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens))
         st._twisted_moves[gen_len] = tuple(tuple([tau[f] for f in m]) for m in moves)
@@ -474,8 +474,8 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
 
     An entry's labels act on corner.rep * (x ^ Delta^i), which is
     start.rep * Delta^j for some j >= 0.  As Delta^j y = tau^-j(y) Delta^j,
-    from start.rep each label is first twisted by tau^-j (try each j below
-    the tau period).
+    from start.rep each label is first twisted by tau^-j, that is by tau
+    for odd j (try j in (0, 1)).
     """
     corners = {"u": u, "v": v, "w": w}
     sides = (("u", "v", "w"), ("v", "w", "u"), ("u", "w", "v"))  # (a, b, third)

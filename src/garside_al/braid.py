@@ -5,10 +5,11 @@ position of the strand entering at position i, and composition reads left to
 right ((s*t)(i) = t(s(i))).  The atom s_i is the transposition of i, i+1; the
 top element is the half twist (the order-reversing permutation).
 
-The structure supplies the six primitives GarsideStructure asks for: the
-slide, the left quotient u^-1 t, the inversion mask (bit k set when the
-k-th position pair is inverted), the reversal rev, and the enumeration
-and validation of permutations.  Left divisibility is containment of
+The structure supplies what GarsideStructure asks for: its id, n, the
+atoms, the identity, delta and six primitives, namely the slide, the
+left quotient u^-1 t, the inversion mask (bit k set when the k-th
+position pair is inverted), the reversal rev, and the enumeration and
+validation of permutations.  Left divisibility is containment of
 inversion sets (the weak order), so the base class tests it, and whether
 a product is simple, on masks without a meet; the starting set, the
 atoms whose one pair s inverts, is the descents of s.  Reading a positive
@@ -58,11 +59,9 @@ class BraidStructure(GarsideStructure):
         if n < 2:
             raise ValueError(f"need at least 2 strands, got {n}")
         self.n = n
-        self.rank = n - 1
         self.structure_id = f"braid-classical:{n}"
         self.identity = tuple(range(1, n + 1))
         self.delta = tuple(range(n, 0, -1))
-        self.tau_period = 2
         atoms = []
         for i in range(1, n):
             a = list(range(1, n + 1))
@@ -110,15 +109,11 @@ class BraidStructure(GarsideStructure):
                     i -= 1
             else:
                 i += 1
-        # c u = delta (u^-1 ∂c)^-1, and delta y is y read backwards; both
-        # outputs are read back through the tau table, an involution, as
-        # its own objects
-        tau = self._tau
-        return tau[tau[perm_inverse(d)[::-1]]], tau[tau[tuple(f)]]
+        # c u = delta (u^-1 ∂c)^-1, and delta y is y read backwards
+        return perm_inverse(d)[::-1], tuple(f)
 
     def _left_quotient_raw(self, u: Perm, t: Perm) -> Perm:
-        ui = self.inverse(u)
-        return tuple(t[v - 1] for v in ui)
+        return tuple(t[v - 1] for v in perm_inverse(u))
 
     def _inversion_mask_raw(self, s: Perm) -> int:
         # bit k stands for the k-th position pair (i, j), i < j, in

@@ -29,8 +29,8 @@ answer depends on what they hold.
 A running product of the right cascade is therefore a list L times a power
 Delta^e on the right: _fold appends each later simple s as tau^-e(s), and
 _finish twists the finished list once, L Delta^e = Delta^e tau^e(L), only
-when e is not a multiple of the tau period.  L itself is the inf-0
-representative of the product's coset g<Delta>.
+for odd e, as tau is an involution.  L itself is the inf-0 representative
+of the product's coset g<Delta>.
 
 There is one cascade each way.  _fold and _left_divide read their tables
 by subscript from whatever they are given: a structure, on simple values,
@@ -130,17 +130,17 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
     cascade; returns the new e, and the product is fac * delta^e.
 
     t is a structure, whose list entries are simples, or its code book,
-    whose entries are codes: the cascade reads only t.rows, t.tau_inv,
-    t.identity, t.delta and t.tau_period, and looks the tables up by
-    subscript.  Each simple enters as tau^-e(s), since delta^e s =
-    tau^-e(s) delta^e, is appended and slid right to left until a pair is
-    left-weighted; an identity rest is deleted, and a carry that fills up
-    to delta leaves through the back, twisting by tau^-1 only the suffix
-    the cascade walked (x_1 ... delta y = x_1 ... tau^-1(y) delta)."""
-    rows, tau_inv, ident, delta, period = t.rows, t.tau_inv, t.identity, t.delta, t.tau_period
+    whose entries are codes: the cascade reads only t.rows, t._tau,
+    t.identity and t.delta, and looks the tables up by subscript.  Each
+    simple enters as tau^-e(s), since delta^e s = tau^-e(s) delta^e, is
+    appended and slid right to left until a pair is left-weighted; an
+    identity rest is deleted, and a carry that fills up to delta leaves
+    through the back, twisting by tau^-1 = tau only the suffix the
+    cascade walked (x_1 ... delta y = x_1 ... tau^-1(y) delta)."""
+    rows, tau, ident, delta = t.rows, t._tau, t.identity, t.delta
     for s in simples:
-        if e % period:
-            s = tau_inv[s]
+        if e & 1:
+            s = tau[s]
         if s == ident:
             continue
         if s == delta:
@@ -158,7 +158,7 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
             else:
                 fac[j] = rest
             if c == delta:
-                fac[j - 1:] = [tau_inv[y] for y in fac[j:]]
+                fac[j - 1:] = [tau[y] for y in fac[j:]]
                 e += 1
                 break
             fac[j - 1] = s = c
@@ -168,7 +168,7 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
 
 def _finish(st: GarsideStructure, p: int, fac: list, e: int) -> GarsideElement:
     """The element delta^p * fac * delta^e = delta^(p+e) tau^e(fac)."""
-    if e % st.tau_period:  # tau^e is tau, its own inverse
+    if e & 1:  # tau^e is tau, its own inverse
         fac = [st._tau[f] for f in fac]
     return GarsideElement(st, p + e, tuple(fac))
 
@@ -241,9 +241,9 @@ def stats(a: GarsideElement) -> Stats:
 
 
 def tau_element(a: GarsideElement, k: int = 1) -> GarsideElement:
-    """tau^k(a); tau has period at most 2, so only odd k twists the factors."""
+    """tau^k(a); tau is an involution, so only odd k twists the factors."""
     st = a.structure
-    if k % st.tau_period == 0:
+    if not k & 1:
         return a
     return GarsideElement(st, a.power, tuple([st._tau[f] for f in a.factors]))
 
@@ -259,8 +259,7 @@ def _complement_factors(st: GarsideStructure, factors: tuple, k: int) -> tuple:
     """tau^k of the normal form of the right complement of x_1 ... x_r, which
     lists tau^(r-i) of the right complement of x_i, for i = r down to 1, and
     is already normal.  Entry j, counted from 0, is tau^(k+j) of its
-    complement, that is tau of it for odd k + j, as tau has period at most
-    2; where the period is 1, tau changes no value."""
+    complement, that is tau of it for odd k + j, as tau is an involution."""
     dc, tau = st._right_complement, st._tau
     out = [dc[x] for x in reversed(factors)]
     out[1 - k % 2::2] = [tau[y] for y in out[1 - k % 2::2]]
@@ -325,12 +324,12 @@ def _left_divide(t, d, p: int, fac: tuple) -> tuple:
     As c is tau of the right complement, tau^p(c) is tau^(p+1) of it.
 
     t is a structure, on simple values, or its code book, on codes, as
-    for _fold: the cascade reads t.rows, t._right_complement, t.tau_inv
-    (tau is its own inverse), t.identity, t.delta and t.tau_period."""
+    for _fold: the cascade reads t.rows, t._right_complement, t._tau,
+    t.identity and t.delta."""
     ident, delta, rows = t.identity, t.delta, t.rows
     c = t._right_complement[d]
-    if (p + 1) % t.tau_period:
-        c = t.tau_inv[c]
+    if (p + 1) & 1:
+        c = t._tau[c]
     # c = 1 gives back fac (its first slide returns (x_1, 1)), and c = delta
     # is left-weighted with any x_1, so it joins the power below
     head = []
@@ -359,8 +358,8 @@ def _left_divide_head(t, d, p: int, fac: tuple) -> tuple:
     d = 1) can be delta."""
     ident, delta, rows = t.identity, t.delta, t.rows
     c = t._right_complement[d]
-    if (p + 1) % t.tau_period:
-        c = t.tau_inv[c]
+    if (p + 1) & 1:
+        c = t._tau[c]
     p -= 1
     i = 0  # factors of fac consumed
     for f in fac:
@@ -407,8 +406,9 @@ def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
 
 
 def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
-    """left_gcd(a, delta^i) for positive a, read off the normal form."""
-    assert a.inf >= 0 and i >= 0
+    """left_gcd(a, delta^i) for positive a and i >= 0, read off the normal form."""
+    if a.inf < 0 or i < 0:
+        raise ValueError(f"delta_prefix needs inf(a) >= 0 and i >= 0, got {a.inf} and {i}")
     st = a.structure
     if i <= a.power:
         return delta_power(st, i)

@@ -7,8 +7,8 @@ automorphism induced by the top element.  Simples are opaque hashable values
 (tuples in both concrete structures shipped here); elements built from them
 live in element.py.
 
-A concrete structure supplies six primitives and overrides nothing: the
-slide, the left quotient u^-1 t, the inversion mask, the word reversal
+A concrete structure supplies its id, n, the atoms, the identity, delta
+and six primitives, and overrides nothing else: the slide, the left quotient u^-1 t, the inversion mask, the word reversal
 rev, and the enumeration and validation of simples (all_simples,
 is_simple_value).  The slide is the domino step on a pair (c, f): (c u,
 u^-1 f) for u = ∂c ^ f, or None when u is 1, that is when the pair is
@@ -26,7 +26,9 @@ the structure's own complement cannot be written:
   the atoms whose mask lies in that of s;
 - the right complement ∂s = s^-1 Δ is the left quotient of Δ by s;
 - τ = ∂², since ∂(∂s) = Δ^-1 s Δ, and the left complement Δ s^-1 is
-  ∂^-1 = τ^-1 ∘ ∂;
+  ∂^-1 = τ^-1 ∘ ∂.  τ is fixed by the atoms, and a structure with
+  τ(τ(a)) ≠ a for an atom a is refused, so a twist by τ^k reads the τ
+  table on odd k only;
 - s*t is simple iff t left-divides ∂s, and then s*t = ∂^-1(t^-1 ∂s);
 - the left meet s ^ t is the u of the slide of (c, t) for c the left
   complement of s, as ∂c = s, and u = c^-1 (c u);
@@ -47,13 +49,14 @@ _tau[_right_complement[s]] and the finishing set as
 _starting_set[_rev[s]], with no table of their own; both meets are
 computed on every call, from one slide each.  A public method of the
 same name, where one exists, reads each and stays on the class for code
-that wraps class attributes.  As the τ period is at most 2, tau_inv is
-the τ table.  absorb.py keeps its candidate sets in _candidates.
+that wraps class attributes.  absorb.py keeps its candidate sets in
+_candidates.
 
 The right cascade (element._fold) reads the slide rows, where rows[c][f]
-is the slide of (c, f), and tau_inv by subscript.  A row entry comes
-from the raw slide.  Both slide outputs and every left_meet are values
-of the τ table, so the rows share one object per distinct simple.
+is the slide of (c, f), and the τ table by subscript.  A row entry comes
+from _slide, which reads both outputs of the raw slide back through the
+τ table, as left_meet reads its meet, so the rows share one object per
+distinct simple.
 code_book() carries the same tables on integer codes, and the distance
 search and the absorber search share it; its rows are the transition
 table of Thurston's normal-form automaton (Epstein et al., Word
@@ -115,38 +118,37 @@ class GarsideStructure:
     # Subclasses must set these in __init__ before calling super().__init__().
     structure_id: str  # stable id, also used as cache key, e.g. "braid-classical:4"
     n: int             # structure size parameter (strand count / coordinate count)
-    rank: int          # number of atoms
     atoms: tuple       # atoms in their canonical order
     identity: Simple
     delta: Simple
-    tau_period: int    # order of tau on simples (2 for braids, 1 for free abelian)
 
     def __init__(self) -> None:
-        if self.tau_period > 2:
-            raise ValueError(f"tau period {self.tau_period} > 2, so tau^-1 is not tau")
+        self.rank = len(self.atoms)  # number of atoms
         self._inversion_mask = _Table(self._inversion_mask_raw)
         self._tau = _Table(self._tau_raw)
         self._right_complement = _Table(self._right_complement_raw)
         self._starting_set = _Table(self._starting_set_raw)
         self._rev = _Table(self._rev_raw)
         self._simple_word = _Table(self._simple_word_raw)
-        # the right cascade's tables (element._fold); tau^-1 is tau
-        self.rows = _rows(self._slide_raw)
-        self.tau_inv = self._tau
+        # the right cascade's slide rows (element._fold)
+        self.rows = _rows(self._slide)
         self._nontrivial: tuple | None = None
         # built on first use: alcomplex._vertex_moves, code_book, absorb._Candidates
         self._move_sets: dict = {}
         self._twisted_moves: dict = {}
         self._code_book: CodeBook | None = None
         self._candidates: Any = None
+        # tau is fixed by the atoms, so it is an involution iff it is one on them
+        tau = self._tau
+        if any(tau[tau[a]] != a for a in self.atoms):
+            raise ValueError(f"{self.structure_id}: tau is not an involution on the atoms")
 
     # -- primitives a concrete structure supplies ----------------------------
 
     def _slide_raw(self, c: Simple, f: Simple) -> tuple | None:
         """One domino step on the pair (c, f): (c*u, u^-1*f) with u the meet
         of the right complement of c and f, or None when u is 1, that is
-        when (c, f) is already left-weighted.  The product c*f is kept, and
-        both outputs are values of the tau table."""
+        when (c, f) is already left-weighted.  The product c*f is kept."""
         raise NotImplementedError
 
     def _left_quotient_raw(self, u: Simple, t: Simple) -> Simple:
@@ -171,6 +173,11 @@ class GarsideStructure:
         raise NotImplementedError
 
     # -- primitives derived from the mask, the left quotient and rev ---------
+
+    def _slide(self, c: Simple, f: Simple) -> tuple | None:
+        """The raw slide of (c, f), both outputs the tau table's own objects."""
+        step, tau = self._slide_raw(c, f), self._tau
+        return None if step is None else (tau[tau[step[0]]], tau[tau[step[1]]])
 
     def _right_complement_raw(self, s: Simple) -> Simple:
         """s^-1 * delta, the left quotient of delta by s."""
@@ -245,7 +252,7 @@ class GarsideStructure:
 
     def tau_pow(self, s: Simple, k: int) -> Simple:
         # tau is its own inverse, so tau^k is tau for odd k
-        return self._tau[s] if k % self.tau_period else s
+        return self._tau[s] if k & 1 else s
 
     def right_complement(self, s: Simple) -> Simple:
         return self._right_complement[s]
@@ -316,15 +323,15 @@ class GarsideStructure:
 class CodeBook:
     """The simples of one structure numbered 0 .. N-1, as
     (identity, *nontrivial_simples(), delta): the identity is code 0 and
-    delta is code N-1.  code maps a simple to its code; tau_inv, _rev and
+    delta is code N-1.  code maps a simple to its code; _tau, _rev and
     _right_complement list the code of each code's image, and rows[c][f]
     is the slide on codes: None when the pair is left-weighted, else the
     codes of the two outputs.
 
-    The book carries the names element._fold and element._left_divide
-    read (rows, tau_inv, _right_complement, identity, delta, tau_period),
-    so the distance search folds coded vertices through the one right
-    cascade, and the absorber divides coded rooms through the one left
+    The book carries the structure's names for the tables element._fold
+    and element._left_divide read (rows, _tau, _right_complement,
+    identity, delta), so the distance search folds coded vertices through
+    the one right cascade, and the absorber divides coded rooms through the one left
     cascade and keys its candidate sets by code (absorb._Candidates).
     Both searches share this one book.  An int hashes at once, while a
     permutation is hashed anew at every row and visited-set lookup: on
@@ -332,16 +339,16 @@ class CodeBook:
     loses about 6% of its throughput and its p95 latency rises by about
     12%."""
 
-    __slots__ = ("simples", "code", "tau_inv", "_rev", "_right_complement", "rows",
-                 "identity", "delta", "tau_period")
+    __slots__ = ("simples", "code", "_tau", "_rev", "_right_complement", "rows",
+                 "identity", "delta")
 
     def __init__(self, st: GarsideStructure) -> None:
         self.simples = simples = (st.identity, *st.nontrivial_simples(), st.delta)
         self.code = code = {s: i for i, s in enumerate(simples)}
-        self.tau_inv = [code[st.tau_inv[s]] for s in simples]
+        self._tau = [code[st._tau[s]] for s in simples]
         self._rev = [code[st._rev[s]] for s in simples]
         self._right_complement = [code[st._right_complement[s]] for s in simples]
-        self.identity, self.delta, self.tau_period = 0, len(simples) - 1, st.tau_period
+        self.identity, self.delta = 0, len(simples) - 1
 
         def coded_slide(c: int, f: int) -> tuple | None:
             step = st._slide_raw(simples[c], simples[f])

@@ -314,14 +314,10 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
         step = struct._slide_raw(book.simples[c], book.simples[f])
         return None if step is None else tuple(book.code[s] for s in step)
 
-    # tau^-1 is tau, checked against an inverse of the raw tau
-    assert struct.tau_inv is struct._tau
-    untau = {struct._tau_raw(s): s for s in simples}
-    raws = {"rows": struct._slide_raw, "tau_inv": lambda s: untau[s],
-            "code book rows": coded_slide}
+    raws = {"rows": struct._slide_raw, "code book rows": coded_slide}
     tables = _tables(struct)
     assert tables.keys() == {"_inversion_mask", "_tau", "_right_complement", "_starting_set",
-                             "_rev", "_simple_word", "rows", "tau_inv", "code book rows"}
+                             "_rev", "_simple_word", "rows", "code book rows"}
     for name, table in tables.items():
         raw = raws.get(name) or getattr(struct, f"{name}_raw")
         public = getattr(struct, name[1:], None) if name.startswith("_") else None
@@ -334,8 +330,10 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
             for a in keys:
                 assert table[a] == raw(a), (name, a)
                 assert public is None or public(a) == raw(a), (name, a)
-    # the rows hold the tau table's own object for every simple
+    # tau is an involution, so tau^-1 is tau
     tau = struct._tau
+    assert all(tau[tau[s]] == s for s in simples)
+    # the rows hold the tau table's own object for every simple
     assert all(tau[tau[s]] is s for s in _held_simples(struct))
     # searches keep their candidate sets in absorb.py's object, adding no
     # table to the structure
@@ -493,7 +491,7 @@ def _check_slides(struct, pairs):
     oracle = _coordinate_slide if isinstance(struct, AbelianStructure) else _oracle_slide
     tau = struct._tau
     for c, f in pairs:
-        step = struct._slide_raw(c, f)
+        step = struct._slide(c, f)
         assert step == oracle(c, f), (c, f)
         # both outputs are the tau table's own objects
         assert step is None or all(tau[tau[x]] is x for x in step), (c, f)
@@ -532,7 +530,7 @@ def test_code_book_numbers_identity_first_and_delta_last(struct):
     assert book.simples == (struct.identity, *struct.nontrivial_simples(), struct.delta)
     assert book.code[struct.identity] == 0
     assert book.code[struct.delta] == len(book.simples) - 1
-    assert book.tau_inv == [book.code[struct.tau_pow(s, -1)] for s in book.simples]
+    assert book._tau == [book.code[struct.tau_pow(s, -1)] for s in book.simples]
 
 
 def test_structures_do_not_share_code_books():
@@ -695,11 +693,13 @@ def test_rows_hold_the_tau_tables_simples():
 
 
 def test_a_tau_period_above_two_is_refused():
-    # tau^-1 is read from the tau table, which only holds up to period 2
-    class PeriodThree(GarsideStructure):
-        def __init__(self):
-            self.structure_id, self.tau_period = "stub:3", 3
-            super().__init__()
+    # tau^-1 is read from the tau table, so tau must be an involution.  On
+    # Z^3 with its right complement turned by one coordinate, tau = ∂² turns
+    # the coordinates by two, and has order 3
+    class PeriodThree(AbelianStructure):
+        def _right_complement_raw(self, s):
+            d = super()._right_complement_raw(s)
+            return d[1:] + d[:1]
 
-    with pytest.raises(ValueError, match="^tau period 3 > 2, so tau\\^-1 is not tau$"):
-        PeriodThree()
+    with pytest.raises(ValueError, match="^free-abelian:3: tau is not an involution on the atoms$"):
+        PeriodThree(3)

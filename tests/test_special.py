@@ -164,6 +164,13 @@ class TestPowerTracking:
         assert rep.ok
         assert left_gcd(z, power(x, 2)).factors[:6] == x.factors
 
+    def test_delta_prefix_refuses_a_negative_power_or_infimum(self):
+        # raised, not asserted, so python -O cannot turn either into an answer
+        with pytest.raises(ValueError):
+            delta_prefix(parse_word(B4, "s1 s2 s3"), -1)
+        with pytest.raises(ValueError):
+            delta_prefix(parse_word(B4, "D^-1 s1"), 0)
+
     def test_between_powers_rejects_a_wrong_power_claim(self):
         x = x4()
         with pytest.raises(ValueError):
