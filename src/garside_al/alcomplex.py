@@ -235,16 +235,12 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     translated pair.  The identity's neighbour by m is m itself: the start
     side's first layer is read off the move set, with no cascade.
 
-    The expansion order is kept that of the search from v, so every budget
-    boundary and budget message is that search's too.  A frontier vertex u
-    stands for the vertex X of v_rep * u = X * Delta^i, and X's neighbour
-    by m is the vertex of v_rep * u * tau^i(m), as Delta^-i m =
-    tau^i(m) Delta^-i.  Expanding u by the moves twisted by tau^i
-    therefore meets X's neighbours in X's order.  i costs one cascade of
-    v_rep by u per expanded vertex, none for the identity; tau is an
-    involution, so odd i takes the tau-twisted copy of the moves that
-    _vertex_moves keeps beside them, which is the same set in another
-    order.
+    The target is the smaller coded tuple of T and tau(T): tau is an
+    automorphism of the complex fixing () and mapping the move set onto
+    itself, so both are as far from ().  A translate (g v, g w), with
+    g v_rep = X Delta^a, has tau^a(z) Delta^c in place of z, so the same
+    pair {T, tau(T)}.  The search reads nothing else of v and w, so every
+    translate answers, or runs out of budget, at the same budget.
 
     The search stops at the first meeting of the two sides.  Before a
     layer is expanded no vertex is in both, so the subgraph distance
@@ -268,11 +264,10 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     cap = min(radius, r - 1)
     st = v.structure
     moves = _vertex_moves(st, gen_len, budget, cache_path)
-    twisted = st._twisted_moves[gen_len]
     book = st.code_book()
-    code = book.code
-    base = tuple([code[f] for f in v.rep.factors])
+    code, tau = book.code, book._tau
     target = tuple([code[f] for f in vertex_of(z).rep.factors])
+    target = min(target, tuple([tau[f] for f in target]))
     dist_v, dist_w = {(): 0}, {target: 0}
     front_v, front_w = [()], [target]
     depth_v = depth_w = 0
@@ -285,13 +280,7 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
         last = depth_v + depth_w + 1 == cap
         grown = []
         for u in front:
-            # u stands for X with v_rep * u = X * Delta^i; odd i twists the moves
-            by = moves
-            if u:
-                fac = list(base)
-                if _fold(book, fac, 0, u) & 1:
-                    by = twisted
-            for m in by:
+            for m in moves:
                 expansions += 1
                 if expansions > budget:
                     raise SearchBudgetExceeded(
@@ -325,10 +314,7 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
     only through its own vertex: each becomes the inf-0 factor tuple of
     vertex_of(g), in generator order, without repeats, with every factor
-    replaced by its code in st.code_book().  Beside it, in
-    st._twisted_moves, goes the same tuple with every move twisted by tau,
-    which the search takes at vertices whose translate carries an odd
-    power of Delta.
+    replaced by its code in st.code_book().
 
     distance_upper_bound asks for a move set only when its canonical-length
     bracket leaves a search to run, which never happens at gen_len 1.  The
@@ -342,11 +328,9 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     moves = st._move_sets.get(gen_len)
     if moves is None:
         gens = _generators(st, gen_len, budget, cache_path)
-        book = st.code_book()
-        code, tau = book.code, book._tau
+        code = st.code_book().code
         moves = tuple(dict.fromkeys(
             tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens))
-        st._twisted_moves[gen_len] = tuple(tuple([tau[f] for f in m]) for m in moves)
         st._move_sets[gen_len] = moves
     return moves
 

@@ -66,9 +66,9 @@ Each table holds at most TABLE_BOUND entries, a two-level one (the slide
 and code book rows) counting its rows too; a miss that finds it full
 empties it first.  An entry costs 100 to 300 bytes on B8, so a full
 table holds 13 to 40 MB.  For N simples, a unary table holds at most N
-entries (40,320 on B8), and the move sets and their τ-twisted copies
-one per generator length; so below 9 strands the τ table never
-empties, and no row holds a second copy of a simple.
+entries (40,320 on B8), and the move sets one per generator length; so
+below 9 strands the τ table never empties, and no row holds a second
+copy of a simple.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ class GarsideStructure:
         self._nontrivial: tuple | None = None
         # built on first use: alcomplex._vertex_moves, code_book, absorb._Candidates
         self._move_sets: dict = {}
-        self._twisted_moves: dict = {}
         self._code_book: CodeBook | None = None
         self._candidates: Any = None
         # tau is fixed by the atoms, so it is an involution iff it is one on them
@@ -234,11 +233,16 @@ class GarsideStructure:
         return self.identity if step is None else self._left_quotient_raw(c, step[0])
 
     def left_quotient(self, u: Simple, t: Simple) -> Simple:
+        """u^-1 * t; ValueError unless u left-divides t."""
+        if not self.left_divides_simple(u, t):
+            raise ValueError(f"{self.structure_id}: {u!r} does not left-divide {t!r}")
         return self._left_quotient_raw(u, t)
 
     def right_quotient(self, s: Simple, g: Simple) -> Simple:
-        """s * g^-1, assuming g right-divides s: the left quotient of the
-        left complements, (s delta^-1) * (delta g^-1)."""
+        """s * g^-1, the left quotient of the left complements,
+        (s delta^-1) * (delta g^-1); ValueError unless g right-divides s."""
+        if not self.right_divides_simple(g, s):
+            raise ValueError(f"{self.structure_id}: {g!r} does not right-divide {s!r}")
         return self._left_quotient_raw(self.left_complement(s), self.left_complement(g))
 
     def tau(self, s: Simple) -> Simple:

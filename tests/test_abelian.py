@@ -1,10 +1,14 @@
 """Free abelian fixture: the simplest structure the kernel can drive."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import garside_al
 from garside_al import (
     abelian_structure,
     absorbs,
@@ -116,3 +120,25 @@ def test_non_simple_factor_rejected():
     # coordinates above 1 are not simples; they must not slip into factors
     with pytest.raises(ValueError, match="not a simple"):
         make_element(Z3, 0, [(2, 0, 0)])
+
+
+def test_quotients_of_non_divisors_are_refused_under_o():
+    # the abelian left quotient's own assert is stripped by -O; the public
+    # quotients test divisibility themselves
+    probe = (
+        "from garside_al import abelian_structure\n"
+        "z = abelian_structure(2)\n"
+        "for name in ('left_quotient', 'right_quotient'):\n"
+        "    try:\n"
+        "        print(getattr(z, name)((1, 0), (0, 1)))\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(garside_al.__file__)),
+         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "free-abelian:2: (1, 0) does not left-divide (0, 1)",
+        "free-abelian:2: (0, 1) does not right-divide (1, 0)"]

@@ -248,6 +248,17 @@ def test_left_quotient_is_exact():
                     assert struct.compose(s, q) == t
 
 
+def test_quotients_of_non_divisors_are_refused():
+    # s1^-1 s2 and s1 s2^-1 are not simples, although the raw permutation
+    # arithmetic returns (3, 1, 2) for both
+    s1, s2 = B3.atom(1), B3.atom(2)
+    with pytest.raises(ValueError, match=r"^braid-classical:3: .* does not left-divide "):
+        B3.left_quotient(s1, s2)
+    with pytest.raises(ValueError, match=r"^braid-classical:3: .* does not right-divide "):
+        B3.right_quotient(s1, s2)
+    assert B3._left_quotient_raw(s1, s2) == (3, 1, 2)
+
+
 def test_simple_from_word_and_rejection():
     assert simple_from_word(B4, (2, 1, 3)) == perm_of_word((2, 1, 3), 4)
     with pytest.raises(ValueError):

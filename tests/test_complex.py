@@ -403,6 +403,9 @@ class TestVertexMoves:
             first_seen.setdefault(key, len(first_seen))
         moves = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
         assert moves == tuple(sorted(first_seen, key=first_seen.get))
+        # tau maps the move set onto itself, in another order
+        tau = st.code_book()._tau
+        assert {tuple(tau[f] for f in m) for m in moves} == set(moves)
         assert len(gens) > len({(g.power, g.factors) for g in gens}) > len(moves)
 
     # B5 with generator length 2 is left out: its 5,356 generators take
@@ -510,31 +513,84 @@ class TestVertexMoves:
         # the pair of test_the_search_stops_at_the_first_meeting: it meets
         # 105 expansions into the target's first layer.  The start side's
         # layer is the move set itself; each of the target's expansions
-        # folds once, and the target vertex once more for its Delta parity.
+        # folds once.
         v = vertex_of(parse_word(B4, "s1 s3"))
         w = vertex_of(parse_word(B4, "s1 s2 s1 s3 s2 s2 s2 s1"))
         assert distance_upper_bound(v, w, 2, 4) == 2
-        assert 0 < len(folds) <= len(moves) + 1
+        assert 0 < len(folds) <= len(moves)
+
+    @pytest.mark.parametrize("n, gen_len, radius, pairs", [
+        (3, 2, 3, 12), (4, 2, 3, 8)])
+    def test_budget_boundaries_are_translation_invariant(self, n, gen_len, radius, pairs):
+        # (v, w), (g v, g w) and ((), vertex_of(z)) name one z = v_rep^-1 w_rep
+        # up to tau and Delta, so each answers, or spends its budget with the
+        # same message, at every budget around the smallest one that answers.
+        # twisted counts the translates whose z is tau(z) Delta^c.
+        st = braid_structure(n)
+        alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
+        rng = random.Random(f"translate/{n}/{gen_len}")
+        cases = []
+        while len(cases) < pairs:
+            v = random_vertex(rng, st, 3)
+            w = random_vertex(rng, st, 5)
+            g = random_element(rng, st, 3)
+            if alcomplex._coset_difference(v, w).canonical_length > gen_len:
+                cases.append((v, w, g))
+        if n == 4:
+            v = vertex_of(parse_word(st, "s1 s3"))
+            w = vertex_of(parse_word(st, "s1 s2 s1 s3 s2 s2 s2 s1"))
+            cases.append((v, w, parse_word(st, "s2 s1")))
+
+        def outcome(v, w, budget):
+            try:
+                return repr(distance_upper_bound(v, w, gen_len, radius, budget=budget))
+            except SearchBudgetExceeded as err:
+                return str(err)
+
+        searched = twisted = 0
+        for v, w, g in cases:
+            twisted += multiply(g, v.rep).inf & 1
+            rooted = (identity_vertex(st), vertex_of(multiply(invert(v.rep), w.rep)))
+            lo, hi = -1, 1
+            while outcome(*rooted, hi).startswith("distance search"):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if outcome(*rooted, mid).startswith("distance search"):
+                    lo = mid
+                else:
+                    hi = mid
+            searched += hi > 0
+            for budget in range(hi - 2, hi + 2):
+                want = outcome(*rooted, budget)
+                assert outcome(v, w, budget) == want, (v, w, budget)
+                assert outcome(act(g, v), act(g, w), budget) == want, (v, w, g, budget)
+        assert searched == len(cases) and 0 < twisted < len(cases)
 
     # At generator lengths 2 and 3 B3's moves are its four proper simples,
     # so its searches run deep cheaply, never meet, and pin the layer
     # counts for both parities of inf(v_rep^-1 w_rep).  B4's searches meet,
     # so they pin the order of the moves within a layer; past the first
     # layers one costs about a second of bisection, so B4 gives only three.
-    @pytest.mark.parametrize("n, gen_len, pairs, v_len, w_len, deep, digest", [
+    @pytest.mark.parametrize("n, gen_len, pairs, v_len, w_len, deep, digest, answers", [
         (3, 2, 150, 4, 8, (18, 30),
-         "add1f852dc3d62eb56e69be3cbe6bd8a7c0e5a8d0465a07f820741235a3b719c"),
+         "add1f852dc3d62eb56e69be3cbe6bd8a7c0e5a8d0465a07f820741235a3b719c",
+         "631f85fc412e44c027ffc1e8076c06cef11fd000440c175af1241f8c7a99b6ab"),
         (3, 3, 150, 4, 10, (21, 45),
-         "40d4b645b01015eb011529e5eef5bf3b7aee5d39f8be7700e30ad4ee28bfcbc2"),
+         "40d4b645b01015eb011529e5eef5bf3b7aee5d39f8be7700e30ad4ee28bfcbc2",
+         "4fb9845b073031052e13dd42ca13aed8b5fa1d238876ce684a3b438b9fbee425"),
         (4, 2, 20, 2, 6, (3, 0),
-         "7b087b06acc33f3cd46fa2fe8333e5e7ea77b31f9a7b17af6e378beefa7f1423"),
+         "9270098888c4591035c7e802dff12b7c0386ec5c75d3df892307d612b0201341",
+         "5da236b57a55045d8d80ceacb56a8b4e98c0d824c5971e0a040bcdf1c19fe446"),
     ])
-    def test_answers_and_budget_boundaries_are_pinned(self, n, gen_len, pairs,
-                                                      v_len, w_len, deep, digest):
+    def test_answers_and_budget_boundaries_are_pinned(self, n, gen_len, pairs, v_len,
+                                                      w_len, deep, digest, answers):
         # per pair and radius 1-5: the answer, the smallest budget that
-        # answers, and the message one unit below it.  The digest was
-        # recorded from the search rooted at v itself, so it pins the
-        # expansion order as well as the answers.  deep counts, by the
+        # answers, and the message one unit below it.  digest was recorded
+        # from the search rooted at the identity, expanding every vertex by
+        # the moves in their stored order, so it pins the expansion order as
+        # well as the answers; answers digests the answers alone, which no
+        # expansion order may move.  deep counts, by the
         # parity of inf(z), the searches that expand a vertex past the
         # first layer of each side (more than one layer of moves a side).
         st = braid_structure(n)
@@ -567,7 +623,7 @@ class TestVertexMoves:
             return answer, hi, run(v, w, radius, hi - 1)[1]
 
         rng = random.Random(f"sweep/{n}/{gen_len}")
-        rows, past = [], [0, 0]
+        rows, found, past = [], [], [0, 0]
         for _ in range(pairs):
             v = random_vertex(rng, st, rng.randint(1, v_len))
             w = random_vertex(rng, st, rng.randint(1, w_len))
@@ -577,9 +633,11 @@ class TestVertexMoves:
             for radius in range(1, 6):
                 answer, budget, below = outcome(v, w, radius)
                 rows.append(f"{answer}|{budget}|{below}")
+                found.append(answer)
                 past[parity] += budget > 2 * len(moves)
         assert tuple(past) == deep
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+        assert hashlib.sha256("\n".join(found).encode()).hexdigest() == answers
 
     def test_search_leaves_the_slide_cache_alone(self):
         st = BraidStructure(4)
