@@ -42,7 +42,6 @@ from .absorb import (
 from .element import (
     GarsideElement,
     _fold,
-    _reduced_fraction,
     complement,
     delta_power,
     identity_element,
@@ -50,7 +49,6 @@ from .element import (
     left_gcd,
     multiply,
     simple_element,
-    tau_element,
 )
 from .structure import GarsideStructure
 from .words import format_element
@@ -394,14 +392,16 @@ def initial_segment_witnesses(v: ALVertex, w: ALVertex) -> tuple:
 
 
 def overlap_length(v: ALVertex, w: ALVertex) -> int:
-    """sup of the gcd of the complement of v's representative with the
-    complement of a times tau^r(b), where v_rep = da, w_rep = db,
-    d = gcd, r = sup(a).  Always at least r."""
-    # v_rep^-1 w_rep = a^-1 b reduced
-    a_inv, b = _reduced_fraction(_coset_difference(v, w))
-    a = invert(a_inv)
-    r = a.sup
-    return left_gcd(complement(v.rep), multiply(complement(a), tau_element(b, r))).sup
+    """sup of the gcd of X = complement(v_rep) and Y = complement(a) tau^r(b),
+    for the reduced fraction v_rep^-1 w_rep = a^-1 b, r = sup(a); at least r.
+    With s = sup(v_rep), X^-1 Y = Delta^(r-s) tau^r(w_rep) is a normal form,
+    so the gcd is X if m = s - r <= 0, else X Delta^-m tau^r(w_1 ... w_m)."""
+    st, s = v.structure, len(v.rep.factors)
+    r = max(-_coset_difference(v, w).power, 0)  # sup(a) = -inf(a^-1 b)
+    if s <= r:
+        return s
+    fac, head = list(complement(v.rep).factors), w.rep.factors[:s - r]
+    return _fold(st, fac, r - s, [st._tau[f] for f in head] if r & 1 else head) + len(fac)
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,10 @@ from garside_al import (
     triangle_thinness_report,
     vertex_of,
 )
-from garside_al import absorb, alcomplex
+from garside_al import absorb, alcomplex, element
 from garside_al.absorb import DEFAULT_BUDGET
 from garside_al.braid import BraidStructure
-from garside_al.element import delta_prefix
+from garside_al.element import _reduced_fraction, complement, delta_prefix, tau_element
 from garside_al.suites import random_element, random_positive, random_vertex
 from oracles import _tau as oracle_tau, reference_normal_form
 
@@ -573,15 +573,21 @@ class TestVertexMoves:
     # so they pin the order of the moves within a layer; past the first
     # layers one costs about a second of bisection, so B4 gives only three.
     @pytest.mark.parametrize("n, gen_len, pairs, v_len, w_len, deep, digest, answers", [
-        (3, 2, 150, 4, 8, (18, 30),
-         "add1f852dc3d62eb56e69be3cbe6bd8a7c0e5a8d0465a07f820741235a3b719c",
-         "631f85fc412e44c027ffc1e8076c06cef11fd000440c175af1241f8c7a99b6ab"),
-        (3, 3, 150, 4, 10, (21, 45),
-         "40d4b645b01015eb011529e5eef5bf3b7aee5d39f8be7700e30ad4ee28bfcbc2",
-         "4fb9845b073031052e13dd42ca13aed8b5fa1d238876ce684a3b438b9fbee425"),
-        (4, 2, 20, 2, 6, (3, 0),
-         "9270098888c4591035c7e802dff12b7c0386ec5c75d3df892307d612b0201341",
-         "5da236b57a55045d8d80ceacb56a8b4e98c0d824c5971e0a040bcdf1c19fe446"),
+        pytest.param(
+            3, 2, 150, 4, 8, (18, 30),
+            "add1f852dc3d62eb56e69be3cbe6bd8a7c0e5a8d0465a07f820741235a3b719c",
+            "631f85fc412e44c027ffc1e8076c06cef11fd000440c175af1241f8c7a99b6ab",
+            id="b3-len2"),
+        pytest.param(
+            3, 3, 150, 4, 10, (21, 45),
+            "40d4b645b01015eb011529e5eef5bf3b7aee5d39f8be7700e30ad4ee28bfcbc2",
+            "4fb9845b073031052e13dd42ca13aed8b5fa1d238876ce684a3b438b9fbee425",
+            id="b3-len3"),
+        pytest.param(
+            4, 2, 20, 2, 6, (3, 0),
+            "9270098888c4591035c7e802dff12b7c0386ec5c75d3df892307d612b0201341",
+            "5da236b57a55045d8d80ceacb56a8b4e98c0d824c5971e0a040bcdf1c19fe446",
+            id="b4-len2"),
     ])
     def test_answers_and_budget_boundaries_are_pinned(self, n, gen_len, pairs, v_len,
                                                       w_len, deep, digest, answers):
@@ -817,6 +823,71 @@ class TestSegmentWitnesses:
             r = multiply(invert(left_gcd(v.rep, w.rep)), v.rep).sup
             assert overlap_length(v, w) >= r
 
+    def test_overlap_matches_the_gcd_formula(self):
+        # the reference is the overlap's definition, taken with two more
+        # products and a gcd: v_rep^-1 w_rep = a^-1 b reduced, r = sup(a),
+        # and the sup of gcd(complement(v_rep), complement(a) tau^r(b)).
+        # short counts the pairs whose gcd is complement(v_rep) itself
+        # (m = sup(v_rep) - r <= 0), twisted those whose one gcd cascade
+        # takes w's factors twisted by tau (m > 0, r odd).
+        short = twisted = 0
+        for struct in [braid_structure(n) for n in range(2, 9)] + [
+                abelian_structure(3), abelian_structure(4)]:
+            rng = random.Random(f"overlap/{struct.structure_id}")
+            simples = list(struct.all_simples())  # identity and Delta included
+
+            def draw(power, length):
+                return make_element(struct, power,
+                                    [rng.choice(simples) for _ in range(length)])
+
+            for case in range(60):
+                shared = draw(rng.randint(-3, 3), rng.randint(0, 6))
+                v = vertex_of(multiply(shared, draw(rng.randint(-2, 2), rng.randint(0, 8))))
+                w = v if case % 5 == 0 else vertex_of(multiply(
+                    shared, draw(rng.randint(-2, 2), rng.randint(0, 8))))
+                a_inv, b = _reduced_fraction(multiply(invert(v.rep), w.rep))
+                a = invert(a_inv)
+                r = a.sup
+                want = left_gcd(complement(v.rep),
+                                multiply(complement(a), tau_element(b, r))).sup
+                assert overlap_length(v, w) == want, (v, w)
+                s = v.rep.canonical_length
+                short += s <= r
+                twisted += s > r and r % 2
+        assert short >= 120 and twisted >= 120, (short, twisted)
+
+    def test_overlap_folds_twice_and_takes_no_gcd(self, monkeypatch):
+        folds = []
+        fold = element._fold
+
+        def counting(t, *args):
+            folds.append(t)
+            return fold(t, *args)
+
+        def forbidden(*args):
+            raise AssertionError("overlap_length took a gcd or a fraction")
+
+        monkeypatch.setattr(element, "_fold", counting)
+        monkeypatch.setattr(alcomplex, "_fold", counting)
+        for module, name in ((element, "left_gcd"), (alcomplex, "left_gcd"),
+                             (element, "_reduced_fraction")):
+            monkeypatch.setattr(module, name, forbidden)
+        rng = random.Random(37)
+        b8 = braid_structure(8)
+        gcd_folds = 0
+        for case in range(20):
+            v = random_vertex(rng, b8, 12)
+            w = vertex_of(multiply(v.rep if case % 2 else random_positive(rng, b8, 6),
+                                   random_element(rng, b8, 6)))
+            s = v.rep.canonical_length
+            r = max(-alcomplex._coset_difference(v, w).inf, 0)
+            folds.clear()
+            overlap_length(v, w)
+            # the coset difference, then one cascade for the gcd unless it
+            # is complement(v_rep) itself (s <= r)
+            assert len(folds) == (2 if s > r else 1), (v, w)
+            gcd_folds += s > r
+        assert 5 <= gcd_folds < 20
 
     def test_overlap_refuses_mixed_structures(self):
         with pytest.raises(ValueError, match="different structures"):
