@@ -24,8 +24,10 @@ Foundations of Garside Theory, Ch. I and V):
 The search runs on the integer codes of the structure's code book
 (structure.CodeBook), the one the distance search folds its vertices
 with: the book numbers the identity 0, the nontrivial simples 1 .. N-2
-in sorted order, the order the search tries them in, and delta N-1.  It
-codes the room and decodes the certificate once, at the root.  The
+in sorted order, the order the search tries them in, and delta N-1.  The
+root codes y's factors once and builds the room on the book, reading
+y^-1 off the complements; it verifies the absorber found with one coded
+cascade of y onto it, and decodes the certificate once.  The
 candidate sets are N-bit ints, bit c for the simple of code c
 (_Candidates): pre[s] holds the t that may precede s in a left-weighted
 chain, inf[m_1] those that pass the inf test and are not left-weighted
@@ -66,9 +68,10 @@ from operator import and_, or_
 
 from .element import (
     GarsideElement,
+    _complement_factors,
+    _fold,
     _left_divide,
     _left_divide_head,
-    _rev,
     invert,
     multiply,
     simple_element,
@@ -270,36 +273,52 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     positive element y^-1 and the certificate x' is converted to
     x = x' * y^-1, which absorbs y with the same statistics.
 
+    The root codes y's factors once and works on the code book from there:
+    y^-1 is read off the complements, the room rev(delta^k target^-1) is
+    one right cascade over the reversed complement codes, and x' * y^-1 is
+    one more.  Every absorber found is verified by one cascade of y's codes
+    onto x's, which must leave the inf and the sup of x as they are; x is
+    decoded into an element only then.
+
     Raises SearchBudgetExceeded when the node budget runs out; that signals
     the query was too large, never a wrong answer.
     """
     st = y.structure
-    if y.is_identity:
-        return None
-    if y.inf == 0:
-        target, inverse = y, invert(y)
-    elif y.sup == 0:
-        target, inverse = invert(y), y
-    else:
+    if y.is_identity or y.inf != 0 and y.sup != 0:
         return None
     if st._candidates is None:
         st._candidates = _Candidates(st)
     cands = st._candidates
-    code = cands.book.code
+    book = cands.book
+    code = book.code
+    coded = [code[f] for f in y.factors]
+    k = len(coded)
+    # the target, of inf 0, and the factors of delta^k target^-1
+    if y.inf == 0:
+        target, inverse = coded, _complement_factors(book, coded, k)
+    else:
+        target, inverse = _complement_factors(book, coded, 0), coded
     counter = _NodeCounter(budget)
-    # delta^k target^-1 is target^-1 without its delta^-k
-    room = _rev(GarsideElement(st, 0, inverse.factors))
-    got = _dfs(cands, code[target.factors[0]], room.power,
-               tuple(code[f] for f in room.factors), 0, 0, target.canonical_length, counter)
+    # the room rev(delta^k target^-1) = rev(inverse_r) ... rev(inverse_1)
+    room: list = []
+    e = _fold(book, room, 0, [book._rev[c] for c in reversed(inverse)])
+    if e & 1:
+        room = [book._tau[c] for c in room]
+    got = _dfs(cands, target[0], e, tuple(room), 0, 0, k, counter)
     if got is None:
         return None
-    simples = cands.book.simples
-    x = GarsideElement(st, 0, tuple(simples[c] for c in got))
-    if target is not y:
-        x = multiply(x, target)
-    if not absorbs(x, y):
+    x, p = got, 0
+    if y.inf != 0:  # x' * target, target being y^-1
+        p = _fold(book, x, 0, target)
+        if p & 1:
+            x = [book._tau[c] for c in x]
+    # delta^p x * y = delta^p xy delta^e, which keeps inf p and sup p + len(x)
+    # iff e = 0 and xy has as many factors as x
+    xy = list(x)
+    if _fold(book, xy, y.power, coded) != 0 or len(xy) != len(x):
         raise AssertionError("internal error: absorber failed verification")
-    return AbsorbabilityCertificate(y=y, x=x,
+    simples = book.simples
+    return AbsorbabilityCertificate(y=y, x=GarsideElement(st, p, tuple(simples[c] for c in x)),
                                     nodes_visited=counter.visited,
                                     nodes_pruned=counter.pruned)
 

@@ -486,6 +486,37 @@ def test_search_leaves_no_meet_or_product_and_interns_every_slide(monkeypatch):
     assert outputs <= set(range(120))
 
 
+@pytest.mark.parametrize("word", ["s1^2 s2^2 s3^2 s2^2 s1", "s1^-1 s2^-2 s3^-2 s2^-2 s1^-2"])
+def test_an_absorber_that_fails_verification_raises(monkeypatch, word):
+    # the search is made to return y's own positive chain, which does not
+    # absorb y: the root's coded cascade of y onto x must refuse it, for
+    # an inf-0 input (x = the chain) and a sup-0 one (x = the chain * y^-1)
+    y = parse_word(B4, word)
+    target = y if y.inf == 0 else invert(y)
+    chain = GarsideElement(B4, 0, target.factors)
+    x = chain if y.inf == 0 else multiply(chain, target)
+    assert not absorbs(x, y)
+    code = B4.code_book().code
+    monkeypatch.setattr(absorb, "_dfs", lambda *args: [code[f] for f in target.factors])
+    with pytest.raises(AssertionError, match="absorber failed verification"):
+        is_absorbable(y)
+
+
+def test_search_leaves_the_structure_rows_alone():
+    # every slide of the root and of the search is a code-book slide: a
+    # fresh structure's own slide rows stay empty, for inf-0 and sup-0
+    # inputs with yes and no answers
+    struct = BraidStructure(5)
+    witness = make_element(B5, 0, _witness_factor_perms(5))
+    answers = []
+    for y in (parse_word(B5, "s1^2 s2^2 s3^2 s2^2 s1"),
+              parse_word(B5, "s1^-2 s2^-2 s3^-2 s2^-2 s1^-1"), witness, invert(witness)):
+        answers.append((y.inf == 0, is_absorbable(GarsideElement(struct, y.power, y.factors))
+                        is not None))
+    assert answers == [(True, True), (False, True), (True, False), (False, False)]
+    assert len(struct.rows) == 0
+
+
 def test_interleaved_square_not_absorbable():
     assert is_absorbable(parse_word(B4, "s1 s3 s1 s3")) is None
 
@@ -557,10 +588,12 @@ def test_budget_error_says_how_far_the_search_got():
 
 
 @pytest.mark.parametrize("word, budgets, outcomes, digest", [
-    ("s1^2 s2^2 s3^2 s2^2 s1", 522, 522,
-     "8666f704e671d058c414418b658fda5501bd3587d650fb0dbb01679694293634"),
-    ("s1 s3 s1 s3", 199, 60,
-     "cb21a9a482df2f164b59c4a0196ffbce7c5eee3ba527afa8090b39889e89f91c"),
+    pytest.param(*row, id="-".join(map(str, row[:2]))) for row in (
+        ("s1^2 s2^2 s3^2 s2^2 s1", 522, 522,
+         "8666f704e671d058c414418b658fda5501bd3587d650fb0dbb01679694293634"),
+        ("s1 s3 s1 s3", 199, 60,
+         "cb21a9a482df2f164b59c4a0196ffbce7c5eee3ba527afa8090b39889e89f91c"),
+    )
 ])
 def test_budget_message_at_every_budget_is_pinned(word, budgets, outcomes, digest):
     # where the search stops, at each budget from 1 up, is the one-candidate-
