@@ -230,8 +230,11 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     w.  Left multiplication by v_rep maps vertices to vertices and edges
     to edges (an edge joins u and u x for a label x), so it is an isometry
     taking () to v and T to w, and every distance is that of the
-    translated pair.  The identity's neighbour by m is m itself: the start
-    side's first layer is read off the move set, with no cascade.
+    translated pair.  The identity's neighbour by m is m itself, so the
+    move set is the start side's first layer: a target among the moves
+    answers 1 with one lookup, and the search goes on from depth 1 with no
+    cascade.  That layer still costs one budget unit per move, in the
+    stored order, as if () were expanded move by move.
 
     The target is the smaller coded tuple of T and tau(T): tau is an
     automorphism of the complex fixing () and mapping the move set onto
@@ -266,10 +269,15 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     code, tau = book.code, book._tau
     target = tuple([code[f] for f in vertex_of(z).rep.factors])
     target = min(target, tuple([tau[f] for f in target]))
-    dist_v, dist_w = {(): 0}, {target: 0}
-    front_v, front_w = [()], [target]
-    depth_v = depth_w = 0
-    expansions = 0
+    # the start side's first layer: () expanded by every move, in order
+    if target in moves and (len(moves) <= budget or list(moves).index(target) < budget):
+        return 1
+    if len(moves) > budget:
+        raise _budget_exceeded(budget, 0, 0, "start", 1)
+    expansions = len(moves)
+    dist_v, dist_w = moves | {(): 0}, {target: 0}
+    front_v, front_w = moves, [target]
+    depth_v, depth_w = 1, 0
     while front_v and front_w and depth_v + depth_w < cap:
         if len(front_v) <= len(front_w):
             dist, other, front, depth = dist_v, dist_w, front_v, depth_v
@@ -281,18 +289,12 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
             for m in moves:
                 expansions += 1
                 if expansions > budget:
-                    raise SearchBudgetExceeded(
-                        f"distance search spent its {budget}-expansion budget "
-                        f"at depth {depth_v} from the start and {depth_w} from "
-                        f"the target, while expanding the "
-                        f"{'start' if dist is dist_v else 'target'} side's "
-                        f"frontier of size {len(front)}")
-                if u:
-                    fac = list(u)
-                    _fold(book, fac, 0, m)
-                    k = tuple(fac)
-                else:
-                    k = m  # the identity's neighbour by m is m
+                    raise _budget_exceeded(budget, depth_v, depth_w,
+                                           "start" if dist is dist_v else "target",
+                                           len(front))
+                fac = list(u)
+                _fold(book, fac, 0, m)
+                k = tuple(fac)
                 if k in other:
                     return depth + 1 + other[k]
                 if last or k in dist:
@@ -306,13 +308,22 @@ def distance_upper_bound(v: ALVertex, w: ALVertex, gen_len: int, radius: int,
     return r if r <= radius else None
 
 
-def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tuple:
+def _budget_exceeded(budget, depth_v, depth_w, side, size) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(
+        f"distance search spent its {budget}-expansion budget at depth {depth_v} "
+        f"from the start and {depth_w} from the target, while expanding the "
+        f"{side} side's frontier of size {size}")
+
+
+def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> dict:
     """The generators taken up to right multiplication by Delta, coded.
 
     vertex(u g Delta^k) = vertex(u g), so a generator g acts on vertices
     only through its own vertex: each becomes the inf-0 factor tuple of
     vertex_of(g), in generator order, without repeats, with every factor
-    replaced by its code in st.code_book().
+    replaced by its code in st.code_book().  The moves are the keys of an
+    insertion-ordered dict that maps each to 1, its distance from the
+    identity vertex: the distance search's first layer as it stands.
 
     distance_upper_bound asks for a move set only when its canonical-length
     bracket leaves a search to run, which never happens at gen_len 1.  The
@@ -327,8 +338,8 @@ def _vertex_moves(st: GarsideStructure, gen_len: int, budget, cache_path) -> tup
     if moves is None:
         gens = _generators(st, gen_len, budget, cache_path)
         code = st.code_book().code
-        moves = tuple(dict.fromkeys(
-            tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens))
+        moves = dict.fromkeys(
+            (tuple([code[f] for f in vertex_of(g).rep.factors]) for g in gens), 1)
         st._move_sets[gen_len] = moves
     return moves
 

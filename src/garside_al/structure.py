@@ -133,7 +133,8 @@ class GarsideStructure:
         # the right cascade's slide rows (element._fold)
         self.rows = _rows(self._slide)
         self._nontrivial: tuple | None = None
-        # built on first use: alcomplex._vertex_moves, code_book, absorb._Candidates
+        # built on first use: alcomplex._vertex_moves (per generator length, its
+        # moves mapped to 1, their distance from ()), code_book, absorb._Candidates
         self._move_sets: dict = {}
         self._code_book: CodeBook | None = None
         self._candidates: Any = None

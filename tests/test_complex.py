@@ -387,7 +387,9 @@ class TestVertexMoves:
         raw = alcomplex._generators(st, gen_len, DEFAULT_BUDGET, None)
         assert len({(g.power, g.factors) for g in raw}) == gens
         found = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
-        assert isinstance(found, tuple) and len(found) == moves
+        # each move maps to 1, its distance from the identity vertex
+        assert isinstance(found, dict) and len(found) == moves
+        assert set(found.values()) == {1}
 
     @pytest.mark.parametrize("n, gen_len", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1)])
     def test_moves_are_the_raw_generators_deduplicated_by_vertex(self, n, gen_len):
@@ -402,7 +404,7 @@ class TestVertexMoves:
             key = tuple(code[f] for f in vertex_of(g).rep.factors)
             first_seen.setdefault(key, len(first_seen))
         moves = alcomplex._vertex_moves(st, gen_len, DEFAULT_BUDGET, None)
-        assert moves == tuple(sorted(first_seen, key=first_seen.get))
+        assert tuple(moves) == tuple(sorted(first_seen, key=first_seen.get))
         # tau maps the move set onto itself, in another order
         tau = st.code_book()._tau
         assert {tuple(tau[f] for f in m) for m in moves} == set(moves)
@@ -517,7 +519,12 @@ class TestVertexMoves:
         v = vertex_of(parse_word(B4, "s1 s3"))
         w = vertex_of(parse_word(B4, "s1 s2 s1 s3 s2 s2 s2 s1"))
         assert distance_upper_bound(v, w, 2, 4) == 2
-        assert 0 < len(folds) <= len(moves)
+        assert len(folds) == 105 < len(moves)
+        # a target among the moves is found in the start side's layer
+        folds.clear()
+        w = vertex_of(parse_word(B4, "s1 s2 s3 s3 s2 s1"))
+        assert distance_upper_bound(identity_vertex(B4), w, 2, 4) == 1
+        assert folds == []
 
     @pytest.mark.parametrize("n, gen_len, radius, pairs", [
         (3, 2, 3, 12), (4, 2, 3, 8)])
@@ -680,6 +687,24 @@ class TestVertexMoves:
             "distance search spent its 5-expansion budget at depth 1 from the "
             "start and 0 from the target, while expanding the target side's "
             "frontier of size 1")
+        # B4 at generator length 2 has 168 moves.  The start side's first
+        # layer spends one unit a move in the stored order, so a target
+        # among the moves answers 1 at its position's budget, and a target
+        # off them answers only past the whole layer.
+        moves = alcomplex._vertex_moves(B4, 2, DEFAULT_BUDGET, None)
+        assert len(moves) == 168
+        v = identity_vertex(B4)
+        for word, answer, budget in (("s1 s2 s3 s3 s2 s1", 1, 58),
+                                     ("s2 s3 s2 s2 s3", 1, 168),
+                                     ("s1 s2 s1 s3 s2 s2 s1", 2, 168)):
+            w = vertex_of(parse_word(B4, word))
+            assert distance_upper_bound(v, w, 2, 4, budget=budget) == answer
+            with pytest.raises(SearchBudgetExceeded) as err:
+                distance_upper_bound(v, w, 2, 4, budget=budget - 1)
+            assert str(err.value) == (
+                f"distance search spent its {budget - 1}-expansion budget at "
+                "depth 0 from the start and 0 from the target, while expanding "
+                "the start side's frontier of size 1"), word
 
 
 class TestDistanceBracket:
