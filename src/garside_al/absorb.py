@@ -69,6 +69,7 @@ from operator import and_, or_
 from .element import (
     GarsideElement,
     _complement_factors,
+    _element,
     _fold,
     _left_divide,
     _left_divide_head,
@@ -318,7 +319,7 @@ def is_absorbable(y: GarsideElement, budget: int = DEFAULT_BUDGET):
     if _fold(book, xy, y.power, coded) != 0 or len(xy) != len(x):
         raise AssertionError("internal error: absorber failed verification")
     simples = book.simples
-    return AbsorbabilityCertificate(y=y, x=GarsideElement(st, p, tuple(simples[c] for c in x)),
+    return AbsorbabilityCertificate(y=y, x=_element(st, p, tuple([simples[c] for c in x])),
                                     nodes_visited=counter.visited,
                                     nodes_pruned=counter.pruned)
 
@@ -359,8 +360,8 @@ def enumerate_absorbable(st: GarsideStructure, max_len: int,
         if cached is not None:
             return cached
     chains = _chains(st, max_len, lambda c: is_absorbable(
-        GarsideElement(st, 0, c), budget=budget) is not None)
-    result = tuple(GarsideElement(st, 0, c) for c in chains)
+        _element(st, 0, c), budget=budget) is not None)
+    result = tuple(_element(st, 0, c) for c in chains)
     if cache_path is not None:
         _cache_append(st, max_len, cache_path, result)
     return result
@@ -530,7 +531,7 @@ def is_absorbable_prime(y: GarsideElement, budget: int = DEFAULT_BUDGET) -> str:
     segments = list(accumulate(letters, multiply))
     if segments and segments[-1] != y:
         raise AssertionError("internal error: fraction word does not rebuild y")
-    for x in (GarsideElement(st, 0, c) for c in _chains(st, _PRIME_SEARCH_LEN)):
+    for x in (_element(st, 0, c) for c in _chains(st, _PRIME_SEARCH_LEN)):
         products = (multiply(x, seg) for seg in segments)
         if all(xs.inf == x.inf and xs.sup == x.sup for xs in products):
             return "yes"

@@ -24,6 +24,16 @@ standard exit of bidirectional search (Pohl, "Bi-directional search",
 1971), which is exact here because both sides grow one whole layer at a
 time.  One budget unit is one expansion of a vertex by a move, and the
 budget caps each search run.
+
+A vertex is a frozen, slotted ALVertex.  The public ALVertex(rep) refuses a
+representative whose inf is not 0; vertex_of, identity_vertex and
+_path_vertices build theirs with the trusted _vertex(rep), which checks
+nothing, from inf-0 normal forms the kernel made (element._element).  Both
+give the dataclass's own __eq__, __hash__ and __repr__.  With slots there
+is no __dict__ and no weak reference to a vertex; nothing in the package
+pickles or weak-references one.  No vertex built here is longer than an
+element the kernel has already checked against the size bound (see
+_path_vertices).
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from .absorb import (
 )
 from .element import (
     GarsideElement,
+    _element,
     _fold,
     complement,
     delta_power,
@@ -58,7 +69,7 @@ class WitnessError(Exception):
     """A witness the theory guarantees to exist failed to verify; fatal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ALVertex:
     """A vertex, carried by its distinguished inf-0 representative."""
 
@@ -76,16 +87,29 @@ class ALVertex:
         return f"ALVertex({format_element(self.rep)})"
 
 
+_new = object.__new__
+_set_rep = ALVertex.rep.__set__
+
+
+def _vertex(rep: GarsideElement) -> ALVertex:
+    """The trusted constructor: the vertex of an inf-0 representative the
+    kernel made.  It sets the slot through its descriptor and checks
+    nothing."""
+    v = _new(ALVertex)
+    _set_rep(v, rep)
+    return v
+
+
 def vertex_of(g: GarsideElement) -> ALVertex:
     """The vertex of the coset g<Delta>: delta^p F delta^-p = tau^-p(F), tau(F) at odd p."""
     st, p = g.structure, g.power
     if not p & 1:
-        return ALVertex(g if p == 0 else GarsideElement(st, 0, g.factors))
-    return ALVertex(GarsideElement(st, 0, tuple([st._tau[f] for f in g.factors])))
+        return _vertex(g if p == 0 else _element(st, 0, g.factors))
+    return _vertex(_element(st, 0, tuple([st._tau[f] for f in g.factors])))
 
 
 def identity_vertex(st: GarsideStructure) -> ALVertex:
-    return ALVertex(identity_element(st))
+    return _vertex(identity_element(st))
 
 
 def act(g: GarsideElement, v: ALVertex) -> ALVertex:
@@ -148,7 +172,11 @@ def _path_vertices(v: ALVertex, x: GarsideElement, count: int) -> list:
     form factors of x: entry i is the vertex of v_rep * x_1 ... x_i.
 
     The running product v_rep * x_1 ... x_i is kept as L * Delta^e, one
-    cascade per step (element._fold); L is that step's vertex.
+    cascade per step (element._fold); L is that step's vertex.  Every
+    caller passes x = vertex_of(v_rep^-1 w_rep) for a vertex w, so the
+    path is the preferred path to w: L is a left divisor of v_rep up to
+    the gcd vertex and of w_rep after it, no L is longer than the longer
+    end, and the size bound needs no check here.
     """
     st = v.structure
     fac = list(v.rep.factors)
@@ -156,7 +184,7 @@ def _path_vertices(v: ALVertex, x: GarsideElement, count: int) -> list:
     vertices = [v]
     for f in x.factors[:count - 1]:
         e = _fold(st, fac, e, (f,))
-        vertices.append(ALVertex(GarsideElement(st, 0, tuple(fac))))
+        vertices.append(_vertex(_element(st, 0, tuple(fac))))
     return vertices
 
 
@@ -355,17 +383,6 @@ class SegmentWitness:
     absorber: GarsideElement    # d and Delta^i
 
 
-def _checked_connector(mid: GarsideElement, target: GarsideElement,
-                       context: str) -> GarsideElement:
-    """mid^-1 target, verified absorbable by mid unless it is the identity."""
-    if mid == target:
-        return identity_element(mid.structure)
-    y = multiply(invert(mid), target)  # not the identity, as mid != target
-    if not absorbs(mid, y):
-        raise WitnessError(f"{context}: connector failed absorption check")
-    return y
-
-
 def _gcd_walk(x: GarsideElement, y: GarsideElement, context: str) -> list:
     """The gcd path from the identity toward inf-0 representatives x and y.
 
@@ -376,17 +393,29 @@ def _gcd_walk(x: GarsideElement, y: GarsideElement, context: str) -> list:
     connector that is not the identity is verified absorbable by m; a
     failure is a fatal invariant breach.  d left-divides x and y, so the
     walk never runs past either of them.  Step 0 is the identity step.
+
+    A connector whose prefix equals m's, as most do, is the one identity
+    of the walk, and no prefix element is built for it.
     """
     d = left_gcd(x, y)
     st = d.structure
+    one = identity_element(st)
     steps = []
     for i in range(d.sup + 1):
-        m = GarsideElement(st, 0, d.factors[:i])
-        steps.append((m,
-                      _checked_connector(m, GarsideElement(st, 0, x.factors[:i]),
-                                         f"{context} step {i} toward x"),
-                      _checked_connector(m, GarsideElement(st, 0, y.factors[:i]),
-                                         f"{context} step {i} toward y")))
+        mf = d.factors[:i]
+        m = _element(st, 0, mf)
+        step = [m]
+        for side, target in (("x", x), ("y", y)):
+            tf = target.factors[:i]
+            if tf == mf:
+                step.append(one)
+                continue
+            c = multiply(invert(m), _element(st, 0, tf))  # not the identity
+            if not absorbs(m, c):
+                raise WitnessError(f"{context} step {i} toward {side}: "
+                                   "connector failed absorption check")
+            step.append(c)
+        steps.append(tuple(step))
     return steps
 
 

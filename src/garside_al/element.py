@@ -52,9 +52,22 @@ divisibility, so a right normal form is the left one of rev(a) read
 backwards through rev, and a right gcd is rev of the left gcd of the
 reversals.
 
-The public make_element validates its simples and folds the right cascade
-over them; everything built inside the package from simples it produced
-itself is constructed directly, without re-validation.
+Elements are frozen, slotted dataclasses, built one of two ways.  The
+public GarsideElement(structure, power, factors) checks the size bound in
+__post_init__, and the public make_element and delta_power go through it
+or through _finish; make_element also checks that every s_i is a simple.
+The kernel builds every value it reads off its own normal forms with the
+trusted _element(st, power, factors), which sets the three slots and
+checks nothing.  So the size bound (MAX_SIZE on |power| and on the
+canonical length, SizeLimitExceeded) is enforced where a size can grow:
+_finish, which ends every product, normalize, make_element and power, and
+invert, whose power is up to 2 * MAX_SIZE in magnitude.  Everything else
+the kernel builds (tau twists, complements, prefixes, vertices) is no
+larger than an element it already holds.  A value built either way has
+the dataclass's own __eq__, __hash__ and __repr__, and assigning an
+attribute raises FrozenInstanceError.  With slots there is no __dict__
+and no weak reference to an element; nothing in the package pickles or
+weak-references one.
 """
 
 from __future__ import annotations
@@ -79,7 +92,12 @@ class Stats(NamedTuple):
     length: int
 
 
-@dataclass(frozen=True)
+def _size_exceeded(power: int, length: int) -> SizeLimitExceeded:
+    return SizeLimitExceeded(
+        f"element exceeds size bound {MAX_SIZE}: power={power}, length={length}")
+
+
+@dataclass(frozen=True, slots=True)
 class GarsideElement:
     structure: GarsideStructure
     power: int
@@ -87,9 +105,7 @@ class GarsideElement:
 
     def __post_init__(self) -> None:
         if abs(self.power) > MAX_SIZE or len(self.factors) > MAX_SIZE:
-            raise SizeLimitExceeded(
-                f"element exceeds size bound {MAX_SIZE}: "
-                f"power={self.power}, length={len(self.factors)}")
+            raise _size_exceeded(self.power, len(self.factors))
 
     # readable accessors; the representation is the statistics
     @property
@@ -123,6 +139,23 @@ class GarsideElement:
 
     def __repr__(self) -> str:
         return f"GarsideElement({self.structure.structure_id}, D^{self.power}, {list(self.factors)})"
+
+
+_new = object.__new__
+_set_structure = GarsideElement.structure.__set__
+_set_power = GarsideElement.power.__set__
+_set_factors = GarsideElement.factors.__set__
+
+
+def _element(st: GarsideStructure, power: int, factors: tuple) -> GarsideElement:
+    """The trusted constructor: the element delta^power * factors, for a
+    factor tuple that is already a normal form within the size bound.
+    It sets the slots through their descriptors and checks nothing."""
+    a = _new(GarsideElement)
+    _set_structure(a, st)
+    _set_power(a, power)
+    _set_factors(a, factors)
+    return a
 
 
 def _fold(t, fac: list, e: int, simples: Iterable) -> int:
@@ -170,7 +203,10 @@ def _finish(st: GarsideStructure, p: int, fac: list, e: int) -> GarsideElement:
     """The element delta^p * fac * delta^e = delta^(p+e) tau^e(fac)."""
     if e & 1:  # tau^e is tau, its own inverse
         fac = [st._tau[f] for f in fac]
-    return GarsideElement(st, p + e, tuple(fac))
+    p += e
+    if p > MAX_SIZE or p < -MAX_SIZE or len(fac) > MAX_SIZE:
+        raise _size_exceeded(p, len(fac))
+    return _element(st, p, tuple(fac))
 
 
 def make_element(st: GarsideStructure, power: int, simples: Iterable[Simple]) -> GarsideElement:
@@ -184,7 +220,7 @@ def make_element(st: GarsideStructure, power: int, simples: Iterable[Simple]) ->
 
 
 def identity_element(st: GarsideStructure) -> GarsideElement:
-    return GarsideElement(st, 0, ())
+    return _element(st, 0, ())
 
 
 def delta_power(st: GarsideStructure, k: int) -> GarsideElement:
@@ -213,10 +249,12 @@ def invert(a: GarsideElement) -> GarsideElement:
     st = a.structure
     r = len(a.factors)
     if r == 0:
-        return GarsideElement(st, -a.power, ())
+        return _element(st, -a.power, ())
     # (delta^p y)^-1 = delta^-(p+r) * tau^-(p+r)(dy) for dy = complement(y)
     q = -(a.power + r)
-    return GarsideElement(st, q, _complement_factors(st, a.factors, q))
+    if q < -MAX_SIZE or q > MAX_SIZE:
+        raise _size_exceeded(q, r)
+    return _element(st, q, _complement_factors(st, a.factors, q))
 
 
 def power(a: GarsideElement, k: int) -> GarsideElement:
@@ -245,14 +283,14 @@ def tau_element(a: GarsideElement, k: int = 1) -> GarsideElement:
     st = a.structure
     if not k & 1:
         return a
-    return GarsideElement(st, a.power, tuple([st._tau[f] for f in a.factors]))
+    return _element(st, a.power, tuple([st._tau[f] for f in a.factors]))
 
 
 def complement(a: GarsideElement) -> GarsideElement:
     """The right complement a^-1 delta^sup(a) of a positive element with inf 0."""
     if a.power != 0:
         raise ValueError(f"complement needs inf = 0, got inf = {a.power}")
-    return GarsideElement(a.structure, 0, _complement_factors(a.structure, a.factors, 0))
+    return _element(a.structure, 0, _complement_factors(a.structure, a.factors, 0))
 
 
 def _complement_factors(st: GarsideStructure, factors: tuple, k: int) -> tuple:
@@ -395,8 +433,8 @@ def _reduced_fraction(z: GarsideElement) -> tuple:
     m = -z.power
     if m <= 0:
         return identity_element(z.structure), z
-    return (GarsideElement(z.structure, z.power, z.factors[:m]),
-            GarsideElement(z.structure, 0, z.factors[m:]))
+    return (_element(z.structure, z.power, z.factors[:m]),
+            _element(z.structure, 0, z.factors[m:]))
 
 
 def right_gcd(a: GarsideElement, b: GarsideElement) -> GarsideElement:
@@ -411,10 +449,10 @@ def delta_prefix(a: GarsideElement, i: int) -> GarsideElement:
         raise ValueError(f"delta_prefix needs inf(a) >= 0 and i >= 0, got {a.inf} and {i}")
     st = a.structure
     if i <= a.power:
-        return delta_power(st, i)
+        return _element(st, i, ())
     if i >= a.sup:
         return a
-    return GarsideElement(st, a.power, a.factors[:i - a.power])
+    return _element(st, a.power, a.factors[:i - a.power])
 
 
 # -- alternate normal forms and shape predicates ------------------------------

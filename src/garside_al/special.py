@@ -27,6 +27,7 @@ from .alcomplex import (
 from .braid import BraidStructure, braid_structure, embed_simple, perm_inverse, simple_from_word
 from .element import (
     GarsideElement,
+    _element,
     delta_power,
     delta_prefix,
     identity_element,
@@ -653,7 +654,7 @@ def nine_absorbable_decomposition(y: GarsideElement, c: RoundCurve,
     cur = c
     if y.inf != 0:
         pieces.extend(delta_three_absorbables(st.n, y.inf))
-        rest = GarsideElement(st, 0, y.factors)  # delta^-inf(y) * y
+        rest = _element(st, 0, y.factors)  # delta^-inf(y) * y
         if y.inf % 2:
             cur = cur.reflected(st.n)
     split = tube_decomposition(rest, cur)

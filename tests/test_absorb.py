@@ -444,18 +444,30 @@ def test_b6_witness_budget_boundary(monkeypatch):
 def test_warm_search_builds_no_element_below_the_root(monkeypatch):
     # the room is divided as a bare (power, factors) pair, so a warm search
     # of the six-strand witness builds only the root's few elements, where
-    # building one per division made 8,123
+    # building one per division would make 128.  Elements are built by the
+    # public constructor or by the trusted element._element, and both are
+    # counted, in every module that holds the trusted one.
     y = distance_witness(6)
     assert is_absorbable(y) is None
     built = 0
-    post_init = GarsideElement.__post_init__
+    post_init, trusted = GarsideElement.__post_init__, element._element
 
     def counted(self):
         nonlocal built
         built += 1
         post_init(self)
 
+    def counted_trusted(*args):
+        nonlocal built
+        built += 1
+        return trusted(*args)
+
     monkeypatch.setattr(GarsideElement, "__post_init__", counted)
+    holders = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("garside_al") and getattr(m, "_element", None) is trusted]
+    assert element in holders and absorb in holders
+    for m in holders:
+        monkeypatch.setattr(m, "_element", counted_trusted)
     assert is_absorbable(y) is None
     assert built <= 5, built
 

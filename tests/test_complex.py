@@ -293,7 +293,14 @@ class TestPreferredPaths:
         for _ in range(25):
             v = random_vertex(rng, B4, 4)
             w = random_vertex(rng, B4, 4)
-            assert gcd_vertex(v, w) in preferred_path(v, w).vertices
+            path = preferred_path(v, w).vertices
+            assert gcd_vertex(v, w) in path
+            # the path shrinks to the gcd vertex and grows after it, so no
+            # vertex is longer than both ends (_path_vertices checks no size)
+            i = path.index(gcd_vertex(v, w))
+            lengths = [len(q.rep.factors) for q in path]
+            assert lengths[:i + 1] == sorted(lengths[:i + 1], reverse=True)
+            assert lengths[i:] == sorted(lengths[i:])
 
 
 # ---------------------------------------------------------------------------

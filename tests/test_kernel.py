@@ -1,5 +1,6 @@
 """Normal-form arithmetic against the independent word-rewriting oracle."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -40,13 +41,15 @@ from garside_al import (
     vertex_of,
 )
 from garside_al.abelian import AbelianStructure
-from garside_al.alcomplex import ALVertex
+from garside_al.alcomplex import ALVertex, identity_vertex, preferred_path
 from garside_al.braid import BraidStructure, embed_simple
 from garside_al.element import (
     GarsideElement,
     _left_divide,
     _left_divide_head,
     _reduced_fraction,
+    _rev,
+    delta_prefix,
 )
 from oracles import (
     _tau as oracle_tau,
@@ -390,6 +393,78 @@ def test_normalize_twists_once_however_many_inverse_letters(monkeypatch):
 def test_size_guard():
     with pytest.raises(SizeLimitExceeded):
         make_element(B3, 10 ** 7, [])
+
+
+_BIG = make_element(B3, 10 ** 6, [B3.atom(1)])  # the largest power allowed
+
+
+@pytest.mark.parametrize("call, power, length", [
+    (lambda: multiply(_BIG, _BIG), 2 * 10 ** 6, 2),
+    (lambda: multiply(*[GarsideElement(B3, 0, (B3.atom(1),) * 500_001)] * 2), 0, 1_000_002),
+    (lambda: invert(_BIG), -(10 ** 6 + 1), 1),
+    (lambda: power(_BIG, 2), 2 * 10 ** 6, 2),
+    (lambda: power(_BIG, -1), -(10 ** 6 + 1), 1),
+    (lambda: power(delta_power(B3, 1), 10 ** 6 + 1), 10 ** 6 + 1, 0),
+    (lambda: parse_word(B3, "D^1000000 D"), 10 ** 6 + 1, 0),
+    (lambda: parse_word(B3, "D^-1000000 s1^-1"), -(10 ** 6 + 1), 1),
+    (lambda: delta_power(B3, 10 ** 6 + 1), 10 ** 6 + 1, 0),
+    (lambda: make_element(B3, 10 ** 6 + 1, []), 10 ** 6 + 1, 0),
+    (lambda: make_element(B3, -10 ** 6, [B3.atom(2), B3.delta]), -(10 ** 6 - 1), 1),
+    (lambda: GarsideElement(B3, 0, (B3.atom(1),) * (10 ** 6 + 1)), 0, 10 ** 6 + 1),
+], ids=["multiply", "multiply-length", "invert", "power", "power-negative",
+        "power-of-delta", "parse", "parse-negative", "delta_power", "make_element",
+        "make_element-within", "constructor-length"])
+def test_size_bound_at_every_growth_site(call, power, length):
+    # products, inversion, powers, parsing and the public constructors all
+    # refuse a size past the bound with one message; the last but one is
+    # in bounds, as a delta factor joins the power
+    if abs(power) <= 10 ** 6 and length <= 10 ** 6:
+        a = call()
+        assert (a.power, len(a.factors)) == (power, length)
+        return
+    with pytest.raises(SizeLimitExceeded) as err:
+        call()
+    assert str(err.value) == (
+        f"element exceeds size bound 1000000: power={power}, length={length}")
+
+
+def test_kernel_values_match_the_public_constructors():
+    # the trusted constructors build values that compare, hash and print
+    # exactly like GarsideElement(...) and ALVertex(...) of the same fields
+    for struct in (B3, B4, abelian_structure(3)):
+        rng = random.Random(f"trusted/{struct.structure_id}")
+        for _ in range(20):
+            a = _random_element(rng, struct, rng.randint(-3, 3))
+            b = _random_element(rng, struct, rng.randint(-3, 3))
+            pos = vertex_of(a).rep
+            cert = is_absorbable(pos, budget=10 ** 5)
+            for got in (multiply(a, b), invert(a), tau_element(a), power(a, 2),
+                        identity_element(struct), *_reduced_fraction(multiply(a, b)),
+                        complement(pos), delta_prefix(pos, 2), _rev(a), left_gcd(a, b),
+                        *((cert.x,) if cert else ())):
+                public = GarsideElement(struct, got.power, got.factors)
+                assert got == public and public == got
+                assert hash(got) == hash(public) and repr(got) == repr(public)
+            for v in (vertex_of(a), vertex_of(multiply(a, b)), identity_vertex(struct),
+                      *preferred_path(vertex_of(a), vertex_of(b)).vertices):
+                public = ALVertex(GarsideElement(struct, 0, v.rep.factors))
+                assert v == public and hash(v) == hash(public) and repr(v) == repr(public)
+    # certificates decoded from the absorber's codes, for an inf-0 and a sup-0 y
+    for word in ("s1^2 s2^2 s3^2 s2^2 s1", "s1^-1 s2^-2 s3^-2 s2^-2 s1^-2"):
+        x = is_absorbable(parse_word(B4, word)).x
+        public = GarsideElement(B4, x.power, x.factors)
+        assert x == public and hash(x) == hash(public) and repr(x) == repr(public)
+    got, v = multiply(_X4, _X4), vertex_of(_X4)
+    for value, attr in ((got, "power"), (got, "factors"), (got, "structure"), (v, "rep")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, getattr(value, attr))
+    # slotted: no instance dictionary, so a name that is not a field is
+    # refused too (FrozenInstanceError or TypeError, by Python version)
+    with pytest.raises((AttributeError, TypeError)):
+        got.extra = 1
+    assert not hasattr(got, "__dict__") and not hasattr(v, "__dict__")
+    with pytest.raises(ValueError, match="^vertex representative must have inf 0$"):
+        ALVertex(got)
 
 
 _X4, _X3 = delta_power(B4, 1), delta_power(B3, 1)
