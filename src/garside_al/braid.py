@@ -15,7 +15,10 @@ a product is simple, on masks without a meet; the starting set, the
 atoms whose one pair s inverts, is the descents of s.  Reading a positive
 word backwards inverts its permutation, so rev(s) is s^-1, and the right
 side follows from it: right divisibility, the right meet and the
-finishing set (the descents of s^-1).
+finishing set (the descents of s^-1).  It also fills make_element's
+_simple_bits from descents, in one scan of s and of s^-1, where the
+base class would build the inversion masks and starting sets of s and
+of ∂s.
 
 The slide of (c, f) works on strands.  A pair is left-weighted exactly
 when d = ∂c and f share no descent (El-Rifai and Morton, 1994), which one
@@ -69,7 +72,7 @@ class BraidStructure(GarsideStructure):
             atoms.append(tuple(a))
         self.atoms = tuple(atoms)
         # what is_simple_value compares against, built once
-        self._strands, self._int_types = list(self.identity), [int] * n
+        self._strands = list(self.identity)
         super().__init__()
 
     # -- permutation utilities ------------------------------------------------
@@ -126,6 +129,20 @@ class BraidStructure(GarsideStructure):
 
     def _rev_raw(self, s: Perm) -> Perm:
         return perm_inverse(s)
+
+    def _simple_bits_raw(self, s) -> tuple[int, int] | None:
+        # s_(i+1) starts s iff s has a descent at i, and it starts
+        # ∂s = s^-1 delta, which reads s^-1 backwards in values, iff s^-1
+        # has an ascent at i
+        if not self.is_simple_value(s):
+            return None
+        inv, start, comp = perm_inverse(s), 0, 0
+        for i in range(self.n - 1):
+            if s[i] > s[i + 1]:
+                start |= 1 << i
+            if inv[i] < inv[i + 1]:
+                comp |= 1 << i
+        return start, comp
 
     def is_simple_value(self, s) -> bool:
         # every entry exactly an int first: 2.0 and True sort and compare

@@ -55,7 +55,9 @@ reversals.
 Elements are frozen, slotted dataclasses, built one of two ways.  The
 public GarsideElement(structure, power, factors) checks the size bound in
 __post_init__, and the public make_element and delta_power go through it
-or through _finish; make_element also checks that every s_i is a simple.
+or through _finish; make_element also checks that every s_i is a simple,
+on the structure's _simple_bits table, and folds only what follows the
+input's longest normal-form prefix.
 The kernel builds every value it reads off its own normal forms with the
 trusted _element(st, power, factors), which sets the three slots and
 checks nothing.  So the size bound (MAX_SIZE on |power| and on the
@@ -210,13 +212,26 @@ def _finish(st: GarsideStructure, p: int, fac: list, e: int) -> GarsideElement:
 
 
 def make_element(st: GarsideStructure, power: int, simples: Iterable[Simple]) -> GarsideElement:
-    """The element delta^power * s_1 ... s_k; every s_i must be a simple."""
+    """The element delta^power * s_1 ... s_k; every s_i must be a simple.
+
+    Each s_i must be a tuple of n exact ints before its entry in
+    st._simple_bits is read, and that entry is None when s_i is no
+    simple; otherwise it is the starting-set bits of s_i and of its
+    right complement.  The longest prefix of proper simples with
+    left-weighted neighbours is a normal form as it stands, so it is
+    kept, and only the rest is folded onto it."""
     simples = tuple(simples)
-    for s in simples:
-        if not st.is_simple_value(s):
+    bits, types = st._simple_bits, st._int_types
+    # simples[:keep] is a normal form; comp is the bits of ∂ of its last factor
+    keep = comp = 0
+    for i, s in enumerate(simples):
+        if not (isinstance(s, tuple) and [*map(type, s)] == types) or (b := bits[s]) is None:
             raise ValueError(f"not a simple of {st.structure_id}: {s!r}")
-    fac: list = []
-    return _finish(st, power, fac, _fold(st, fac, 0, simples))
+        start, end = b
+        if keep == i and start and end and not comp & start:
+            keep, comp = i + 1, end
+    fac = list(simples[:keep])
+    return _finish(st, power, fac, _fold(st, fac, 0, simples[keep:]))
 
 
 def identity_element(st: GarsideStructure) -> GarsideElement:

@@ -3,14 +3,16 @@
 A GarsideStructure packages the combinatorial data the normal form machinery
 needs about one group: the ordered atoms, the lattice of simple elements
 (divisors of the top element), complements, quotients, and the inner
-automorphism induced by the top element.  Simples are opaque hashable values
-(tuples in both concrete structures shipped here); elements built from them
-live in element.py.
+automorphism induced by the top element.  Simples are tuples of n ints
+in both concrete structures shipped here, as make_element assumes;
+elements built from them live in element.py.
 
 A concrete structure supplies its id, n, the atoms, the identity, delta
-and six primitives, and overrides nothing else: the slide, the left quotient u^-1 t, the inversion mask, the word reversal
-rev, and the enumeration and validation of simples (all_simples,
-is_simple_value).  The slide is the domino step on a pair (c, f): (c u,
+and six primitives: the slide, the left quotient u^-1 t, the inversion
+mask, the word reversal rev, and the enumeration and validation of
+simples (all_simples, is_simple_value).  It overrides nothing else,
+except that BraidStructure fills _simple_bits (below) from descents, in
+O(n).  The slide is the domino step on a pair (c, f): (c u,
 u^-1 f) for u = ∂c ^ f, or None when u is 1, that is when the pair is
 left-weighted; it is the one step of every normal-form cascade, so a
 structure computes it in one pass, without a meet of its own.  The mask
@@ -39,12 +41,22 @@ the structure's own complement cannot be written:
   is rev(rev s ∧ rev t), the finishing set of s is the starting set of
   rev s, and element.py reads right normal forms and gcds through it.
 
-A structure keeps seven cached primitives, each a _Table: a dict that
+A structure keeps eight cached primitives, each a _Table: a dict that
 fills a missing entry once from the matching _<name>_raw method and that
 hot loops read by subscript, with no Python call on a hit.  They are
 _inversion_mask, _tau, _right_complement, _starting_set, _rev, the
-two-level slide rows[c][f] and, for output only, _simple_word, the atom
-word of each simple.  The left complement is read as
+two-level slide rows[c][f], _simple_bits for element.make_element and,
+for output only, _simple_word, the atom word of each simple.
+_simple_bits holds, for a raw value s, None when s is not a simple and
+otherwise the bit sets of the starting sets of s and of ∂s (bit i - 1
+for atom i): s is proper, neither 1 nor delta, iff both are nonzero,
+and (s, t) is left-weighted iff the bits of ∂s and of t share none,
+as a pair is left-weighted iff ∂s ^ t = 1 (El-Rifai and Morton, 1994).
+Its keys are raw input, so a caller reads it only for a tuple of n
+exact ints (the list _int_types): 2.0 and True hash and compare as ints
+do, and a value that is no such tuple may not hash.  The default fill
+reads the starting set and complement tables; BraidStructure fills it
+from descents directly.  The left complement is read as
 _tau[_right_complement[s]] and the finishing set as
 _starting_set[_rev[s]], with no table of their own; both meets are
 computed on every call, from one slide each.  A public method of the
@@ -66,9 +78,10 @@ Each table holds at most TABLE_BOUND entries, a two-level one (the slide
 and code book rows) counting its rows too; a miss that finds it full
 empties it first.  An entry costs 100 to 300 bytes on B8, so a full
 table holds 13 to 40 MB.  For N simples, a unary table holds at most N
-entries (40,320 on B8), and the move sets one per generator length; so
-below 9 strands the τ table never empties, and no row holds a second
-copy of a simple.
+entries (40,320 on B8; _simple_bits holds them in 3.5 MB, and one None
+more per non-simple asked about), and the move sets one per generator
+length; so below 9 strands the τ table never empties, and no row holds
+a second copy of a simple.
 """
 
 from __future__ import annotations
@@ -130,6 +143,9 @@ class GarsideStructure:
         self._starting_set = _Table(self._starting_set_raw)
         self._rev = _Table(self._rev_raw)
         self._simple_word = _Table(self._simple_word_raw)
+        self._simple_bits = _Table(self._simple_bits_raw)
+        # what a raw simple's entry types must equal before _simple_bits is read
+        self._int_types = [int] * len(self.identity)
         # the right cascade's slide rows (element._fold)
         self.rows = _rows(self._slide)
         self._nontrivial: tuple | None = None
@@ -188,6 +204,15 @@ class GarsideStructure:
         mask = self._inversion_mask
         ms = mask[s]
         return frozenset(i for i, a in enumerate(self.atoms, 1) if mask[a] & ms == mask[a])
+
+    def _simple_bits_raw(self, s: Any) -> tuple[int, int] | None:
+        """None unless s is a simple, else the starting-set bits of s and
+        of ∂s, bit i - 1 standing for atom i."""
+        if not self.is_simple_value(s):
+            return None
+        start = self._starting_set
+        return (sum(1 << (i - 1) for i in start[s]),
+                sum(1 << (i - 1) for i in start[self._right_complement[s]]))
 
     def _tau_raw(self, s: Simple) -> Simple:
         """Conjugation delta^-1 * s * delta, the right complement twice."""

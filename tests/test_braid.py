@@ -328,7 +328,7 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     raws = {"rows": struct._slide_raw, "code book rows": coded_slide}
     tables = _tables(struct)
     assert tables.keys() == {"_inversion_mask", "_tau", "_right_complement", "_starting_set",
-                             "_rev", "_simple_word", "rows", "code book rows"}
+                             "_rev", "_simple_word", "_simple_bits", "rows", "code book rows"}
     for name, table in tables.items():
         raw = raws.get(name) or getattr(struct, f"{name}_raw")
         public = getattr(struct, name[1:], None) if name.startswith("_") else None
@@ -341,6 +341,18 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
             for a in keys:
                 assert table[a] == raw(a), (name, a)
                 assert public is None or public(a) == raw(a), (name, a)
+    # _simple_bits holds the starting sets of s and of its right complement,
+    # bit i - 1 for atom i, and None for a value that is no simple
+    bits = struct._simple_bits
+
+    def as_bits(atoms):
+        return sum(1 << (i - 1) for i in atoms)
+
+    for s in simples:
+        assert bits[s] == (as_bits(struct.starting_set(s)),
+                           as_bits(struct.starting_set(struct.right_complement(s)))), s
+    for value in (tuple(v + 1 for v in struct.delta), struct.identity[1:] + (struct.n,)):
+        assert bits[value] is None and not struct.is_simple_value(value), value
     # tau is an involution, so tau^-1 is tau
     tau = struct._tau
     assert all(tau[tau[s]] == s for s in simples)
@@ -368,7 +380,7 @@ def test_structures_do_not_share_caches():
         tables.append({**_tables(st), **{f"candidates.{name}": getattr(st._candidates, name)
                                          for name in ("pre", "inf", "rdiv")}})
     t4, t5 = tables
-    assert t4.keys() == t5.keys()
+    assert t4.keys() == t5.keys() and "_simple_bits" in t4
     for name in t4:
         assert t4[name] is not t5[name], name
     before = {name: _contents(t) for name, t in t5.items()}
@@ -657,6 +669,9 @@ def test_a_small_bound_changes_no_answer(monkeypatch):
     # tables fill up to the bound, start over, and never pass it
     assert max(sizes) == 64
     assert max(fills.values()) > 20 * 64
+    # make_element's table of simple bits, which the inputs fill past the bound
+    assert fills[id(struct._simple_bits)] > 64
+    assert 0 < len(struct._simple_bits) <= 64
     # the candidate tables too, which the searches fill past the bound
     for name in ("pre", "inf", "rdiv"):
         table = getattr(struct._candidates, name)

@@ -2,11 +2,15 @@
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import garside_al
 from garside_al import (
     SUITE_NAMES,
     SearchBudgetExceeded,
@@ -45,6 +49,8 @@ from garside_al.alcomplex import ALVertex, identity_vertex, preferred_path
 from garside_al.braid import BraidStructure, embed_simple
 from garside_al.element import (
     GarsideElement,
+    _finish,
+    _fold,
     _left_divide,
     _left_divide_head,
     _reduced_fraction,
@@ -506,6 +512,93 @@ def test_factor_values_must_be_simples():
         with pytest.raises(ValueError, match="not a simple"):
             make_element(struct, 0, factors)
         assert not struct.is_simple_value(factors[0])
+
+
+def _full_fold(struct, power, simples):
+    """delta^power * simples, every simple folded through the right cascade."""
+    fac = []
+    return _finish(struct, power, fac, _fold(struct, fac, 0, simples))
+
+
+@pytest.mark.parametrize("struct", [*(braid_structure(n) for n in (2, 3, 4, 5, 6, 7, 8, 12)),
+                                    abelian_structure(3), abelian_structure(4)],
+                         ids=lambda s: s.structure_id)
+def test_make_element_equals_the_full_fold(struct):
+    # make_element keeps the input's longest normal-form prefix as it stands
+    # and folds only the rest; every input gives the element of the full fold
+    rng = random.Random(f"make-element/{struct.structure_id}")
+    n = len(struct.identity)
+    if isinstance(struct, AbelianStructure):
+        def draw():
+            return tuple(rng.randint(0, 1) for _ in range(n))
+    else:
+        def draw():
+            return tuple(rng.sample(range(1, n + 1), n))
+    kept = {"whole": 0, "part": 0, "none": 0}
+    for trial in range(300):
+        simples = [draw() for _ in range(rng.randint(0, 8))]
+        if trial % 3 == 0:
+            # a normal form, whole or cut short, then random simples
+            nf = list(_full_fold(struct, 0, simples).factors)
+            simples = nf[:rng.randint(0, len(nf))] + [draw() for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            simples.insert(rng.randint(0, len(simples)),
+                           rng.choice((struct.identity, struct.delta)))
+        if trial % 50 < 2:
+            simples = simples[:trial % 50]  # lengths 0 and 1
+        power = rng.randint(-3, 3)
+        want, got = _full_fold(struct, power, simples), make_element(struct, power, simples)
+        assert got == want, (power, simples)
+        kept["whole" if got.factors == tuple(simples) and power == got.power
+             else "part" if simples and got.factors[:1] == tuple(simples[:1]) else "none"] += 1
+    # B2's only simples are 1 and delta, so no factor is kept there
+    assert min(kept.values()) > 5 or struct.rank == 1, kept
+
+
+def test_make_element_folds_only_past_the_normal_form_prefix():
+    # a left-weighted chain of proper simples is kept as it stands, so a
+    # fresh structure's slide rows stay empty; a pair that is not
+    # left-weighted fills them from there on
+    chain = make_element(B5, 0, [B5.nontrivial_simples()[k] for k in (7, 60, 33, 101, 4)])
+    assert len(chain.factors) > 2
+    fresh = BraidStructure(5)
+    got = make_element(fresh, 2, chain.factors)
+    assert got.factors == chain.factors and got.power == 2
+    assert not fresh.rows
+    last = chain.factors[-1]
+    make_element(fresh, 0, chain.factors + (last,))
+    assert last in fresh.rows and last in fresh.rows[last]
+
+
+def test_make_element_refusals_are_pinned_under_o():
+    # each refusal is one ValueError naming the structure and the value,
+    # whether or not the tables hold the simple the value equals, and with
+    # or without asserts
+    probe = (
+        "from garside_al import abelian_structure, braid_structure, make_element\n"
+        "b3, z2 = braid_structure(3), abelian_structure(2)\n"
+        "make_element(b3, 0, [(2, 1, 3), (1, 2, 3), (1, 3, 2)])\n"
+        "make_element(z2, 0, [(1, 0), (1, 1)])\n"
+        "for st, s in ((b3, (2.0, 1, 3)), (b3, (True, 2, 3)), (b3, [2, 1, 3]),\n"
+        "              (b3, ([2], 1, 3)), (b3, (2, 1)), (b3, (1, 1, 3)), (z2, (2, 0))):\n"
+        "    try:\n"
+        "        make_element(st, 0, [st.atom(1), s])\n"
+        "    except Exception as err:\n"
+        "        print(type(err).__name__, err)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(garside_al.__file__)), env.get("PYTHONPATH", "")])
+    want = ["ValueError not a simple of braid-classical:3: (2.0, 1, 3)",
+            "ValueError not a simple of braid-classical:3: (True, 2, 3)",
+            "ValueError not a simple of braid-classical:3: [2, 1, 3]",
+            "ValueError not a simple of braid-classical:3: ([2], 1, 3)",
+            "ValueError not a simple of braid-classical:3: (2, 1)",
+            "ValueError not a simple of braid-classical:3: (1, 1, 3)",
+            "ValueError not a simple of free-abelian:2: (2, 0)"]
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == want, flags
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
