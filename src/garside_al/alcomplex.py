@@ -171,20 +171,33 @@ def _path_vertices(v: ALVertex, x: GarsideElement, count: int) -> list:
     """The first count vertices of the path from v spelled by the normal
     form factors of x: entry i is the vertex of v_rep * x_1 ... x_i.
 
-    The running product v_rep * x_1 ... x_i is kept as L * Delta^e, one
-    cascade per step (element._fold); L is that step's vertex.  Every
-    caller passes x = vertex_of(v_rep^-1 w_rep) for a vertex w, so the
-    path is the preferred path to w: L is a left divisor of v_rep up to
-    the gcd vertex and of w_rep after it, no L is longer than the longer
-    end, and the size bound needs no check here.
+    The running product v_rep * x_1 ... x_i is kept as L * Delta^e; L is
+    that step's vertex.  Each step is one cascade (element._fold) until a
+    factor lands as it stands, that is L grows by tau^e(x_i) and nothing
+    else moves.  x is a normal form, so every later factor lands too (see
+    element._fold), and each later vertex appends the next twisted factor
+    with no cascade.  Every caller passes x = vertex_of(v_rep^-1 w_rep)
+    for a vertex w, so the path is the preferred path to w: L is a left
+    divisor of v_rep up to the gcd vertex and of w_rep after it, no L is
+    longer than the longer end, and the size bound needs no check here.
     """
-    st = v.structure
+    st, tau = v.structure, v.structure._tau
     fac = list(v.rep.factors)
     e = 0
     vertices = [v]
-    for f in x.factors[:count - 1]:
+    steps = x.factors[:count - 1]
+    for i, f in enumerate(steps):
+        j = len(fac)
         e = _fold(st, fac, e, (f,))
         vertices.append(_vertex(_element(st, 0, tuple(fac))))
+        if len(fac) > j and fac[j] == (tau[f] if e & 1 else f):
+            # the list grew by one and ends in tau^e(f): a first slide
+            # would have put a proper right divisor of it there or deleted
+            # it, and a delta exit shortens the list, so f landed as it stands
+            for f in steps[i + 1:]:
+                fac.append(tau[f] if e & 1 else f)
+                vertices.append(_vertex(_element(st, 0, tuple(fac))))
+            break
     return vertices
 
 
@@ -435,13 +448,16 @@ def overlap_length(v: ALVertex, w: ALVertex) -> int:
     """sup of the gcd of X = complement(v_rep) and Y = complement(a) tau^r(b),
     for the reduced fraction v_rep^-1 w_rep = a^-1 b, r = sup(a); at least r.
     With s = sup(v_rep), X^-1 Y = Delta^(r-s) tau^r(w_rep) is a normal form,
-    so the gcd is X if m = s - r <= 0, else X Delta^-m tau^r(w_1 ... w_m)."""
+    so the gcd is X if m = s - r <= 0, else X Delta^-m tau^r(w_1 ... w_m),
+    whose fold appends the rest of that normal form once a factor lands
+    as it stands (element._fold)."""
     st, s = v.structure, len(v.rep.factors)
     r = max(-_coset_difference(v, w).power, 0)  # sup(a) = -inf(a^-1 b)
     if s <= r:
         return s
     fac, head = list(complement(v.rep).factors), w.rep.factors[:s - r]
-    return _fold(st, fac, r - s, [st._tau[f] for f in head] if r & 1 else head) + len(fac)
+    return _fold(st, fac, r - s, [st._tau[f] for f in head] if r & 1 else head,
+                 True) + len(fac)
 
 
 @dataclass(frozen=True)

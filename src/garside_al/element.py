@@ -24,7 +24,18 @@ answer depends on what they hold.
 * _fold (x * s_1 ... s_k, on a factor list) appends each s and slides right
   to left with the same stopping rule; a carry that fills up to delta
   leaves through the back, twisting by tau^-1 only the suffix the cascade
-  already walked (x_1 ... Delta ... = x_1 ... tau^-1(...) Delta).
+  already walked (x_1 ... Delta ... = x_1 ... tau^-1(...) Delta).  When
+  the s_i are the factors of a normal form, the rest of them is appended
+  in one step once one s_i lands as it stands, with no slide: the list
+  then ends in tau^e(s_i), and a chain of proper simples is a normal form
+  iff every adjacent pair is left-weighted (El-Rifai and Morton, 1994;
+  Epstein et al., Ch. 9), so (tau^e(s_i), tau^e(s_i+1)) is left-weighted
+  too, tau being an automorphism, and s_i+1 lands with e unchanged.
+  multiply and alcomplex fold normal forms this way, as _left_divide keeps
+  the untouched factors fac[i:] whole.  make_element's remainder,
+  normalize and _rev fold arbitrary simples, one cascade per simple, and
+  so do the absorber, whose verification stays independent of the rule,
+  and the distance search, whose moves are one or two codes long.
 
 A running product of the right cascade is therefore a list L times a power
 Delta^e on the right: _fold appends each later simple s as tau^-e(s), and
@@ -160,7 +171,7 @@ def _element(st: GarsideStructure, power: int, factors: tuple) -> GarsideElement
     return a
 
 
-def _fold(t, fac: list, e: int, simples: Iterable) -> int:
+def _fold(t, fac: list, e: int, simples: Iterable, normal: bool = False) -> int:
     """Multiply fac * delta^e by the simples, in place, by the right
     cascade; returns the new e, and the product is fac * delta^e.
 
@@ -171,9 +182,19 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
     appended and slid right to left until a pair is left-weighted; an
     identity rest is deleted, and a carry that fills up to delta leaves
     through the back, twisting by tau^-1 = tau only the suffix the
-    cascade walked (x_1 ... delta y = x_1 ... tau^-1(y) delta)."""
+    cascade walked (x_1 ... delta y = x_1 ... tau^-1(y) delta).
+
+    With normal, the simples must be the factors of a normal form:
+    proper, with left-weighted neighbours, which nothing here checks.
+    Once one of them lands as it stands (fac was empty, or its first slide
+    row entry is None), fac ends in tau^e(s_i), and (tau^e(s_i),
+    tau^e(s_i+1)) is left-weighted as tau is an automorphism, so s_i+1
+    lands too, with e unchanged, and so on: the rest is appended in one
+    step, twisted by tau for odd e."""
     rows, tau, ident, delta = t.rows, t._tau, t.identity, t.delta
-    for s in simples:
+    # with normal, the tail is the rest of the same iterator
+    rest_of = iter(simples) if normal else simples
+    for s in rest_of:
         if e & 1:
             s = tau[s]
         if s == ident:
@@ -183,10 +204,12 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
             continue
         j = len(fac)
         fac.append(s)
-        while j:
-            step = rows[fac[j - 1]][s]
-            if step is None:
-                break
+        if not j or (step := rows[fac[j - 1]][s]) is None:
+            if normal:
+                fac.extend([tau[y] for y in rest_of] if e & 1 else rest_of)
+                return e
+            continue
+        while True:
             c, rest = step
             if rest == ident:
                 del fac[j]
@@ -198,6 +221,8 @@ def _fold(t, fac: list, e: int, simples: Iterable) -> int:
                 break
             fac[j - 1] = s = c
             j -= 1
+            if not j or (step := rows[fac[j - 1]][s]) is None:
+                break
     return e
 
 
@@ -257,7 +282,7 @@ def multiply(a: GarsideElement, b: GarsideElement) -> GarsideElement:
     st = _check_same_structure(a, b)
     # delta^pa A delta^pb B = delta^pa A tau^-pb(B) delta^pb
     fac = list(a.factors)
-    return _finish(st, a.power, fac, _fold(st, fac, b.power, b.factors))
+    return _finish(st, a.power, fac, _fold(st, fac, b.power, b.factors, True))
 
 
 def invert(a: GarsideElement) -> GarsideElement:

@@ -45,7 +45,8 @@ from garside_al import (
     vertex_of,
 )
 from garside_al.abelian import AbelianStructure
-from garside_al.alcomplex import ALVertex, identity_vertex, preferred_path
+from garside_al import absorb, alcomplex, element as element_module
+from garside_al.alcomplex import ALVertex, identity_vertex, overlap_length, preferred_path
 from garside_al.braid import BraidStructure, embed_simple
 from garside_al.element import (
     GarsideElement,
@@ -570,6 +571,50 @@ def test_make_element_folds_only_past_the_normal_form_prefix():
     assert last in fresh.rows and last in fresh.rows[last]
 
 
+def _left_weighted_chain(rng, struct, length):
+    """A normal form of length proper simples: a random walk through
+    left-weighted pairs."""
+    simples = struct.nontrivial_simples()
+    fac = [rng.choice(simples)] if length else []
+    while len(fac) < length:
+        t = rng.choice(simples)
+        if struct.is_left_weighted(fac[-1], t):
+            fac.append(t)
+    return tuple(fac)
+
+
+def test_a_left_weighted_junction_fills_one_slide_row_entry():
+    # b's first factor lands as it stands, after one row lookup, and the
+    # rest of b is appended with none; the per-simple cascade reads one
+    # entry per factor of b
+    walk = _left_weighted_chain(random.Random("one-row-entry"), braid_structure(8), 14)
+    fresh = BraidStructure(8)
+    a, b = make_element(fresh, 1, walk[:6]), make_element(fresh, 0, walk[6:])
+    assert not fresh.rows
+    assert multiply(a, b) == make_element(fresh, 1, walk)
+    assert sum(map(len, fresh.rows.values())) == 1
+
+
+def test_searches_fold_simple_by_simple(monkeypatch):
+    # the absorber (its room, its product and its verification) and the
+    # distance search's moves never append a tail in one step
+    normal = []
+    fold = _fold
+
+    def recording(t, fac, e, simples, *flag):
+        normal.append(bool(flag and flag[0]))
+        return fold(t, fac, e, simples)
+
+    monkeypatch.setattr(absorb, "_fold", recording)
+    monkeypatch.setattr(alcomplex, "_fold", recording)
+    for word in ("s1 s2 s3 s2", "s3^-1 s2^-1 s1^-1 s2^-1"):
+        assert is_absorbable(parse_word(B4, word)) is not None
+    v = vertex_of(parse_word(B4, "s1 s3"))
+    w = vertex_of(parse_word(B4, "s1 s2 s1 s3 s2 s2 s2 s1"))
+    assert alcomplex.distance_upper_bound(v, w, 2, 4) == 2
+    assert len(normal) > 100 and not any(normal)
+
+
 def test_make_element_refusals_are_pinned_under_o():
     # each refusal is one ValueError naming the structure and the value,
     # whether or not the tables hold the simple the value equals, and with
@@ -744,6 +789,111 @@ def test_left_cascade_takes_the_identity_and_delta_like_any_simple(struct):
             want = multiply(simple_element(struct, s), x)
             assert _left_divide(struct, struct.right_complement(s), x.power, x.factors) \
                 == (want.power - 1, want.factors)
+
+
+def _oracle_nf(struct, power, simples):
+    """(p, factors) of delta^power * s_1 ... s_k by the oracles alone: the
+    reference normaliser on braids; on Z^n the coordinate vector v, whose
+    normal form is delta^min(v) times the indicators of v - min(v) >= i."""
+    if not isinstance(struct, AbelianStructure):
+        return reference_normal_form(struct.n, power, simples)
+    v = [power + sum(s[k] for s in simples) for k in range(struct.n)]
+    p = min(v)
+    return p, tuple(tuple(int(c - p >= i) for c in v) for i in range(1, max(v) - p + 1))
+
+
+def _oracle_twist(struct, k, fac):
+    """tau^k of each factor; tau is trivial on Z^n and an involution."""
+    if k % 2 and not isinstance(struct, AbelianStructure):
+        return [oracle_tau(f) for f in fac]
+    return list(fac)
+
+
+def _first_landing(struct, a, b):
+    """How the first factor of b that lands as it stands gets there, when
+    b is folded onto a one factor at a time by the per-simple cascade:
+    "first", "slide" (after slides only), "exit" (after a delta exit), or
+    "none"."""
+    tau = struct._tau
+    fac, e = list(a.factors), b.power
+    for i, f in enumerate(b.factors):
+        j = len(fac)
+        e = _fold(struct, fac, e, (f,))
+        if len(fac) > j and fac[j] == (tau[f] if e & 1 else f):
+            return "first" if i == 0 else "exit" if e != b.power else "slide"
+    return "none"
+
+
+@pytest.mark.parametrize("struct", [*(braid_structure(n) for n in range(3, 9)),
+                                    abelian_structure(3), abelian_structure(4)],
+                         ids=lambda s: s.structure_id)
+def test_normal_form_tails_land_as_they_stand(struct, monkeypatch):
+    # multiply, overlap_length and preferred_path append the rest of a
+    # normal form once one of its factors lands with no slide; every
+    # answer equals that of the per-simple cascade and the oracle's, with
+    # the landing at the first factor, after slides and after delta exits
+    rng = random.Random(f"tail-landing/{struct.structure_id}")
+    fold = _fold
+
+    def per_simple(t, fac, e, simples, normal=False):
+        return fold(t, fac, e, simples)
+
+    def chain(length):
+        return _left_weighted_chain(rng, struct, length)
+
+    def path_by_steps(v, labels):
+        # the running product of the path, one per-simple cascade per step
+        fac, e, out = list(v.rep.factors), 0, [v.rep.factors]
+        for f in labels:
+            e = _fold(struct, fac, e, (f,))
+            out.append(tuple(fac))
+        return out
+
+    landed = {"first": 0, "slide": 0, "exit": 0, "none": 0}
+    for case in range(30):
+        pa, pb = rng.randint(-3, 3), rng.randint(-3, 3)
+        la = rng.randint(0, 60 if case % 5 == 0 else 20)
+        lb = rng.randint(0, 60 if case % 5 == 2 else 20)
+        if case % 3 == 0:  # a left-weighted junction, up to b's twist
+            c = chain(la + lb)
+            a = make_element(struct, pa, c[:la])
+            b = make_element(struct, pb, _oracle_twist(struct, pb, c[la:]))
+        elif case % 3 == 1:  # independent normal forms
+            a, b = make_element(struct, pa, chain(la)), make_element(struct, pb, chain(lb))
+        else:  # b starts by cancelling a, one delta exit per factor
+            x = make_element(struct, pa, chain(la))
+            a, b = invert(x), multiply(x, make_element(struct, pb, chain(lb)))
+        for left, right in ((a, b), (b, a)):
+            landed[_first_landing(struct, left, right)] += 1
+            got = multiply(left, right)
+            v, w = vertex_of(left), vertex_of(right)
+            overlap = overlap_length(v, w)
+            path = preferred_path(v, w)
+            vw = preferred_path(v, vertex_of(got))  # the path of the product
+            with monkeypatch.context() as m:
+                m.setattr(element_module, "_fold", per_simple)
+                m.setattr(alcomplex, "_fold", per_simple)
+                assert got == multiply(left, right)
+                assert overlap == overlap_length(v, w)
+            # delta^p A delta^q B = delta^(p+q) tau^q(A) B
+            assert nf(got) == _oracle_nf(
+                struct, left.power + right.power,
+                _oracle_twist(struct, right.power, left.factors) + list(right.factors))
+            # the overlap is the sup of X delta^-m tau^r(w_1 ... w_m), for
+            # X = complement(v_rep) and m = s - r (alcomplex.overlap_length)
+            s = len(v.rep.factors)
+            r = max(-multiply(invert(v.rep), w.rep).power, 0)
+            p, fac = _oracle_nf(struct, r - s,
+                                _oracle_twist(struct, s - r, complement(v.rep).factors)
+                                + _oracle_twist(struct, r, w.rep.factors[:s - r]))
+            assert overlap == (s if s <= r else p + len(fac)), (v, w)
+            for q in (path, vw):
+                assert [u.rep.factors for u in q.vertices] == path_by_steps(v, q.labels)
+                for i in sorted({0, len(q.labels) // 2, len(q.labels)}):
+                    p, fac = _oracle_nf(struct, 0, list(v.rep.factors) + list(q.labels[:i]))
+                    assert q.vertices[i].rep.factors == tuple(_oracle_twist(struct, p, fac))
+    # B3 lands after slides alone only twice: its slides mostly fill up to delta
+    assert min(landed["first"], landed["slide"], landed["exit"]) >= 2, landed
 
 
 def _rooms(struct, max_len, rng=None, count=0):
