@@ -51,6 +51,7 @@ from .absorb import (
 )
 from .element import (
     GarsideElement,
+    _descent,
     _element,
     _fold,
     complement,
@@ -176,10 +177,12 @@ def _path_vertices(v: ALVertex, x: GarsideElement, count: int) -> list:
     factor lands as it stands, that is L grows by tau^e(x_i) and nothing
     else moves.  x is a normal form, so every later factor lands too (see
     element._fold), and each later vertex appends the next twisted factor
-    with no cascade.  Every caller passes x = vertex_of(v_rep^-1 w_rep)
-    for a vertex w, so the path is the preferred path to w: L is a left
-    divisor of v_rep up to the gcd vertex and of w_rep after it, no L is
-    longer than the longer end, and the size bound needs no check here.
+    with no cascade.  preferred_path climbs from the gcd vertex along the
+    cofactors, so each L left-divides v_rep or w_rep and e stays 0; the
+    thinness report walks x = vertex_of(v_rep^-1 w_rep) from v, where L is
+    a left divisor of v_rep up to the gcd vertex and of w_rep after it.
+    Either way no L is longer than the longer end, and the size bound
+    needs no check here.
     """
     st, tau = v.structure, v.structure._tau
     fac = list(v.rep.factors)
@@ -201,25 +204,47 @@ def _path_vertices(v: ALVertex, x: GarsideElement, count: int) -> list:
     return vertices
 
 
+def _split(v: ALVertex, w: ALVertex) -> tuple:
+    """(d, N, D): the left gcd of the representatives and its cofactors,
+    v_rep = d N and w_rep = d D, from one lattice descent
+    (element._descent).  All three have inf 0, as both representatives
+    do, and N^-1 D is the reduced fraction of v_rep^-1 w_rep."""
+    if v.structure != w.structure:
+        raise ValueError("vertices from different structures")
+    return _descent(v.rep, w.rep)
+
+
 def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
     """The edge path spelled by the normal form of the translated target.
 
     Step i sits at the vertex of v_rep * (x and Delta^i), where x is the
     distinguished representative of (v_rep^-1 w_rep) Delta^Z; the i-th edge
-    label is the i-th normal form factor of x.  The vertices are those of
-    the running product, _path_vertices, with which the thinness report
-    folds its six directed paths.
+    label is the i-th normal form factor of x.
+
+    Both are read off the gcd d and its cofactors N and D (_split).  The
+    fraction N^-1 D with N ^ D = 1 is a normal form as it stands
+    (Thurston, in Epstein et al., Ch. 9), so the product lands at its
+    first factor, and x is its vertex.  Its first sup(N) factors are those
+    of N^-1 and the rest those of D, so the path descends from v to the
+    gcd vertex through the vertices d (N and Delta^j), j = sup(N) down to
+    0, and climbs along D to w.  Both halves are _path_vertices from the
+    gcd vertex, along N read backwards and along D: each step climbs along
+    a normal form, so after the first landing every vertex is an append,
+    and no step is a cascade that shortens the list.
     """
-    x = vertex_of(_coset_difference(v, w)).rep
-    return PreferredPath(tuple(_path_vertices(v, x, len(x.factors) + 1)), x.factors)
+    d, n, q = _split(v, w)
+    x = vertex_of(multiply(invert(n), q)).rep
+    g = _vertex(d)
+    down = _path_vertices(g, n, len(n.factors) + 1)
+    down.reverse()
+    down += _path_vertices(g, q, len(q.factors) + 1)[1:]
+    return PreferredPath(tuple(down), x.factors)
 
 
 def gcd_vertex(v: ALVertex, w: ALVertex) -> ALVertex:
     """The vertex of the left gcd of the two representatives; it lies on
     preferred_path(v, w)."""
-    if v.structure != w.structure:
-        raise ValueError("vertices from different structures")
-    return vertex_of(left_gcd(v.rep, w.rep))
+    return _vertex(_split(v, w)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +472,13 @@ def initial_segment_witnesses(v: ALVertex, w: ALVertex) -> tuple:
 def overlap_length(v: ALVertex, w: ALVertex) -> int:
     """sup of the gcd of X = complement(v_rep) and Y = complement(a) tau^r(b),
     for the reduced fraction v_rep^-1 w_rep = a^-1 b, r = sup(a); at least r.
+    a is the cofactor N of the gcd descent (_split), so r = sup(N).
     With s = sup(v_rep), X^-1 Y = Delta^(r-s) tau^r(w_rep) is a normal form,
     so the gcd is X if m = s - r <= 0, else X Delta^-m tau^r(w_1 ... w_m),
     whose fold appends the rest of that normal form once a factor lands
     as it stands (element._fold)."""
     st, s = v.structure, len(v.rep.factors)
-    r = max(-_coset_difference(v, w).power, 0)  # sup(a) = -inf(a^-1 b)
+    r = _split(v, w)[1].sup
     if s <= r:
         return s
     fac, head = list(complement(v.rep).factors), w.rep.factors[:s - r]

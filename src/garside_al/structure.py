@@ -41,12 +41,14 @@ the structure's own complement cannot be written:
   is rev(rev s ∧ rev t), the finishing set of s is the starting set of
   rev s, and element.py reads right normal forms and gcds through it.
 
-A structure keeps eight cached primitives, each a _Table: a dict that
+A structure keeps nine cached primitives, each a _Table: a dict that
 fills a missing entry once from the matching _<name>_raw method and that
 hot loops read by subscript, with no Python call on a hit.  They are
 _inversion_mask, _tau, _right_complement, _starting_set, _rev, the
-two-level slide rows[c][f], _simple_bits for element.make_element and,
-for output only, _simple_word, the atom word of each simple.
+two-level slide rows[c][f], the two-level left meets meets[s][t] for
+element._descent (filled by left_meet), _simple_bits for
+element.make_element and, for output only, _simple_word, the atom word
+of each simple.
 _simple_bits holds, for a raw value s, None when s is not a simple and
 otherwise the bit sets of the starting sets of s and of ∂s (bit i - 1
 for atom i): s is proper, neither 1 nor delta, iff both are nonzero,
@@ -58,11 +60,11 @@ do, and a value that is no such tuple may not hash.  The default fill
 reads the starting set and complement tables; BraidStructure fills it
 from descents directly.  The left complement is read as
 _tau[_right_complement[s]] and the finishing set as
-_starting_set[_rev[s]], with no table of their own; both meets are
-computed on every call, from one slide each.  A public method of the
-same name, where one exists, reads each and stays on the class for code
-that wraps class attributes.  absorb.py keeps its candidate sets in
-_candidates.
+_starting_set[_rev[s]], with no table of their own; left_meet and
+right_meet compute their meet on every call, from one slide each.  A
+public method of the same name, where one exists, reads each and stays
+on the class for code that wraps class attributes.  absorb.py keeps its
+candidate sets in _candidates.
 
 The right cascade (element._fold) reads the slide rows, where rows[c][f]
 is the slide of (c, f), and the τ table by subscript.  A row entry comes
@@ -75,13 +77,13 @@ table of Thurston's normal-form automaton (Epstein et al., Word
 Processing in Groups, Ch. 9).
 
 Each table holds at most TABLE_BOUND entries, a two-level one (the slide
-and code book rows) counting its rows too; a miss that finds it full
-empties it first.  An entry costs 100 to 300 bytes on B8, so a full
-table holds 13 to 40 MB.  For N simples, a unary table holds at most N
-entries (40,320 on B8; _simple_bits holds them in 3.5 MB, and one None
-more per non-simple asked about), and the move sets one per generator
-length; so below 9 strands the τ table never empties, and no row holds
-a second copy of a simple.
+rows, the meets and the code book rows) counting its rows too; a miss
+that finds it full empties it first.  An entry costs 100 to 300 bytes
+on B8, so a full table holds 13 to 40 MB.  For N simples, a unary table
+holds at most N entries (40,320 on B8; _simple_bits holds them in
+3.5 MB, and one None more per non-simple asked about), and the move sets
+one per generator length; so below 9 strands the τ table never empties,
+and no row holds a second copy of a simple.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ class GarsideStructure:
         self._int_types = [int] * len(self.identity)
         # the right cascade's slide rows (element._fold)
         self.rows = _rows(self._slide)
+        # the left meets meets[s][t], for element._descent
+        self.meets = _rows(self.left_meet)
         self._nontrivial: tuple | None = None
         # built on first use: alcomplex._vertex_moves (per generator length, its
         # moves mapped to 1, their distance from ()), code_book, absorb._Candidates

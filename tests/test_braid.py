@@ -325,10 +325,12 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
         step = struct._slide_raw(book.simples[c], book.simples[f])
         return None if step is None else tuple(book.code[s] for s in step)
 
-    raws = {"rows": struct._slide_raw, "code book rows": coded_slide}
+    raws = {"rows": struct._slide_raw, "meets": struct._left_meet,
+            "code book rows": coded_slide}
     tables = _tables(struct)
     assert tables.keys() == {"_inversion_mask", "_tau", "_right_complement", "_starting_set",
-                             "_rev", "_simple_word", "_simple_bits", "rows", "code book rows"}
+                             "_rev", "_simple_word", "_simple_bits", "rows", "meets",
+                             "code book rows"}
     for name, table in tables.items():
         raw = raws.get(name) or getattr(struct, f"{name}_raw")
         public = getattr(struct, name[1:], None) if name.startswith("_") else None
@@ -356,8 +358,10 @@ def test_every_cached_primitive_equals_its_raw_method(struct):
     # tau is an involution, so tau^-1 is tau
     tau = struct._tau
     assert all(tau[tau[s]] == s for s in simples)
-    # the rows hold the tau table's own object for every simple
+    # the rows hold the tau table's own object for every simple, and so
+    # does the meet table
     assert all(tau[tau[s]] is s for s in _held_simples(struct))
+    assert all(tau[tau[s]] is s for row in struct.meets.values() for s in row.values())
     # searches keep their candidate sets in absorb.py's object, adding no
     # table to the structure
     rng = random.Random(301)
@@ -672,6 +676,9 @@ def test_a_small_bound_changes_no_answer(monkeypatch):
     # make_element's table of simple bits, which the inputs fill past the bound
     assert fills[id(struct._simple_bits)] > 64
     assert 0 < len(struct._simple_bits) <= 64
+    # the gcd descent's meet table, which the gcds and paths fill past it
+    assert fills[id(struct.meets)] > 64
+    assert 0 < _entries(struct.meets) <= 64
     # the candidate tables too, which the searches fill past the bound
     for name in ("pre", "inf", "rdiv"):
         table = getattr(struct._candidates, name)

@@ -79,6 +79,18 @@ def vertices_b3_pool():
     return sorted(pool, key=lambda v: (v.rep.canonical_length, v.rep.factors))
 
 
+def fold_path(v, labels):
+    """The vertices of the path from v spelled by labels, one per-simple
+    cascade per step: the running product is kept as L * Delta^e, and L
+    is the step's vertex."""
+    st = v.structure
+    fac, e, out = list(v.rep.factors), 0, [v]
+    for f in labels:
+        e = element._fold(st, fac, e, (f,))
+        out.append(vertex_of(make_element(st, 0, fac)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # vertices and the action
 
@@ -280,6 +292,32 @@ class TestPreferredPaths:
                 exits += p - last
                 last = p
         assert exits > 0
+
+    @pytest.mark.parametrize("struct", [*(braid_structure(n) for n in range(3, 9)),
+                                        abelian_structure(3), abelian_structure(4)],
+                             ids=lambda s: s.structure_id)
+    def test_path_equals_the_per_simple_fold_of_its_labels(self, struct):
+        # the path is read off the gcd and its cofactors, yet its labels are
+        # the vertex of v_rep^-1 w_rep and its vertices are the running
+        # product from v, step by step; pairs share a prefix, are equal, or
+        # one divides the other, at lengths up to 60
+        rng = random.Random(f"path-fold/{struct.structure_id}")
+        simples = list(struct.all_simples())
+
+        def draw(length):
+            return make_element(struct, 0, [rng.choice(simples) for _ in range(length)])
+
+        for case in range(24):
+            long = case % 6 == 0
+            shared = draw(rng.randint(0, 40 if long else 8))
+            v = vertex_of(multiply(shared, draw(rng.randint(0, 20 if long else 6))))
+            w = (v if case % 8 == 1 else
+                 vertex_of(multiply(v.rep, draw(rng.randint(0, 6)))) if case % 8 == 3 else
+                 vertex_of(multiply(shared, draw(rng.randint(0, 20 if long else 6)))))
+            for a, b in ((v, w), (w, v)):
+                path = preferred_path(a, b)
+                assert path.labels == vertex_of(multiply(invert(a.rep), b.rep)).rep.factors
+                assert list(path.vertices) == fold_path(a, path.labels), (a, b)
 
     def test_gcd_vertex_examples(self):
         v = vertex_of(parse_word(B3, "s1 s1"))
@@ -888,38 +926,71 @@ class TestSegmentWitnesses:
                 twisted += s > r and r % 2
         assert short >= 120 and twisted >= 120, (short, twisted)
 
-    def test_overlap_folds_twice_and_takes_no_gcd(self, monkeypatch):
-        folds = []
-        fold = element._fold
+    def test_one_descent_and_no_coset_difference_per_query(self, monkeypatch):
+        # overlap_length, gcd_vertex and preferred_path each take one gcd
+        # descent, which folds nothing, and no v_rep^-1 w_rep product; the
+        # overlap folds once unless its gcd is complement(v_rep) itself, and
+        # the path makes one product, N^-1 D, and folds each climb from the
+        # gcd vertex until its first landing
+        folds, descents, products = [], [], []
+        fold, descent, product = element._fold, alcomplex._descent, alcomplex.multiply
 
         def counting(t, *args):
-            folds.append(t)
+            # whether the fold reads a normal form's tail as it stands
+            folds.append(args[3:] == (True,))
             return fold(t, *args)
 
         def forbidden(*args):
-            raise AssertionError("overlap_length took a gcd or a fraction")
+            raise AssertionError("a coset difference or a fraction was taken")
 
-        monkeypatch.setattr(element, "_fold", counting)
-        monkeypatch.setattr(alcomplex, "_fold", counting)
-        for module, name in ((element, "left_gcd"), (alcomplex, "left_gcd"),
-                             (element, "_reduced_fraction")):
-            monkeypatch.setattr(module, name, forbidden)
+        def climb_folds(path):
+            # a climb along y from g folds step j until y_j lands, that is
+            # until vertex j is vertex j - 1 with y_j appended
+            for j, (before, after) in enumerate(zip(path, path[1:]), 1):
+                if after.rep.factors[:-1] == before.rep.factors:
+                    return j
+            return len(path) - 1
+
         rng = random.Random(37)
         b8 = braid_structure(8)
-        gcd_folds = 0
+        cases = []
         for case in range(20):
             v = random_vertex(rng, b8, 12)
             w = vertex_of(multiply(v.rep if case % 2 else random_positive(rng, b8, 6),
                                    random_element(rng, b8, 6)))
+            d = left_gcd(v.rep, w.rep)
+            n, q = multiply(invert(d), v.rep), multiply(invert(d), w.rep)
+            r = max(-multiply(invert(v.rep), w.rep).inf, 0)
+            cases.append((v, w, vertex_of(d), n, q, r))
+        monkeypatch.setattr(element, "_fold", counting)
+        monkeypatch.setattr(alcomplex, "_fold", counting)
+        monkeypatch.setattr(alcomplex, "_descent", lambda *a: descents.append(a) or descent(*a))
+        monkeypatch.setattr(alcomplex, "multiply",
+                            lambda *a: products.append(a) or product(*a))
+        monkeypatch.setattr(alcomplex, "_coset_difference", forbidden)
+        monkeypatch.setattr(element, "_reduced_fraction", forbidden)
+        gcd_folds = slid = 0
+        for v, w, g, n, q, r in cases:
             s = v.rep.canonical_length
-            r = max(-alcomplex._coset_difference(v, w).inf, 0)
-            folds.clear()
-            overlap_length(v, w)
-            # the coset difference, then one cascade for the gcd unless it
-            # is complement(v_rep) itself (s <= r)
-            assert len(folds) == (2 if s > r else 1), (v, w)
+            assert n.sup == r
+            for call, want in ((overlap_length, 1 if s > r else 0), (gcd_vertex, 0)):
+                folds.clear(), descents.clear(), products.clear()
+                call(v, w)
+                assert (folds, len(descents), len(products)) == ([True] * want, 1, 0), \
+                    (call, v, w)
             gcd_folds += s > r
+            folds.clear(), descents.clear(), products.clear()
+            path = preferred_path(v, w).vertices
+            k = len(n.factors)
+            assert path[k] == g
+            climbs = climb_folds(path[k::-1]) + climb_folds(path[k:])
+            assert (len(folds), len(descents), len(products)) == (1 + climbs, 1, 1), (v, w)
+            # the climbs fold one simple at a time, the product N^-1 D a tail
+            assert folds.count(True) == 1, (v, w)
+            slid += climbs - (k > 0) - (len(q.factors) > 0)
         assert 5 <= gcd_folds < 20
+        # some climbs slide before they land, so the count is no step count
+        assert slid > 20, slid
 
     def test_overlap_refuses_mixed_structures(self):
         with pytest.raises(ValueError, match="different structures"):

@@ -435,6 +435,17 @@ def test_size_bound_at_every_growth_site(call, power, length):
         f"element exceeds size bound 1000000: power={power}, length={length}")
 
 
+def test_a_gcd_in_bounds_is_answered_whatever_its_inputs_invert_to():
+    # the descent inverts nothing, so a gcd within the bound is answered
+    # even where a^-1 would pass it (the two-product gcd raised here)
+    s1, s2 = (make_element(B3, 0, [B3.atom(i)]) for i in (1, 2))
+    assert left_gcd(_BIG, s1) == s1 and left_gcd(s1, _BIG) == s1
+    low = make_element(B3, -10 ** 6, [B3.atom(2)])
+    assert left_gcd(_BIG, low) == low
+    with pytest.raises(SizeLimitExceeded):
+        invert(_BIG)
+
+
 def test_kernel_values_match_the_public_constructors():
     # the trusted constructors build values that compare, hash and print
     # exactly like GarsideElement(...) and ALVertex(...) of the same fields
@@ -1034,6 +1045,86 @@ def test_gcds_match_atom_extension_up_to_length_40(n):
         assert left_gcd(a, b) == atom_extension_gcd(a, b, "left")
         a, b = multiply(u, shared), multiply(v, shared)
         assert right_gcd(a, b) == atom_extension_gcd(a, b, "right")
+
+
+def _fraction_gcd(a, b):
+    """a N^-1 for the reduced fraction a^-1 b = N^-1 D: the gcd by two
+    products, kept here as a reference."""
+    return multiply(a, invert(fraction_form(multiply(invert(a), b)).negative))
+
+
+def _check_descent(a, b):
+    """left_gcd(a, b) is the fraction formula's gcd, and the descent's
+    cofactors are d^-1 a and d^-1 b, positive and coprime; returns d."""
+    d = left_gcd(a, b)
+    assert d == _fraction_gcd(a, b), (a, b)
+    n, q = multiply(invert(d), a), multiply(invert(d), b)
+    assert element_module._descent(a, b) == (d, n, q), (a, b)
+    assert n.inf >= 0 and q.inf >= 0, (a, b)
+    st_ = a.structure
+    assert st_.left_meet(_head(n), _head(q)) == st_.identity, (a, b)
+    return d
+
+
+@pytest.mark.parametrize("struct", [*(braid_structure(n) for n in range(3, 9)),
+                                    abelian_structure(3), abelian_structure(4)],
+                         ids=lambda s: s.structure_id)
+def test_left_gcd_equals_the_fraction_formula_and_the_brute_force(struct):
+    # delta powers -3 .. 3 on both sides, equal inputs, the identity, pairs
+    # with and without a shared divisor, and P r1, P r2 whose normal forms
+    # start differently; both argument orders, and the atom-by-atom
+    # maximum wherever the pair is short enough for it
+    rng = random.Random(f"gcd-descent/{struct.structure_id}")
+    simples = list(struct.all_simples())  # identity and delta included
+
+    def draw(power, length):
+        return make_element(struct, power, [rng.choice(simples) for _ in range(length)])
+
+    one = identity_element(struct)
+    pairs = []
+    for k in range(-3, 4):
+        x = draw(rng.randint(-3, 3), rng.randint(0, 4))
+        pairs += [(delta_power(struct, k), x), (delta_power(struct, k), one), (x, x),
+                  (one, x), (delta_power(struct, k), delta_power(struct, -k))]
+    for case in range(24):
+        shared = draw(rng.randint(-3, 3), rng.randint(0, 6) if case % 2 else 0)
+        a = multiply(shared, draw(rng.randint(-3, 3), rng.randint(0, 6)))
+        pairs.append((a, multiply(shared, draw(rng.randint(-3, 3), rng.randint(0, 6)))
+                      if case % 3 else multiply(a, draw(0, rng.randint(0, 4)))))
+    apart = 0
+    while apart < 8:
+        p = draw(rng.randint(-1, 1), rng.randint(1, 6))
+        r1, r2 = (draw(rng.randint(-2, 2), rng.randint(0, 5)) for _ in range(2))
+        a, b = multiply(p, r1), multiply(p, r2)
+        if a.power != b.power or a.factors[:1] == b.factors[:1]:
+            continue
+        apart += 1
+        # left multiplication keeps gcds: gcd(P r1, P r2) = P gcd(r1, r2)
+        assert left_gcd(a, b) == multiply(p, left_gcd(r1, r2)), (p, r1, r2)
+        pairs.append((a, b))
+    brute = 0
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            d = _check_descent(x, y)
+            if max(x.sup, y.sup) - min(x.inf, y.inf) <= 5:
+                assert d == atom_extension_gcd(x, y, "left"), (x, y)
+                brute += 1
+    assert brute >= 2 * 35, brute
+
+
+@pytest.mark.parametrize("n, length", ((8, 300), (8, 600), (16, 400)))
+def test_left_gcd_on_long_pairs(n, length):
+    # long pairs with and without a shared divisor, in both orders
+    rng = random.Random(f"gcd-descent-long/{n}/{length}")
+    struct = braid_structure(n)
+    for case in range(4):
+        shared = make_element(struct, rng.randint(-2, 2),
+                              random_simples(rng, n, length if case % 2 else 0))
+        a, b = (multiply(shared, make_element(struct, rng.randint(-2, 2),
+                                              random_simples(rng, n, rng.randint(0, length))))
+                for _ in range(2))
+        _check_descent(a, b)
+        _check_descent(b, a)
 
 
 def _kernel_sweep_rows():
