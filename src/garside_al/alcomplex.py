@@ -25,6 +25,10 @@ standard exit of bidirectional search (Pohl, "Bi-directional search",
 time.  One budget unit is one expansion of a vertex by a move, and the
 budget caps each search run.
 
+Preferred paths and the sides of a thinness report come from one builder,
+_path_and_cofactors: one gcd descent, then two climbs from the gcd vertex
+along its cofactors (_path_vertices).
+
 A vertex is a frozen, slotted ALVertex.  The public ALVertex(rep) refuses a
 representative whose inf is not 0; vertex_of, identity_vertex and
 _path_vertices build theirs with the trusted _vertex(rep), which checks
@@ -168,37 +172,36 @@ class PreferredPath:
         return len(self.labels)
 
 
-def _path_vertices(v: ALVertex, x: GarsideElement, count: int) -> list:
-    """The first count vertices of the path from v spelled by the normal
-    form factors of x: entry i is the vertex of v_rep * x_1 ... x_i.
+def _path_vertices(v: ALVertex, x: GarsideElement) -> list:
+    """The path from v spelled by the normal form factors of x: entry i is
+    the vertex of v_rep * x_1 ... x_i.
 
-    The running product v_rep * x_1 ... x_i is kept as L * Delta^e; L is
-    that step's vertex.  Each step is one cascade (element._fold) until a
-    factor lands as it stands, that is L grows by tau^e(x_i) and nothing
-    else moves.  x is a normal form, so every later factor lands too (see
-    element._fold), and each later vertex appends the next twisted factor
-    with no cascade.  preferred_path climbs from the gcd vertex along the
-    cofactors, so each L left-divides v_rep or w_rep and e stays 0; the
-    thinness report walks x = vertex_of(v_rep^-1 w_rep) from v, where L is
-    a left divisor of v_rep up to the gcd vertex and of w_rep after it.
-    Either way no L is longer than the longer end, and the size bound
-    needs no check here.
+    The only caller, _path_and_cofactors, climbs from the gcd vertex:
+    v_rep is the gcd d, and x a cofactor N with d N = a, an inf-0
+    representative.  Each running product d N_1 ... N_i is then a
+    positive left divisor of a, so Delta never divides it: the cascade's
+    exponent stays 0, and the product's factor list is the step's vertex.
+    A fold that sheds a Delta is an internal error.  Each step is one
+    cascade (element._fold) until a factor lands as it stands; x is a
+    normal form, so every later factor lands too (see element._fold), and
+    each later vertex appends the next factor with no cascade.  No vertex
+    is longer than a, which the kernel has already checked against the
+    size bound, so none is checked here.
     """
-    st, tau = v.structure, v.structure._tau
+    st = v.structure
     fac = list(v.rep.factors)
-    e = 0
     vertices = [v]
-    steps = x.factors[:count - 1]
-    for i, f in enumerate(steps):
+    for i, f in enumerate(x.factors):
         j = len(fac)
-        e = _fold(st, fac, e, (f,))
+        if _fold(st, fac, 0, (f,)):
+            raise AssertionError("internal error: a climb from the gcd vertex shed a Delta")
         vertices.append(_vertex(_element(st, 0, tuple(fac))))
-        if len(fac) > j and fac[j] == (tau[f] if e & 1 else f):
-            # the list grew by one and ends in tau^e(f): a first slide
-            # would have put a proper right divisor of it there or deleted
-            # it, and a delta exit shortens the list, so f landed as it stands
-            for f in steps[i + 1:]:
-                fac.append(tau[f] if e & 1 else f)
+        if len(fac) > j and fac[j] == f:
+            # the list grew by one and ends in f: a first slide would have
+            # put a proper right divisor of it there or deleted it, so f
+            # landed as it stands
+            for f in x.factors[i + 1:]:
+                fac.append(f)
                 vertices.append(_vertex(_element(st, 0, tuple(fac))))
             break
     return vertices
@@ -214,31 +217,41 @@ def _split(v: ALVertex, w: ALVertex) -> tuple:
     return _descent(v.rep, w.rep)
 
 
+def _path_and_cofactors(v: ALVertex, w: ALVertex) -> tuple:
+    """(vertices, N, D): the vertices of the preferred path from v to w,
+    and the cofactors N and D of the gcd d of the representatives
+    (_split), read off one descent.
+
+    The path's labels are the factors of x, the vertex of
+    v_rep^-1 w_rep = N^-1 D.  That fraction with N ^ D = 1 is a normal
+    form as it stands (Thurston, in Epstein et al., Ch. 9): its first
+    sup(N) factors are those of N^-1 and the rest those of D.  So the path
+    descends from v to the gcd vertex through the vertices d (N and
+    Delta^j), j = sup(N) down to 0, and climbs along D to w.  Both halves
+    are _path_vertices from the gcd vertex, along N read backwards and
+    along D: each step climbs along a normal form, so after the first
+    landing every vertex is an append, and no step is a cascade that
+    shortens the list.
+    """
+    d, n, q = _split(v, w)
+    g = _vertex(d)
+    vertices = _path_vertices(g, n)
+    vertices.reverse()
+    vertices += _path_vertices(g, q)[1:]
+    return vertices, n, q
+
+
 def preferred_path(v: ALVertex, w: ALVertex) -> PreferredPath:
     """The edge path spelled by the normal form of the translated target.
 
     Step i sits at the vertex of v_rep * (x and Delta^i), where x is the
     distinguished representative of (v_rep^-1 w_rep) Delta^Z; the i-th edge
-    label is the i-th normal form factor of x.
-
-    Both are read off the gcd d and its cofactors N and D (_split).  The
-    fraction N^-1 D with N ^ D = 1 is a normal form as it stands
-    (Thurston, in Epstein et al., Ch. 9), so the product lands at its
-    first factor, and x is its vertex.  Its first sup(N) factors are those
-    of N^-1 and the rest those of D, so the path descends from v to the
-    gcd vertex through the vertices d (N and Delta^j), j = sup(N) down to
-    0, and climbs along D to w.  Both halves are _path_vertices from the
-    gcd vertex, along N read backwards and along D: each step climbs along
-    a normal form, so after the first landing every vertex is an append,
-    and no step is a cascade that shortens the list.
+    label is the i-th normal form factor of x.  Both are read off one gcd
+    descent (_path_and_cofactors): x is the vertex of N^-1 D, a product
+    that lands at its first factor.
     """
-    d, n, q = _split(v, w)
-    x = vertex_of(multiply(invert(n), q)).rep
-    g = _vertex(d)
-    down = _path_vertices(g, n, len(n.factors) + 1)
-    down.reverse()
-    down += _path_vertices(g, q, len(q.factors) + 1)[1:]
-    return PreferredPath(tuple(down), x.factors)
+    vertices, n, q = _path_and_cofactors(v, w)
+    return PreferredPath(tuple(vertices), vertex_of(multiply(invert(n), q)).rep.factors)
 
 
 def gcd_vertex(v: ALVertex, w: ALVertex) -> ALVertex:
@@ -529,14 +542,12 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
     failed connector raises WitnessError: both would contradict the overlap
     bound that makes the triangle thin.
 
-    Each side takes one coset difference z; the reverse side's difference
-    is invert(z), the same element, with no cascade.  Each of the six
-    directed paths is folded once (_path_vertices): a side in full from
-    its first corner, and from its second corner only as far as that
-    corner's walk reaches.  A walk's step i stands at vertex i of the two
-    directed paths leaving its corner.  Every vertex of a second-corner
-    path is compared with the full path's vertex at its position: read
-    from the far corner, the path must be the reverse of the near one.
+    Each side is read off one gcd descent (_path_and_cofactors), as
+    preferred_path reads it: its vertices from the first corner, and its
+    coset difference z = N^-1 D.  Read from the second corner, the side is
+    the same path reversed, and its difference is invert(z), with no
+    cascade.  A walk's step i stands at vertex i of the two directed paths
+    leaving its corner.
 
     An entry's labels act on corner.rep * (x ^ Delta^i), which is
     start.rep * Delta^j for some j >= 0.  As Delta^j y = tau^-j(y) Delta^j,
@@ -546,33 +557,27 @@ def triangle_thinness_report(u: ALVertex, v: ALVertex, w: ALVertex) -> ThinnessR
     corners = {"u": u, "v": v, "w": w}
     sides = (("u", "v", "w"), ("v", "w", "u"), ("u", "w", "v"))  # (a, b, third)
     xs = {}      # (from, to) -> inf-0 representative of the coset difference
+    paths = {}   # (from, to) -> the directed path's vertices
     for a, b, _ in sides:
-        z = _coset_difference(corners[a], corners[b])
-        xs[a, b] = vertex_of(z).rep
-        xs[b, a] = vertex_of(invert(z)).rep
+        path, n, q = _path_and_cofactors(corners[a], corners[b])
+        z = multiply(invert(n), q)
+        xs[a, b], xs[b, a] = vertex_of(z).rep, vertex_of(invert(z)).rep
+        paths[a, b], paths[b, a] = path, path[::-1]
     conns = {}   # (corner, far end) -> the corner's walk connectors toward that end
     for a, b, c in (("u", "v", "w"), ("v", "w", "u"), ("w", "u", "v")):
         walk = _gcd_walk(xs[a, b], xs[a, c], f"corner {a}")
         conns[a, b] = [cx for _, cx, _ in walk]
         conns[a, c] = [cy for _, _, cy in walk]
-    paths = {}   # (from, to) -> the directed path's vertices, as far as needed
-    for a, b, _ in sides:
-        paths[a, b] = _path_vertices(corners[a], xs[a, b], len(xs[a, b].factors) + 1)
-        paths[b, a] = _path_vertices(corners[b], xs[b, a], len(conns[b, a]))
     all_entries = []
     for a, b, c in sides:
         edge_name = a + b
-        path = paths[a, b]
-        k = len(path) - 1
+        k = len(paths[a, b]) - 1
         merged = {}
         for corner, far in ((a, b), (b, a)):
             for i, (p, q, yp, yq) in enumerate(zip(
                     paths[corner, far], paths[corner, c],
                     conns[corner, far], conns[corner, c])):
                 pos = i if corner == a else k - i
-                if corner == b and p != path[pos]:
-                    raise WitnessError(f"{edge_name}: step {i} from corner "
-                                       f"{corner} disagrees with the path")
                 labels = () if p == q else tuple(
                     (sign, y) for sign, y in ((-1, yp), (1, yq)) if not y.is_identity)
                 # the corner-a entry stands on the overlap

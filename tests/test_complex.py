@@ -91,6 +91,29 @@ def fold_path(v, labels):
     return out
 
 
+PATH_STRUCTURES = [*(braid_structure(n) for n in range(3, 9)),
+                   abelian_structure(3), abelian_structure(4)]
+
+
+def path_pairs(struct):
+    """24 seeded vertex pairs: they share a prefix, are equal, or one
+    divides the other, at lengths up to 60."""
+    rng = random.Random(f"path-fold/{struct.structure_id}")
+    simples = list(struct.all_simples())
+
+    def draw(length):
+        return make_element(struct, 0, [rng.choice(simples) for _ in range(length)])
+
+    for case in range(24):
+        long = case % 6 == 0
+        shared = draw(rng.randint(0, 40 if long else 8))
+        v = vertex_of(multiply(shared, draw(rng.randint(0, 20 if long else 6))))
+        w = (v if case % 8 == 1 else
+             vertex_of(multiply(v.rep, draw(rng.randint(0, 6)))) if case % 8 == 3 else
+             vertex_of(multiply(shared, draw(rng.randint(0, 20 if long else 6)))))
+        yield v, w
+
+
 # ---------------------------------------------------------------------------
 # vertices and the action
 
@@ -293,31 +316,37 @@ class TestPreferredPaths:
                 last = p
         assert exits > 0
 
-    @pytest.mark.parametrize("struct", [*(braid_structure(n) for n in range(3, 9)),
-                                        abelian_structure(3), abelian_structure(4)],
-                             ids=lambda s: s.structure_id)
+    @pytest.mark.parametrize("struct", PATH_STRUCTURES, ids=lambda s: s.structure_id)
     def test_path_equals_the_per_simple_fold_of_its_labels(self, struct):
         # the path is read off the gcd and its cofactors, yet its labels are
         # the vertex of v_rep^-1 w_rep and its vertices are the running
-        # product from v, step by step; pairs share a prefix, are equal, or
-        # one divides the other, at lengths up to 60
-        rng = random.Random(f"path-fold/{struct.structure_id}")
-        simples = list(struct.all_simples())
-
-        def draw(length):
-            return make_element(struct, 0, [rng.choice(simples) for _ in range(length)])
-
-        for case in range(24):
-            long = case % 6 == 0
-            shared = draw(rng.randint(0, 40 if long else 8))
-            v = vertex_of(multiply(shared, draw(rng.randint(0, 20 if long else 6))))
-            w = (v if case % 8 == 1 else
-                 vertex_of(multiply(v.rep, draw(rng.randint(0, 6)))) if case % 8 == 3 else
-                 vertex_of(multiply(shared, draw(rng.randint(0, 20 if long else 6)))))
+        # product from v, step by step
+        for v, w in path_pairs(struct):
             for a, b in ((v, w), (w, v)):
                 path = preferred_path(a, b)
                 assert path.labels == vertex_of(multiply(invert(a.rep), b.rep)).rep.factors
                 assert list(path.vertices) == fold_path(a, path.labels), (a, b)
+
+    @pytest.mark.parametrize("struct", PATH_STRUCTURES, ids=lambda s: s.structure_id)
+    def test_reversed_endpoints_reverse_the_path(self, struct):
+        # the thinness report reads each side from its second corner as the
+        # first corner's path reversed
+        kinds = set()
+        for v, w in path_pairs(struct):
+            assert preferred_path(w, v).vertices == \
+                tuple(reversed(preferred_path(v, w).vertices)), (v, w)
+            kinds.add("equal" if v == w else
+                      "divides" if gcd_vertex(v, w) in (v, w) else "shared")
+        assert kinds == {"equal", "divides", "shared"}
+
+    def test_a_climb_that_sheds_a_delta_is_an_internal_error(self, monkeypatch):
+        # a climb's running products divide an inf-0 representative, so a
+        # fold that reports a Delta can only be a fault of the kernel
+        fold = alcomplex._fold
+        monkeypatch.setattr(alcomplex, "_fold", lambda *a: fold(*a) or 1)
+        with pytest.raises(AssertionError, match="^internal error: a climb from the "
+                                                 "gcd vertex shed a Delta$"):
+            preferred_path(identity_vertex(B3), vertex_of(parse_word(B3, "s1 s2")))
 
     def test_gcd_vertex_examples(self):
         v = vertex_of(parse_word(B3, "s1 s1"))
@@ -1088,38 +1117,6 @@ class TestThinTriangles:
         initial_segment_witnesses(v, w)
         assert calls == {"left_gcd": 4, "_gcd_walk": 4}
 
-    def test_each_directed_path_is_folded_once(self, monkeypatch):
-        # each side in full from its first corner, and from its second
-        # corner only as far as that corner's gcd walk reaches
-        calls = []
-        inner = alcomplex._path_vertices
-
-        def counting(v, x, count):
-            calls.append((v, x, count))
-            return inner(v, x, count)
-
-        monkeypatch.setattr(alcomplex, "_path_vertices", counting)
-        u = vertex_of(parse_word(B4, "s1 s2 s3 s1"))
-        v = vertex_of(parse_word(B4, "s1 s2 s2 s3 s3 s2"))
-        w = vertex_of(parse_word(B4, "s3 s2 s1 s1 s2"))
-        assert triangle_thinness_report(u, v, w).max_gap <= 2
-
-        def x(a, b):
-            return vertex_of(multiply(invert(a.rep), b.rep)).rep
-
-        def walk_length(a, b, c):
-            return left_gcd(x(a, b), x(a, c)).sup + 1
-
-        expected = [(a, x(a, b), len(x(a, b).factors) + 1)
-                    for a, b in ((u, v), (v, w), (u, w))]
-        expected += [(v, x(v, u), walk_length(v, w, u)),
-                     (w, x(w, v), walk_length(w, u, v)),
-                     (w, x(w, u), walk_length(w, u, v))]
-        assert len(calls) == 6
-        assert sorted(calls, key=repr) == sorted(expected, key=repr)
-        # the reverse directions stop short of the far corner here
-        assert any(count < len(rep.factors) + 1 for _, rep, count in expected[3:])
-
     def test_failed_connector_is_fatal(self, monkeypatch):
         monkeypatch.setattr(alcomplex, "absorbs", lambda mid, y: False)
         u, v, w = self.triangle()
@@ -1139,21 +1136,33 @@ class TestThinTriangles:
                            match="^edge uv: corner segments cover 0\\+0 < 2 steps$"):
             triangle_thinness_report(*self.triangle())
 
-    def test_one_coset_difference_per_side(self, monkeypatch):
-        # each reverse side is the inverse of its forward difference
-        calls = []
-        inner = alcomplex._coset_difference
+    def test_each_side_is_read_off_one_descent(self, monkeypatch):
+        # one gcd descent per side and no coset difference; a side's
+        # vertices climb from the gcd vertex, so no fold leaves its list
+        # shorter
+        splits, folds = [], []
+        split, fold = alcomplex._split, alcomplex._fold
 
-        def counting(v, w):
-            calls.append((v, w))
-            return inner(v, w)
+        def counting_fold(t, fac, *args):
+            before = len(fac)
+            e = fold(t, fac, *args)
+            folds.append(len(fac) - before)
+            return e
 
-        monkeypatch.setattr(alcomplex, "_coset_difference", counting)
-        u = vertex_of(parse_word(B4, "s1 s2 s3 s1"))
-        v = vertex_of(parse_word(B4, "s1 s2 s2 s3 s3 s2"))
-        w = vertex_of(parse_word(B4, "s3 s2 s1 s1 s2"))
-        assert triangle_thinness_report(u, v, w).max_gap <= 2
-        assert calls == [(u, v), (v, w), (u, w)]
+        def forbidden(*args):
+            raise AssertionError("a coset difference was taken")
+
+        monkeypatch.setattr(alcomplex, "_split", lambda *a: splits.append(a) or split(*a))
+        monkeypatch.setattr(alcomplex, "_fold", counting_fold)
+        monkeypatch.setattr(alcomplex, "_coset_difference", forbidden)
+        rng = random.Random(44)
+        for t in range(24):
+            st = (B4, braid_structure(5), braid_structure(6))[t % 3]
+            u, v, w = (random_vertex(rng, st, 8) for _ in range(3))
+            splits.clear()
+            assert triangle_thinness_report(u, v, w).max_gap <= 2
+            assert splits == [(u, v), (v, w), (u, w)]
+        assert folds and min(folds) >= 0
 
     def test_reports_on_seeded_triangles_are_pinned(self):
         # 60 triangles per structure: every fourth repeats a corner (in

@@ -13,13 +13,20 @@ import garside_al
 SRC = os.path.dirname(os.path.dirname(garside_al.__file__))
 
 
+def run(tmp_path, *args, flags=()):
+    """python [flags] -m garside_al.cli with args, run in tmp_path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *flags, "-m", "garside_al.cli", *args],
+                          cwd=tmp_path, env=env, capture_output=True)
+
+
 def cli(tmp_path, *args):
     """stdout of python -m garside_al.cli with args, run in tmp_path; the
     command must exit 0 (CalledProcessError otherwise)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-m", "garside_al.cli", *args], cwd=tmp_path,
-                          env=env, capture_output=True, check=True).stdout
+    done = run(tmp_path, *args)
+    done.check_returncode()
+    return done.stdout
 
 
 # normal forms of 40 and 41 factors whose first 10 agree
@@ -49,3 +56,15 @@ def test_gcd_overlap_and_gcd_walk_checks_pass_on_fresh_seeds(tmp_path, suite, se
     # overlaps and the gcd walks of thin triangles: each exits 0
     out = cli(tmp_path, "verify", suite, "--seed", str(seed))
     assert out.endswith(f"suite {suite}: PASS\n".encode())
+
+
+@pytest.mark.parametrize("word", ("D^1000000 D", "D^-1000000 s1^-1"))
+@pytest.mark.parametrize("flags", ((), ("-O",)), ids=("asserts", "no-asserts"))
+def test_size_bound_refusals_rest_on_no_assert(tmp_path, flags, word):
+    # a product past the size bound is refused by the kernel's own check,
+    # not by an assert: exit 2 with one error line, with or without -O
+    done = run(tmp_path, "nf", word, "--n", "3", flags=flags)
+    assert done.returncode == 2 and done.stdout == b""
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: element exceeds size bound 1000000"), lines

@@ -42,6 +42,7 @@ from garside_al import (
     simple_element,
     stats,
     tau_element,
+    triangle_thinness_report,
     vertex_of,
 )
 from garside_al.abelian import AbelianStructure
@@ -493,12 +494,15 @@ _X4, _X3 = delta_power(B4, 1), delta_power(B3, 1)
     (lambda: absorbs(_X4, _X3), "absorbs: elements from different structures"),
     (lambda: are_adjacent(vertex_of(_X4), vertex_of(_X3)), "vertices from different structures"),
     (lambda: gcd_vertex(vertex_of(_X4), vertex_of(_X3)), "vertices from different structures"),
+    (lambda: preferred_path(vertex_of(_X4), vertex_of(_X3)), "vertices from different structures"),
+    (lambda: triangle_thinness_report(vertex_of(_X4), vertex_of(_X4), vertex_of(_X3)),
+     "vertices from different structures"),
     (lambda: ALVertex(_X4), "vertex representative must have inf 0"),
     (lambda: braid_structure(1), "need at least 2 strands, got 1"),
     (lambda: embed_simple(B4.atom(1), 3, 4), "cannot place 4 strands at offset 3 inside B_4"),
     (lambda: run_suite("nope"), f"unknown suite 'nope'; choose from {SUITE_NAMES}"),
-], ids=["multiply", "absorbs", "are_adjacent", "gcd_vertex", "vertex", "strands",
-        "embed_simple", "run_suite"])
+], ids=["multiply", "absorbs", "are_adjacent", "gcd_vertex", "preferred_path",
+        "triangle_thinness_report", "vertex", "strands", "embed_simple", "run_suite"])
 def test_library_refusals_are_pinned(call, message):
     with pytest.raises(ValueError) as err:
         call()
